@@ -3,7 +3,6 @@ exponential margins, with exact reference models and a seeded benchmark
 comparing it against diagonal-extrapolation and conditional-simulation
 baselines."""
 
-from ._kernels import NUMBA_ENABLED
 from .copulas import (
     BivariateNormal,
     ClaytonLowerTail,
@@ -19,7 +18,6 @@ from .margins import ExponentialSample, RawSample
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "BivariateNormal",
     "ClaytonLowerTail",
     "InvertedLogistic",

@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels as knl
 from . import estimators as est
 from . import margins
 from .copulas import CopulaModel, SurvivorSet, survivor_exp
-from .errors import DomainError
+from .errors import DomainError, RaytailError
 
 DEFAULT_OMEGAS = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
 METHODS = ("wt", "lt", "ht")
@@ -199,46 +198,34 @@ def _run_single_rep(config: BenchmarkConfig, rep: int) -> dict:
     sample = config.model.sample(config.m, seed)
     if config.rank_transform:
         sample = margins.rank_transform(sample.points)
+    targets = config.targets()
 
     if "wt" in config.methods:
         lam = np.full(n_omegas, np.nan)
-        for i, w in enumerate(config.omegas):
+        for i, corner in enumerate(targets):
             try:
-                fit = est.fit_lambda(sample, w, frac=config.frac)
-                s_target = config.y_corner / (1.0 - w)
-                v = s_target - fit.u
-                if v >= 0.0:
-                    p = est.wt_probability(sample, w, u_n=fit.u, v=v, fit=fit)
-                else:
-                    tgt = target_set_corner(config, w)
-                    cnt = knl.count_joint_exceedances(
-                        sample.x, sample.y, tgt[0], tgt[1]
-                    )
-                    p = est.ProbEstimate(
-                        cnt / sample.n, "wt", cnt == 0, {"omega": w}
-                    )
+                p = est.wt_probability_at(sample, corner, frac=config.frac)
                 out["wt"]["values"][i] = p.value
-                lam[i] = fit.lambda_hat
-            except Exception:
+                lam[i] = p.meta["lambda_hat"]
+            except RaytailError:
                 pass
         out["wt"]["lambda"] = lam
 
     if "lt" in config.methods:
         lam = np.full(n_omegas, np.nan)
-        for i, w in enumerate(config.omegas):
+        for i, corner in enumerate(targets):
             try:
-                tgt = target_set_corner(config, w)
-                p = est.lt_probability(sample, tgt, frac=config.frac)
+                p = est.lt_probability(sample, corner, frac=config.frac)
                 out["lt"]["values"][i] = p.value
                 lam[i] = p.meta["lambda_half"]
-            except Exception:
+            except RaytailError:
                 pass
         out["lt"]["lambda"] = lam
 
     if "ht" in config.methods:
         try:
             fit_h = est.fit_ht(sample, quantile=config.ht_quantile)
-        except Exception:
+        except RaytailError:
             fit_h = None
         if fit_h is not None:
             for i, w in enumerate(config.omegas):
@@ -252,13 +239,9 @@ def _run_single_rep(config: BenchmarkConfig, rep: int) -> dict:
                         seed=_ht_draw_seed(seed, i),
                     )
                     out["ht"]["values"][i] = p.value
-                except Exception:
+                except RaytailError:
                     pass
     return out
-
-
-def target_set_corner(config, omega):
-    return (omega / (1.0 - omega) * config.y_corner, config.y_corner)
 
 
 def _worker_count() -> int:
@@ -393,7 +376,7 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
         for i, w in enumerate(grid):
             try:
                 fits[rep, i] = est.fit_lambda(sample, w, frac=config.frac).lambda_hat
-            except Exception:
+            except RaytailError:
                 pass
     return LambdaRecovery(
         omegas=grid,

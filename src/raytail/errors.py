@@ -55,18 +55,13 @@ class OptimizerError(NumericError):
 
     Attributes
     ----------
-    best_point : tuple
-        Best parameter vector found.
-    gradient_norm : float
-        Projected gradient norm at the best point.
+    best_point : tuple or None
+        Best parameter vector found, if any.
     """
 
-    def __init__(self, message, best_point, gradient_norm):
-        super().__init__(
-            f"{message} (best point {best_point}, gradient norm {gradient_norm:.3e})"
-        )
+    def __init__(self, message, best_point):
+        super().__init__(f"{message} (best point {best_point})")
         self.best_point = best_point
-        self.gradient_norm = gradient_norm
 
 
 class ExtrapolationError(RaytailError, ValueError):

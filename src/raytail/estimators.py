@@ -34,9 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
-from . import _kernels as knl
 from .copulas import SurvivorSet
 from .errors import (
     DomainError,
@@ -48,9 +47,10 @@ from .margins import ExponentialSample
 
 _MIN_EXCEEDANCES = 5
 _MIN_HT_EXCEEDANCES = 50
-_HT_STARTS_ALPHA = (0.0, 0.25, 0.5, 0.75, 1.0)
-_HT_STARTS_BETA = (-1.0, 0.0, 0.5)
-_HT_GRAD_TOL = 1e-6
+_HT_GRID_POINTS = 121
+_HT_BETA_LO = -1.0  # lower edge of the first beta grid
+_HT_BETA_HI = 1.0 - 1e-8
+_HT_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ class HTFit:
     mu: float
     sigma: float
     nll: float
-    grad_norm: float
 
     def __post_init__(self):
         if len(self.residuals) < 10:
@@ -144,7 +143,7 @@ def structure_variable(sample: ExponentialSample, omega) -> np.ndarray:
         return sample.y.copy()
     if omega == 1.0:
         return sample.x.copy()
-    return knl.structure_min(sample.x, sample.y, omega, 1.0 - omega)
+    return np.minimum(sample.x / omega, sample.y / (1.0 - omega))
 
 
 def _structure_general(sample, gx, gy):
@@ -153,7 +152,7 @@ def _structure_general(sample, gx, gy):
         return sample.y / gy
     if gy == 0.0:
         return sample.x / gx
-    return knl.structure_min(sample.x, sample.y, gx, gy)
+    return np.minimum(sample.x / gx, sample.y / gy)
 
 
 def fit_lambda(sample, omega, frac=0.10, u=None) -> AngularFit:
@@ -183,7 +182,8 @@ def _fit_lambda_from_t(t, omega, frac, u):
         if not 0.0 < frac < 1.0:
             raise DomainError(f"frac must lie in (0, 1), got {frac}")
         u = float(np.quantile(t, 1.0 - frac))
-    k, total_excess = knl.excess_stats(t, u)
+    exc = t[t > u]
+    k, total_excess = exc.size, float(np.sum(exc - u))
     if k < _MIN_EXCEEDANCES:
         raise InsufficientExceedancesError(k, _MIN_EXCEEDANCES)
     if total_excess <= 0.0:
@@ -212,9 +212,8 @@ def wt_probability(sample, omega, u_n=None, v=0.0, frac=0.10, fit=None) -> ProbE
     elif omega == 1.0:
         base = int(np.count_nonzero(sample.x > u_n))
     else:
-        base = knl.count_joint_exceedances(
-            sample.x, sample.y, omega * u_n, (1.0 - omega) * u_n
-        )
+        x0, y0 = omega * u_n, (1.0 - omega) * u_n
+        base = int(np.count_nonzero((sample.x > x0) & (sample.y > y0)))
     value = math.exp(-fit.lambda_hat * v) * base / sample.n
     return ProbEstimate(
         value=value,
@@ -244,7 +243,7 @@ def wt_probability_at(sample, target, frac=0.10) -> ProbEstimate:
     v = s_target - fit.u
     if v < 0.0:
         # target inside the threshold: plain empirical probability
-        base = knl.count_joint_exceedances(sample.x, sample.y, x0, y0)
+        base = int(np.count_nonzero((sample.x > x0) & (sample.y > y0)))
         return ProbEstimate(
             value=base / sample.n,
             method="wt",
@@ -282,7 +281,7 @@ def lt_probability(sample, target, u_n=None, frac=0.10, baseline=None) -> ProbEs
         bx = float(np.quantile(sample.x, 1.0 - frac))
         by = float(np.quantile(sample.y, 1.0 - frac))
     v = max(0.0, min(x0 - bx, y0 - by))
-    base = knl.count_joint_exceedances(sample.x, sample.y, x0 - v, y0 - v)
+    base = int(np.count_nonzero((sample.x > x0 - v) & (sample.y > y0 - v)))
     value = math.exp(-v / eta_hat) * base / sample.n
     return ProbEstimate(
         value=value,
@@ -298,19 +297,50 @@ def lt_probability(sample, target, u_n=None, frac=0.10, baseline=None) -> ProbEs
     )
 
 
-def _ht_objective(params, x, y, logy):
-    nll, ga, gb = knl.ht_profile_nll_grad(params[0], params[1], x, y, logy)
-    return nll, np.array([ga, gb])
+def _ht_profile(betas, x, y, logy):
+    """Profile negative log-likelihood and location slope along a beta vector.
+
+    For fixed beta the residual variance var(x*y**-beta - alpha*y**(1-beta))
+    is quadratic in alpha, so alpha*(beta) = cov / var clipped to [0, 1] is
+    the exact constrained minimizer (variable projection). Betas with
+    |beta * log y| > 600 for some y, and degenerate variances, get +inf.
+    """
+    nll = np.full(betas.size, np.inf)
+    alpha = np.full(betas.size, np.nan)
+    feasible = np.flatnonzero(
+        (betas * np.max(logy) <= 600.0) & (betas * np.min(logy) >= -600.0)
+    )
+    # the (grid x exceedance) arrays are built in row blocks so that memory
+    # stays bounded for very large conditioning tails
+    step = max(1, _HT_BLOCK_ELEMS // x.size)
+    for start in range(0, feasible.size, step):
+        rows = feasible[start:start + step]
+        yb = np.exp(betas[rows, None] * logy)
+        a = x / yb
+        c = y / yb
+        a -= np.mean(a, axis=1, keepdims=True)
+        c -= np.mean(c, axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            al = np.clip(np.sum(a * c, axis=1) / np.sum(c * c, axis=1), 0.0, 1.0)
+            s2 = np.mean((a - al[:, None] * c) ** 2, axis=1)
+            nll[rows] = 0.5 * x.size * np.log(s2) + betas[rows] * np.sum(logy)
+        alpha[rows] = al
+    nll[~np.isfinite(nll)] = np.inf
+    return nll, alpha
 
 
 def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     """Fit the conditional-tail model X_E | Y_E = y ~ Normal(alpha*y +
     mu*y**beta, (sigma*y**beta)**2) above the conditioning threshold.
 
-    alpha is constrained to [0, 1] and beta to (-inf, 1); mu and sigma are
-    profiled out of the likelihood. The optimizer is a bounded
-    quasi-Newton run from a 5 x 3 multistart grid; non-convergence (best
-    projected gradient norm above 1e-6) raises with the best point found.
+    alpha is constrained to [0, 1] and beta to (-inf, 1 - 1e-8); mu and
+    sigma are profiled out of the likelihood, and alpha in closed form for
+    each beta, leaving a 1-D profile in beta. It is evaluated on a
+    121-point grid ending at 1 - 1e-8, which widens downward while its
+    minimum sits on the lower edge, then refined by bounded Brent search
+    on the bracket around the best grid point. Raises OptimizerError when
+    the likelihood is nowhere finite on the grid, the refinement fails, or
+    the residual scale is degenerate.
     """
     _require_bivariate(sample)
     if u_y is None:
@@ -321,44 +351,41 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     n_exc = int(np.count_nonzero(mask))
     if n_exc < _MIN_HT_EXCEEDANCES:
         raise InsufficientExceedancesError(n_exc, _MIN_HT_EXCEEDANCES)
-    x = np.ascontiguousarray(sample.x[mask])
-    y = np.ascontiguousarray(sample.y[mask])
+    x = sample.x[mask]
+    y = sample.y[mask]
     if np.min(y) <= 0.0:
         raise DomainError("conditioning threshold must keep Y_E positive")
     logy = np.log(y)
-    best = None
-    for a0 in _HT_STARTS_ALPHA:
-        for b0 in _HT_STARTS_BETA:
-            res = minimize(
-                _ht_objective,
-                x0=np.array([a0, b0]),
-                args=(x, y, logy),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(0.0, 1.0), (None, 1.0 - 1e-8)],
-                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9},
-            )
-            if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-                best = res
-    if best is None:
-        raise OptimizerError("conditional-tail likelihood never finite", None, math.inf)
-    xbest, fbest, gbest = np.array(best.x), float(best.fun), np.array(best.jac)
-    gnorm = _projected_grad_norm(xbest, gbest, lo=(0.0, -math.inf), hi=(1.0, 1.0))
-    if gnorm > _HT_GRAD_TOL * max(1.0, abs(fbest)):
-        # the line search stalls once objective changes drop below float
-        # noise while the gradient is still a few 1e-6; Newton steps with a
-        # finite-difference Hessian polish off the last ~1e-7 in parameters
-        xbest, fbest, gbest = _newton_polish(xbest, fbest, gbest, x, y, logy)
-        gnorm = _projected_grad_norm(xbest, gbest, lo=(0.0, -math.inf), hi=(1.0, 1.0))
-    alpha, beta = float(xbest[0]), float(xbest[1])
-    if gnorm > _HT_GRAD_TOL * max(1.0, abs(fbest)):
-        raise OptimizerError(
-            "conditional-tail fit did not converge", (alpha, beta), gnorm
-        )
-    z = (x - xbest[0] * y) / np.exp(xbest[1] * logy)
+    lo, hi = _HT_BETA_LO, _HT_BETA_HI
+    while True:
+        betas = np.linspace(lo, hi, _HT_GRID_POINTS)
+        nll, alphas = _ht_profile(betas, x, y, logy)
+        i = int(np.argmin(nll))
+        # widen while the minimum sits on a finite lower edge; the
+        # |beta * log y| guard makes that edge infinite eventually
+        if i > 0 or not np.isfinite(nll[0]):
+            break
+        lo, hi = lo - 2.0 * (hi - lo), betas[1]
+    if not np.isfinite(nll[i]):
+        raise OptimizerError("conditional-tail likelihood never finite", None)
+    res = minimize_scalar(
+        lambda b: _ht_profile(np.array([b]), x, y, logy)[0][0],
+        bounds=(betas[max(i - 1, 0)], betas[min(i + 1, betas.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    if not res.success:
+        best = (float(alphas[i]), float(betas[i]))
+        raise OptimizerError("conditional-tail fit did not converge", best)
+    beta = float(res.x)
+    fbest, abest = _ht_profile(np.array([beta]), x, y, logy)
+    alpha = float(abest[0])
+    z = (x - alpha * y) / np.exp(beta * logy)
     sigma = float(np.std(z))
-    if sigma <= 0.0:
-        raise OptimizerError("degenerate residual scale", (alpha, beta), gnorm)
+    # a spread at the rounding level of the residuals themselves means the
+    # likelihood is unbounded, e.g. x constant above the threshold
+    if not sigma > 1.5e-8 * float(np.max(np.abs(z))):
+        raise OptimizerError("degenerate residual scale", (alpha, beta))
     return HTFit(
         alpha=alpha,
         beta=beta,
@@ -366,47 +393,8 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
         residuals=z,
         mu=float(np.mean(z)),
         sigma=sigma,
-        nll=fbest,
-        grad_norm=gnorm,
+        nll=float(fbest[0]),
     )
-
-
-def _newton_polish(xvec, fval, grad, x, y, logy, max_steps=3):
-    h = 1e-6
-    for _ in range(max_steps):
-        hess = np.empty((2, 2))
-        for j in range(2):
-            step = np.zeros(2)
-            step[j] = h
-            _, gpa, gpb = knl.ht_profile_nll_grad(*(xvec + step), x, y, logy)
-            _, gma, gmb = knl.ht_profile_nll_grad(*(xvec - step), x, y, logy)
-            hess[:, j] = [(gpa - gma) / (2 * h), (gpb - gmb) / (2 * h)]
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        cand = np.clip(xvec - delta, (0.0, -np.inf), (1.0, 1.0 - 1e-8))
-        fc, gca, gcb = knl.ht_profile_nll_grad(cand[0], cand[1], x, y, logy)
-        if not np.isfinite(fc) or fc > fval + 1e-10 * max(1.0, abs(fval)):
-            break
-        xvec, fval, grad = cand, fc, np.array([gca, gcb])
-        if _projected_grad_norm(xvec, grad, (0.0, -np.inf), (1.0, 1.0)) <= (
-            _HT_GRAD_TOL * max(1.0, abs(fval))
-        ):
-            break
-    return xvec, fval, grad
-
-
-def _projected_grad_norm(xvec, grad, lo, hi):
-    pg = []
-    for xi, gi, lo_i, hi_i in zip(xvec, grad, lo, hi):
-        if xi <= lo_i + 1e-12 and gi > 0.0:
-            pg.append(0.0)
-        elif xi >= hi_i - 1e-12 and gi < 0.0:
-            pg.append(0.0)
-        else:
-            pg.append(gi)
-    return float(np.max(np.abs(pg)))
 
 
 def ht_probability(fit: HTFit, omega, u_n, r=10_000, seed=0) -> ProbEstimate:
@@ -431,7 +419,8 @@ def ht_probability(fit: HTFit, omega, u_n, r=10_000, seed=0) -> ProbEstimate:
     rng = np.random.default_rng(seed)
     ystar = y_thresh + rng.standard_exponential(r)
     z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
-    frac_cond = knl.ht_indicator_fraction(ystar, z, fit.alpha, fit.beta, omega * u_n)
+    xs = fit.alpha * ystar + np.exp(fit.beta * np.log(ystar)) * z
+    frac_cond = float(np.count_nonzero(xs > omega * u_n)) / r
     value = math.exp(-y_thresh) * frac_cond
     return ProbEstimate(
         value=value,
@@ -465,8 +454,10 @@ def diagnose_linearity(sample, omega, c_grid) -> dict:
     logm = math.log(sample.n)
     pairs = []
     for c in cs:
-        cnt = knl.count_joint_exceedances(
-            sample.x, sample.y, c * omega * logm, c * (1.0 - omega) * logm
+        cnt = int(
+            np.count_nonzero(
+                (sample.x > c * omega * logm) & (sample.y > c * (1.0 - omega) * logm)
+            )
         )
         if cnt > 0:
             pairs.append((float(c), math.log(cnt)))

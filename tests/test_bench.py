@@ -134,6 +134,20 @@ def test_ht_failures_recorded_not_raised():
     assert rep.cell("wt", 0.5).n_reps_used == 3
 
 
+def test_untyped_errors_surface(monkeypatch):
+    # only RaytailError is a recorded replication failure; anything else is
+    # a bug and must propagate
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(bench.est, "fit_lambda", broken)
+    cfg = tiny_config(reps=1, methods=("wt", "lt"))
+    with pytest.raises(TypeError):
+        bench.run_benchmark(cfg)
+    with pytest.raises(TypeError):
+        bench.lambda_recovery(cfg, omega_grid=[0.5])
+
+
 def test_process_pool_matches_serial():
     cfg = tiny_config(reps=4, m=400, methods=("wt", "lt"))
     serial = bench.run_benchmark(cfg).as_dict()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from raytail import copulas as cp
 from raytail import estimators as est
@@ -9,6 +10,7 @@ from raytail.errors import (
     DomainError,
     ExtrapolationError,
     InsufficientExceedancesError,
+    OptimizerError,
 )
 from raytail.margins import ExponentialSample, rank_transform
 
@@ -221,6 +223,14 @@ def test_fit_ht_requires_enough_exceedances():
         est.fit_ht(s, quantile=0.9)  # only ~10 exceedances
 
 
+def test_fit_ht_degenerate_residual_scale_raises():
+    # x constant: the working-normal likelihood grows without bound as
+    # beta -> 0, so there is no fit to return
+    y = np.random.default_rng(0).standard_exponential(1000)
+    with pytest.raises(OptimizerError):
+        est.fit_ht(make_sample(np.column_stack((np.ones_like(y), y))))
+
+
 def test_fit_ht_recovers_location_slope_bvn():
     model = cp.BivariateNormal(0.5)
     alphas = []
@@ -262,6 +272,61 @@ def test_fit_ht_independence_residuals_track_conditioned_variable():
     assert corr > 0.99
 
 
+def _steep_scale_sample(seed):
+    # conditional scale y**-3 above y = 2: the best beta lies far below the
+    # lower edge (-1) of the first profile grid
+    rng = np.random.default_rng(seed)
+    y = rng.standard_exponential(5000)
+    tail = 0.3 * y + y**-3.0 * rng.standard_normal(5000)
+    x = np.where(y > 2.0, tail, rng.standard_exponential(5000))
+    return make_sample(np.column_stack((x, y)))
+
+
+def _working_normal_nll(alpha, beta, x, y):
+    # full negative log-likelihood of x ~ Normal(alpha*y + mu*y**beta,
+    # (sigma*y**beta)**2) at the maximizing mu and sigma
+    yb = y**beta
+    z = (x - alpha * y) / yb
+    return -float(np.sum(norm.logpdf(x, alpha * y + np.mean(z) * yb, np.std(z) * yb)))
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        cp.BivariateNormal(0.5).sample(5000, 17),
+        cp.InvertedLogistic(0.415).sample(5000, 90020),  # alpha on its bound 0
+        _steep_scale_sample(5),
+    ],
+    ids=["bvn", "invlog", "steep-scale"],
+)
+def test_fit_ht_not_beaten_on_2d_grid(sample):
+    fit = est.fit_ht(sample)
+    assert 0.0 <= fit.alpha <= 1.0
+    mask = sample.y > fit.u_y
+    x, y = sample.x[mask], sample.y[mask]
+    best = _working_normal_nll(fit.alpha, fit.beta, x, y)
+    k = x.size
+    assert math.isclose(best - 0.5 * k * (1.0 + math.log(2.0 * math.pi)), fit.nll,
+                        rel_tol=1e-10)
+    alphas = np.clip(fit.alpha + np.linspace(-0.05, 0.05, 41), 0.0, 1.0)
+    betas = np.minimum(fit.beta + np.linspace(-0.05, 0.05, 41), 1.0 - 1e-8)
+    grid = min(_working_normal_nll(a, b, x, y) for a in alphas for b in betas)
+    assert best <= grid + 1e-9 * abs(grid)
+
+
+def test_fit_ht_widens_beta_grid_below_initial_edge():
+    s = _steep_scale_sample(5)
+    fit = est.fit_ht(s)
+    assert fit.beta < -1.0
+    assert abs(fit.beta + 3.0) <= 0.3
+    assert abs(fit.alpha - 0.3) <= 0.01
+    # betas with |beta * log y| > 600 for some y are infeasible, which is
+    # what ends the widening
+    x, y = s.x[s.y > fit.u_y], s.y[s.y > fit.u_y]
+    nll, _ = est._ht_profile(np.array([-1e6, fit.beta]), x, y, np.log(y))
+    assert np.isinf(nll[0]) and np.isfinite(nll[1])
+
+
 def test_ht_probability_deterministic_and_seed_sensitive():
     fit = est.fit_ht(cp.BivariateNormal(0.5).sample(5000, 17))
     a = est.ht_probability(fit, 0.3, 15.0, r=5000, seed=42)
@@ -269,6 +334,14 @@ def test_ht_probability_deterministic_and_seed_sensitive():
     c = est.ht_probability(fit, 0.3, 15.0, r=5000, seed=43)
     assert a.value == b.value
     assert a.value != c.value
+    # the estimate is the exact marginal factor times the indicator mean
+    # over the seeded draws
+    rng = np.random.default_rng(42)
+    y_thresh = (1.0 - 0.3) * 15.0
+    ystar = y_thresh + rng.standard_exponential(5000)
+    z = fit.residuals[rng.integers(0, fit.n_exceedances, size=5000)]
+    cond = np.mean(fit.alpha * ystar + ystar**fit.beta * z > 0.3 * 15.0)
+    assert math.isclose(a.value, math.exp(-y_thresh) * cond, rel_tol=1e-12)
 
 
 def test_ht_probability_marginal_boundary():
@@ -282,7 +355,6 @@ def test_ht_probability_marginal_boundary():
         mu=0.8,
         sigma=0.6,
         nll=0.0,
-        grad_norm=0.0,
     )
     p = est.ht_probability(fit, 0.0, 7.0, r=2000, seed=0)
     assert p.value == math.exp(-7.0)
@@ -303,7 +375,6 @@ def test_ht_probability_monte_carlo_convergence():
         mu=0.5,
         sigma=1.0,
         nll=0.0,
-        grad_norm=0.0,
     )
     # x threshold 0.5 sits between the two residual atoms, so the indicator
     # hits exactly when z = +1, with probability 3/4 independent of y

@@ -1,7 +1,13 @@
+"""The array kernels inside the estimators, checked against direct numpy
+references on one fixed exponential sample."""
+
+import math
+
 import numpy as np
 import pytest
 
-from raytail import _kernels as knl
+from raytail import estimators as est
+from raytail.margins import ExponentialSample
 
 
 @pytest.fixture(scope="module")
@@ -12,100 +18,53 @@ def arrays():
     return x, y
 
 
-def test_structure_min_matches_numpy_reference(arrays):
+@pytest.fixture(scope="module")
+def sample(arrays):
+    return ExponentialSample(np.column_stack(arrays), provenance="simulated")
+
+
+def test_structure_min_matches_numpy_reference(arrays, sample):
     x, y = arrays
-    ref = np.minimum(x / 0.3, y / 0.7)
-    out = knl.structure_min(x, y, 0.3, 0.7)
+    ref = np.minimum(x / 0.3, y / (1.0 - 0.3))
+    out = est.structure_variable(sample, 0.3)
     assert np.array_equal(out, ref)
 
 
-def test_excess_stats(arrays):
-    x, _ = arrays
-    u = float(np.quantile(x, 0.9))
-    k, s = knl.excess_stats(x, u)
-    exc = x[x > u]
-    assert k == exc.size
-    assert np.isclose(s, np.sum(exc - u), rtol=1e-12)
-
-
-def test_count_joint_exceedances(arrays):
+def test_excess_stats(arrays, sample):
     x, y = arrays
-    assert knl.count_joint_exceedances(x, y, 1.0, 0.5) == int(
-        np.sum((x > 1.0) & (y > 0.5))
-    )
+    t = np.minimum(x / 0.3, y / (1.0 - 0.3))
+    u = float(np.quantile(t, 0.9))
+    fit = est.fit_lambda(sample, 0.3, u=u)
+    exc = t[t > u]
+    assert fit.k == exc.size
+    assert np.isclose(fit.lambda_hat, exc.size / np.sum(exc - u), rtol=1e-12)
+
+
+def test_count_joint_exceedances(arrays, sample):
+    x, y = arrays
+    omega, u_n = 0.4, 2.0
+    p = est.wt_probability(sample, omega, u_n=u_n, v=0.0)
+    ref = int(np.sum((x > omega * u_n) & (y > (1.0 - omega) * u_n)))
+    assert p.value == ref / sample.n
 
 
 def test_ht_indicator_fraction(arrays):
     x, y = arrays
-    ystar = 2.0 + x[:1000]
-    z = y[:1000] - 1.0
-    frac = knl.ht_indicator_fraction(ystar, z, 0.25, 0.5, 1.5)
-    ref = np.mean(0.25 * ystar + ystar**0.5 * z > 1.5)
-    assert np.isclose(frac, ref, rtol=1e-12)
-
-
-def test_ht_profile_nll_gradient_against_finite_differences(arrays):
-    x, y = arrays
-    y = y + 2.0  # conditioning tail keeps y well above zero
-    logy = np.log(y)
-    alpha, beta = 0.4, 0.3
-    nll, ga, gb = knl.ht_profile_nll_grad(alpha, beta, x, y, logy)
-    h = 1e-6
-    fa = (
-        knl.ht_profile_nll_grad(alpha + h, beta, x, y, logy)[0]
-        - knl.ht_profile_nll_grad(alpha - h, beta, x, y, logy)[0]
-    ) / (2 * h)
-    fb = (
-        knl.ht_profile_nll_grad(alpha, beta + h, x, y, logy)[0]
-        - knl.ht_profile_nll_grad(alpha, beta - h, x, y, logy)[0]
-    ) / (2 * h)
-    assert np.isclose(ga, fa, rtol=1e-5, atol=1e-6)
-    assert np.isclose(gb, fb, rtol=1e-5, atol=1e-6)
-
-
-def test_ht_profile_nll_infeasible_points(arrays):
-    x, y = arrays
-    y = y + 2.0
-    logy = np.log(y)
-    nll, _, _ = knl.ht_profile_nll_grad(0.5, -1e6, x, y, logy)
-    assert np.isinf(nll)
-
-
-@pytest.mark.skipif(not knl.NUMBA_ENABLED, reason="numba path disabled")
-def test_numba_and_numpy_paths_agree(arrays):
-    x, y = arrays
-    out_nb = knl.structure_min_nb(x, y, 0.4, 0.6)
-    out_np = knl.structure_min_np(x, y, 0.4, 0.6)
-    assert np.array_equal(out_nb, out_np)
-
-    u = float(np.quantile(x, 0.85))
-    k_nb, s_nb = knl.excess_stats_nb(x, u)
-    k_np, s_np = knl.excess_stats_np(x, u)
-    assert k_nb == k_np
-    assert np.isclose(s_nb, s_np, rtol=1e-12)
-
-    assert knl.count_joint_exceedances_nb(x, y, 0.9, 1.1) == (
-        knl.count_joint_exceedances_np(x, y, 0.9, 1.1)
+    fit = est.HTFit(
+        alpha=0.25,
+        beta=0.5,
+        u_y=2.0,
+        residuals=y[:1000] - 1.0,
+        mu=0.0,
+        sigma=1.0,
+        nll=0.0,
     )
-
-    logy = np.log(y + 2.0)
-    res_nb = knl.ht_profile_nll_grad_nb(0.3, 0.4, x, y + 2.0, logy)
-    res_np = knl.ht_profile_nll_grad_np(0.3, 0.4, x, y + 2.0, logy)
-    assert np.allclose(res_nb, res_np, rtol=1e-10)
-
-    f_nb = knl.ht_indicator_fraction_nb(y + 2.0, x - 1.0, 0.25, 0.5, 1.5)
-    f_np = knl.ht_indicator_fraction_np(y + 2.0, x - 1.0, 0.25, 0.5, 1.5)
-    assert f_nb == f_np
-
-
-def test_numpy_fallback_env_flag():
-    import subprocess
-    import sys
-
-    code = (
-        "import os; os.environ['RAYTAIL_DISABLE_NUMBA']='1'; "
-        "from raytail import _kernels as k; "
-        "assert not k.NUMBA_ENABLED; "
-        "assert k.structure_min is k.structure_min_np"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    omega, u_n, r = 0.4, 5.0, 1000
+    p = est.ht_probability(fit, omega, u_n, r=r, seed=7)
+    rng = np.random.default_rng(7)
+    y_thresh = (1.0 - omega) * u_n
+    ystar = y_thresh + rng.standard_exponential(r)
+    z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
+    frac = np.mean(0.25 * ystar + ystar**0.5 * z > omega * u_n)
+    assert 0.0 < frac < 1.0
+    assert np.isclose(p.value, math.exp(-y_thresh) * frac, rtol=1e-12)
