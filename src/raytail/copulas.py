@@ -32,7 +32,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, NumericError, QuadratureError
@@ -194,6 +193,9 @@ class BivariateNormal(CopulaModel):
     def _joint_upper_normal(self, s, t):
         """(log P(Z1 > s, Z2 > t), quad error estimate) for standard
         bivariate normal Z with correlation rho."""
+        # imported here: only this quadrature needs scipy.integrate
+        from scipy.integrate import quad
+
         rho = self.rho
         sig = math.sqrt(1.0 - rho * rho)
         if t < s:

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .copulas import SurvivorSet
 from .errors import (
@@ -368,6 +367,9 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
         lo, hi = lo - 2.0 * (hi - lo), betas[1]
     if not np.isfinite(nll[i]):
         raise OptimizerError("conditional-tail likelihood never finite", None)
+    # imported here: the CLI's wt/lt paths never fit ht and skip its load time
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda b: _ht_profile(np.array([b]), x, y, logy)[0][0],
         bounds=(betas[max(i - 1, 0)], betas[min(i + 1, betas.size - 1)]),

@@ -11,6 +11,8 @@ the probability integral transform through user-supplied marginal CDFs.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +164,14 @@ def rank_transform(raw) -> ExponentialSample:
     grid = -np.log(np.arange(1, n + 1) / (n + 1.0))
     out = np.empty_like(arr)
     for j in range(d):
-        # stable argsort of the negated column: among ties, the earlier
-        # index receives the smaller (more extreme) rank
-        order = np.argsort(-arr[:, j], kind="stable")
+        # among ties the earlier index receives the smaller (more extreme)
+        # rank, as a stable argsort of the negated column gives; without
+        # ties the permutation is unique, so the faster default sort agrees
+        key = -arr[:, j]
+        order = np.argsort(key)
+        ordered = key[order]
+        if not np.all(ordered[1:] > ordered[:-1]):
+            order = np.argsort(key, kind="stable")
         ranks = np.empty(n, dtype=np.intp)
         ranks[order] = np.arange(n)
         out[:, j] = grid[ranks]
@@ -197,19 +204,47 @@ def cdf_transform(raw, marginal_cdfs) -> ExponentialSample:
 
 
 def read_raw_csv(path) -> RawSample:
-    """Read a raw sample from CSV: header row of names, float rows."""
+    """Read a raw sample from CSV: header row of names, float rows.
+
+    The body is parsed in one pass by ``np.loadtxt``. Anything it does not
+    take cleanly (a parse error, no data rows, a column count that differs
+    from the header, a non-finite value) is re-read by the row loop, which
+    accepts every field ``float()`` accepts and words every error message.
+    Where both parse a file they give bitwise the same values.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        header = _read_header(fh, path)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        if len(header) not in (2, 3):
-            raise DomainError(
-                f"{path}: expected 2 or 3 columns, found {len(header)}"
-            )
+            with warnings.catch_warnings():
+                # loadtxt warns on an empty body; the row loop reports it
+                warnings.simplefilter("error", UserWarning)
+                data = np.loadtxt(
+                    fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64
+                )
+        except (ValueError, UserWarning):
+            data = None
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        return _read_raw_csv_rows(path)
+    return RawSample(data, tuple(header))
+
+
+def _read_header(fh, path):
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise DomainError(f"{path}: empty file") from None
+    if len(header) not in (2, 3):
+        raise DomainError(f"{path}: expected 2 or 3 columns, found {len(header)}")
+    return header
+
+
+def _read_raw_csv_rows(path) -> RawSample:
+    """Row-by-row reader behind :func:`read_raw_csv`; raises on the first bad
+    line with its ``path:line`` location."""
+    with open(path, newline="") as fh:
+        header = _read_header(fh, path)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != len(header):
@@ -217,9 +252,15 @@ def read_raw_csv(path) -> RawSample:
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from None
+            for j, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise DomainError(
+                        f"{path}:{lineno}: non-finite value in column {j}"
+                    )
+            rows.append(values)
     if not rows:
         raise DomainError(f"{path}: no data rows")
     return RawSample(np.asarray(rows, dtype=np.float64), tuple(header))

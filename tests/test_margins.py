@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -117,6 +118,31 @@ def test_rank_transform_rejects_nan():
         rank_transform(np.array([[1.0, 2.0], [np.nan, 3.0]]))
 
 
+def _stable_rank_reference(arr):
+    n = arr.shape[0]
+    grid = -np.log(np.arange(1, n + 1) / (n + 1.0))
+    out = np.empty_like(arr)
+    for j in range(arr.shape[1]):
+        ranks = np.empty(n, dtype=np.intp)
+        ranks[np.argsort(-arr[:, j], kind="stable")] = np.arange(n)
+        out[:, j] = grid[ranks]
+    return out
+
+
+def test_rank_transform_bitwise_equal_to_stable_sort_reference():
+    rng = np.random.default_rng(11)
+    arr = rng.normal(size=(100_000, 2))
+    assert all(np.unique(col).size == col.size for col in arr.T)  # no ties
+    assert rank_transform(arr).points.tobytes() == _stable_rank_reference(arr).tobytes()
+
+    # a few tied groups in one column send that column to the stable sort
+    tied = arr.copy()
+    for value in (0.0, 1.5, -2.25):
+        tied[rng.choice(tied.shape[0], size=40, replace=False), 1] = value
+    out = rank_transform(tied).points
+    assert out.tobytes() == _stable_rank_reference(tied).tobytes()
+
+
 def test_cdf_transform_known_values():
     from scipy.stats import norm
 
@@ -166,3 +192,84 @@ def test_csv_rejects_wrong_column_count(tmp_path):
     path.write_text("a,b,c,d\n1,2,3,4\n")
     with pytest.raises(DomainError, match="2 or 3 columns"):
         read_raw_csv(path)
+
+
+def _csv_float_reference(path):
+    # the plain csv + float() reading every fast path must reproduce
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader if row]
+    return tuple(header), np.asarray(rows, dtype=np.float64)
+
+
+def _repr_float_body():
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(600) * 10.0 ** rng.integers(-300, 300, size=600)
+    vals[:6] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -0.0, 0.1, 1.0 / 3.0]
+    return "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in vals.reshape(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,y\n" + _repr_float_body(),
+        "x,y\n1e5,2E-3\n1.5e+2,-7\n",
+        "x,y\n 1.5,2.5 \n3, 4\n",
+        "x,y\n+1.5,-1.5\n.5,-.5\n",
+        "x,y\n4.9e-325,1\n2,3\n",
+        "x,y\n1_0,2\n3,4_5\n",
+        'x,y\n"1.5",2\n3,"4"\n',
+        "x,y\r\n1.25,2\r\n3,4.5\r\n",
+        "x,y\n1,2\n\n3,4\n\n\n5,6\n",
+        "x,y\n0.25,8\n",
+        "a,b,c\n1,2,3\n",
+    ],
+    ids=[
+        "repr-floats", "exponents", "spaces", "signs-leading-dot", "subnormal",
+        "underscore", "quoted", "crlf", "blank-lines", "single-row", "three-columns",
+    ],
+)
+def test_read_raw_csv_matches_csv_float_reference(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    names, expected = _csv_float_reference(path)
+    raw = read_raw_csv(path)
+    assert raw.names == names
+    assert raw.data.shape == expected.shape
+    assert raw.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,y\n1,2\n3,4,5\n", "{path}:3: expected 2 fields, got 3"),
+        ("x,y\n1,2\n3\n5,6\n", "{path}:3: expected 2 fields, got 1"),
+        ("x,y,z\n1,2\n3,4\n", "{path}:2: expected 3 fields, got 2"),
+        ("x,y\n1,2\n3,abc\n", "{path}:3: could not convert string to float: 'abc'"),
+        ("x,y\n1,2,\n", "{path}:2: expected 2 fields, got 3"),
+        ("x,y\n# note\n1,2\n", "{path}:2: expected 2 fields, got 1"),
+        ("", "{path}: empty file"),
+        ("x,y\n", "{path}: no data rows"),
+    ],
+    ids=[
+        "too-many-fields", "too-few-fields", "header-wider-than-rows",
+        "non-numeric", "trailing-comma", "comment-line", "empty-file", "header-only",
+    ],
+)
+def test_read_raw_csv_error_messages(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError) as excinfo:
+        read_raw_csv(path)
+    assert str(excinfo.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_read_raw_csv_reports_non_finite_value_by_file_line(tmp_path, token):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"x,y\n1,2\n\n3,4\n5,{token}\n")
+    with pytest.raises(DomainError) as excinfo:
+        read_raw_csv(path)
+    assert str(excinfo.value) == f"{path}:5: non-finite value in column 1"
