@@ -26,20 +26,11 @@ import numpy as np
 
 from . import estimators as est
 from . import margins
-from .copulas import CopulaModel, SurvivorSet, survivor_exp
+from .copulas import CopulaModel, SurvivorSet
 from .errors import DomainError, RaytailError
 
 DEFAULT_OMEGAS = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
 METHODS = ("wt", "lt", "ht")
-
-
-def target_set(omega, m, y_factor=1.5) -> SurvivorSet:
-    """Corner on the ray omega with the y coordinate pinned at
-    y_factor * log(m) and x = {omega/(1-omega)} * y."""
-    if not 0.0 < omega < 1.0:
-        raise DomainError(f"omega must lie strictly inside (0, 1), got {omega}")
-    y0 = y_factor * math.log(m)
-    return SurvivorSet((omega / (1.0 - omega) * y0, y0))
 
 
 @dataclass(frozen=True)
@@ -187,60 +178,52 @@ def _ht_draw_seed(seed_rep, omega_index):
     return (int(seed_rep), 7919, int(omega_index))
 
 
+def _slots(batch, get):
+    # NaN where a slot of a batch estimate holds the typed error of a failed ray
+    return np.array([math.nan if isinstance(r, RaytailError) else get(r) for r in batch])
+
+
 def _run_single_rep(config: BenchmarkConfig, rep: int) -> dict:
     """One replication; returns per-method estimate/lambda arrays (NaN on
     failure) so aggregation stays order-independent."""
     seed = config.seed_base + rep
-    n_omegas = len(config.omegas)
-    out = {
-        mth: {"values": np.full(n_omegas, np.nan)} for mth in config.methods
-    }
     sample = config.model.sample(config.m, seed)
     if config.rank_transform:
         sample = margins.rank_transform(sample.points)
     targets = config.targets()
+    out = {}
 
     if "wt" in config.methods:
-        lam = np.full(n_omegas, np.nan)
-        for i, corner in enumerate(targets):
-            try:
-                p = est.wt_probability_at(sample, corner, frac=config.frac)
-                out["wt"]["values"][i] = p.value
-                lam[i] = p.meta["lambda_hat"]
-            except RaytailError:
-                pass
-        out["wt"]["lambda"] = lam
+        ests = est.wt_probabilities_at(sample, targets, frac=config.frac)
+        out["wt"] = {
+            "values": _slots(ests, lambda p: p.value),
+            "lambda": _slots(ests, lambda p: p.meta["lambda_hat"]),
+        }
 
     if "lt" in config.methods:
-        lam = np.full(n_omegas, np.nan)
-        for i, corner in enumerate(targets):
-            try:
-                p = est.lt_probability(sample, corner, frac=config.frac)
-                out["lt"]["values"][i] = p.value
-                lam[i] = p.meta["lambda_half"]
-            except RaytailError:
-                pass
-        out["lt"]["lambda"] = lam
+        ests = est.lt_probabilities(sample, targets, frac=config.frac)
+        out["lt"] = {
+            "values": _slots(ests, lambda p: p.value),
+            "lambda": _slots(ests, lambda p: p.meta["lambda_half"]),
+        }
 
     if "ht" in config.methods:
+        values = np.full(len(config.omegas), np.nan)
+        # every ray's event threshold is y_corner, so a ray that cannot be
+        # extrapolated means none can: one failure ends the sample's rays
         try:
             fit_h = est.fit_ht(sample, quantile=config.ht_quantile)
-        except RaytailError:
-            fit_h = None
-        if fit_h is not None:
             for i, w in enumerate(config.omegas):
-                try:
-                    u_n = config.y_corner / (1.0 - w)
-                    p = est.ht_probability(
-                        fit_h,
-                        w,
-                        u_n,
-                        r=config.r_draws,
-                        seed=_ht_draw_seed(seed, i),
-                    )
-                    out["ht"]["values"][i] = p.value
-                except RaytailError:
-                    pass
+                values[i] = est.ht_probability(
+                    fit_h,
+                    w,
+                    config.y_corner / (1.0 - w),
+                    r=config.r_draws,
+                    seed=_ht_draw_seed(seed, i),
+                ).value
+        except RaytailError:
+            pass
+        out["ht"] = {"values": values}
     return out
 
 
@@ -285,10 +268,10 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     for rep, res in results.items():
         for mth in config.methods:
             values[mth][rep] = res[mth]["values"]
-            if mth in lambdas and "lambda" in res[mth]:
+            if mth in lambdas:
                 lambdas[mth][rep] = res[mth]["lambda"]
 
-    truths = [survivor_exp(config.model, t) for t in config.targets()]
+    truths = [config.model.survivor(t) for t in config.targets()]
     cells = []
     failures = {}
     for mth in config.methods:
@@ -373,11 +356,9 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
         sample = config.model.sample(config.m, config.seed_base + rep)
         if config.rank_transform:
             sample = margins.rank_transform(sample.points)
-        for i, w in enumerate(grid):
-            try:
-                fits[rep, i] = est.fit_lambda(sample, w, frac=config.frac).lambda_hat
-            except RaytailError:
-                pass
+        fits[rep] = _slots(
+            est.fit_lambda_rays(sample, grid, frac=config.frac), lambda f: f.lambda_hat
+        )
     return LambdaRecovery(
         omegas=grid,
         true_lambda=np.array([config.model.lam(w) for w in grid]),

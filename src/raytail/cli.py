@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bench, estimators, kappa, margins
-from .copulas import FAMILIES, SurvivorSet, make_model, true_kappa, true_lambda
+from .copulas import FAMILIES, SurvivorSet, make_model
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -163,10 +163,10 @@ def _cmd_kappa(args):
     elif args.growth is not None:
         growth = _parse_growth(args.growth, model.dim)
         resolved["growth"] = list(growth)
-        result["kappa"] = true_kappa(model, growth)
+        result["kappa"] = model.kappa(growth)
     elif args.omega is not None:
         resolved["omega"] = args.omega
-        result["lambda"] = true_lambda(model, args.omega)
+        result["lambda"] = model.lam(args.omega)
     else:
         raise DomainError("one of --growth, --omega or --suite is required")
     _emit({"config": resolved, "result": result}, args.out)

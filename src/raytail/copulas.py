@@ -32,7 +32,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, NumericError, QuadratureError
 from .margins import ExponentialSample
@@ -183,6 +182,10 @@ class BivariateNormal(CopulaModel):
     def sample(self, n, seed):
         if n < 1:
             raise DomainError(f"sample size must be >= 1, got {n}")
+        # scipy.special is imported here and in the other methods that use
+        # it: it is slow to import, and reading and fitting a CSV never needs it
+        from scipy.special import log_ndtr
+
         rng = np.random.default_rng(seed)
         z1 = rng.standard_normal(n)
         z2 = self.rho * z1 + math.sqrt(1.0 - self.rho**2) * rng.standard_normal(n)
@@ -245,6 +248,8 @@ class BivariateNormal(CopulaModel):
             return -y
         if y == 0.0:
             return -x
+        from scipy.special import ndtri
+
         sx = -ndtri(math.exp(-x))  # normal upper quantile of the margin
         sy = -ndtri(math.exp(-y))
         logp, _ = self._joint_upper_normal(sx, sy)
@@ -307,6 +312,8 @@ class BivariateNormal(CopulaModel):
                 "conditional-tail normalization requires rho > 0, got "
                 f"rho = {rho}"
             )
+        from scipy.special import ndtr
+
         sig = math.sqrt(1.0 - rho * rho)
         return HTNormalization(
             location=lambda u: rho * rho * u,
@@ -747,34 +754,3 @@ def make_model(family, **params) -> CopulaModel:
             f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         ) from None
     return cls(**params)
-
-
-def sample(model, n, seed) -> ExponentialSample:
-    """Draw n points from the model; identical (model, n, seed) give
-    bitwise identical output."""
-    return model.sample(n, seed)
-
-
-def survivor_exp(model, s) -> float:
-    """Exact P(X_E > x, Y_E > y[, Z_E > z]) at the corner ``s``."""
-    return model.survivor(s)
-
-
-def log_survivor_exp(model, s) -> float:
-    """log of :func:`survivor_exp`, evaluated without underflow."""
-    return model.log_survivor(s)
-
-
-def true_kappa(model, growth) -> float:
-    """Closed-form joint tail decay index."""
-    return model.kappa(growth)
-
-
-def true_lambda(model, omega) -> float:
-    """Closed-form angular dependence function lambda(omega)."""
-    return model.lam(omega)
-
-
-def true_ht_normalization(model) -> HTNormalization:
-    """Location/scale pair and limit survivor of the conditional tail."""
-    return model.ht_normalization()

@@ -24,6 +24,14 @@ the joint tail, all operating on standard exponential margins:
     likelihood. The probability factorizes into the exact marginal
     exceedance term and a Monte Carlo estimate over resampled residuals.
 
+Every angular fit runs through ``fit_lambda_rays``, which fits all the
+rays of a sample from one (rays x m) structure matrix, and the ``wt`` and
+``lt`` estimates through ``wt_probabilities_at`` and ``lt_probabilities``,
+which take a sequence of corners. They return one slot per ray or corner:
+the result of the one-item call (``fit_lambda``, ``wt_probability_at``,
+``lt_probability``) or the typed error it raises, so a failed ray does not
+stop the others.
+
 Zero estimates are recorded outcomes, never exceptions: downstream
 benchmarking counts them.
 """
@@ -35,12 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copulas import SurvivorSet
+from .copulas import _corner2
 from .errors import (
     DomainError,
     ExtrapolationError,
     InsufficientExceedancesError,
     OptimizerError,
+    RaytailError,
 )
 from .margins import ExponentialSample
 
@@ -50,6 +59,7 @@ _HT_GRID_POINTS = 121
 _HT_BETA_LO = -1.0  # lower edge of the first beta grid
 _HT_BETA_HI = 1.0 - 1e-8
 _HT_BLOCK_ELEMS = 1 << 20
+_RAY_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,22 +146,65 @@ def structure_variable(sample: ExponentialSample, omega) -> np.ndarray:
     """T_i = min(x_i/w, y_i/(1-w)); by convention T = Y_E at w = 0 and
     T = X_E at w = 1."""
     _require_bivariate(sample)
-    if not 0.0 <= omega <= 1.0:
-        raise DomainError(f"omega must lie in [0, 1], got {omega}")
-    if omega == 0.0:
-        return sample.y.copy()
-    if omega == 1.0:
-        return sample.x.copy()
-    return np.minimum(sample.x / omega, sample.y / (1.0 - omega))
+    w = _as_omegas(omega)
+    return _structure(sample, w, 1.0 - w)[0]
 
 
-def _structure_general(sample, gx, gy):
-    # general positive ray weights; used by the homogeneity property test
-    if gx == 0.0:
-        return sample.y / gy
-    if gy == 0.0:
-        return sample.x / gx
-    return np.minimum(sample.x / gx, sample.y / gy)
+def _as_omegas(omegas) -> np.ndarray:
+    w = np.asarray(omegas, dtype=np.float64).reshape(-1)
+    bad = w[~((w >= 0.0) & (w <= 1.0))]
+    if bad.size:
+        raise DomainError(f"omega must lie in [0, 1], got {bad[0]}")
+    return w
+
+
+def _structure(sample, gx, gy) -> np.ndarray:
+    # (rays x m) matrix of min(x/gx, y/gy); a zero weight drops its
+    # coordinate: x/0 is inf, and fmin skips the NaN of 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmin(sample.x / gx[:, None], sample.y / gy[:, None])
+
+
+def _fit_rays(sample, omegas, gx, gy, frac, u) -> list:
+    """Hill fits along the rays with weights (gx, gy), tagged with their
+    angles ``omegas``; a failed ray's slot holds its typed error."""
+    _require_bivariate(sample)
+    if u is None and not 0.0 < frac < 1.0:
+        raise DomainError(f"frac must lie in (0, 1), got {frac}")
+    fits = []
+    # the (ray x m) structure matrix is built in row blocks so that memory
+    # stays bounded for long ray grids and large samples
+    step = max(1, _RAY_BLOCK_ELEMS // sample.n)
+    for start in range(0, gx.size, step):
+        block = slice(start, start + step)
+        t = _structure(sample, gx[block], gy[block])
+        us = np.quantile(t, 1.0 - frac, axis=1) if u is None else np.full(len(t), u)
+        for row, u_r, omega in zip(t, us.tolist(), omegas[block]):
+            exc = row[row > u_r]
+            k, total_excess = exc.size, float(np.sum(exc - u_r))
+            if k < _MIN_EXCEEDANCES:
+                fits.append(InsufficientExceedancesError(k, _MIN_EXCEEDANCES))
+            elif total_excess <= 0.0:
+                fits.append(DomainError("all excesses are zero; tail index undefined"))
+            else:
+                lam = k / total_excess
+                fits.append(AngularFit(omega, lam, u_r, k, lam / math.sqrt(k)))
+    return fits
+
+
+def _one(results):
+    (result,) = results
+    if isinstance(result, RaytailError):
+        raise result
+    return result
+
+
+def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
+    """Hill fits along every ray in ``omegas``: one slot per ray, holding
+    its AngularFit or, where the fit fails, the typed error (not raised).
+    A ray's fit does not depend on the other rays of the batch."""
+    w = _as_omegas(omegas)
+    return _fit_rays(sample, w.tolist(), w, 1.0 - w, frac, u)
 
 
 def fit_lambda(sample, omega, frac=0.10, u=None) -> AngularFit:
@@ -161,8 +214,7 @@ def fit_lambda(sample, omega, frac=0.10, u=None) -> AngularFit:
     is given explicitly; lambda_hat = k / sum(T_i - u over T_i > u) with
     standard error lambda_hat / sqrt(k).
     """
-    t = structure_variable(sample, omega)
-    return _fit_lambda_from_t(t, omega, frac, u)
+    return _one(fit_lambda_rays(sample, [omega], frac=frac, u=u))
 
 
 def fit_lambda_growth(sample, growth, frac=0.10, u=None) -> AngularFit:
@@ -171,24 +223,8 @@ def fit_lambda_growth(sample, growth, frac=0.10, u=None) -> AngularFit:
     gx, gy = (float(v) for v in growth)
     if gx < 0 or gy < 0 or gx + gy == 0.0:
         raise DomainError(f"invalid growth direction {growth}")
-    t = _structure_general(sample, gx, gy)
     omega = gx / (gx + gy)
-    return _fit_lambda_from_t(t, omega, frac, u)
-
-
-def _fit_lambda_from_t(t, omega, frac, u):
-    if u is None:
-        if not 0.0 < frac < 1.0:
-            raise DomainError(f"frac must lie in (0, 1), got {frac}")
-        u = float(np.quantile(t, 1.0 - frac))
-    exc = t[t > u]
-    k, total_excess = exc.size, float(np.sum(exc - u))
-    if k < _MIN_EXCEEDANCES:
-        raise InsufficientExceedancesError(k, _MIN_EXCEEDANCES)
-    if total_excess <= 0.0:
-        raise DomainError("all excesses are zero; tail index undefined")
-    lam = k / total_excess
-    return AngularFit(omega=omega, lambda_hat=lam, u=u, k=k, se=lam / math.sqrt(k))
+    return _one(_fit_rays(sample, [omega], np.array([gx]), np.array([gy]), frac, u))
 
 
 def wt_probability(sample, omega, u_n=None, v=0.0, frac=0.10, fit=None) -> ProbEstimate:
@@ -228,72 +264,73 @@ def wt_probability(sample, omega, u_n=None, v=0.0, frac=0.10, fit=None) -> ProbE
     )
 
 
+def wt_probabilities_at(sample, targets, frac=0.10) -> list:
+    """Ray estimates at a sequence of corners from one batch of Hill fits,
+    one ray through each corner (x0, y0) at radius s = x0 + y0: v = s - u
+    beyond the fit threshold u, or v = 0 and the empirical probability at
+    the corner inside it. One slot per corner: a ProbEstimate or a typed
+    error."""
+    corners = [_corner2(t) for t in targets]
+    rays = [(i, x0 + y0) for i, (x0, y0) in enumerate(corners) if x0 + y0 > 0.0]
+    fits = fit_lambda_rays(sample, [corners[i][0] / s for i, s in rays], frac=frac)
+    out = [DomainError("target corner must not be the origin")] * len(corners)
+    for (i, s), fit in zip(rays, fits):
+        out[i] = fit if isinstance(fit, RaytailError) else wt_probability(
+            sample, fit.omega, u_n=min(fit.u, s), v=max(s - fit.u, 0.0), fit=fit
+        )
+    return out
+
+
 def wt_probability_at(sample, target, frac=0.10) -> ProbEstimate:
     """Ray estimate at an explicit corner: the ray is the one through the
     corner, and v is the outward distance from the fit threshold."""
-    x0, y0 = (
-        target.corner if isinstance(target, SurvivorSet) else SurvivorSet(tuple(target)).corner
-    )
-    if x0 + y0 == 0.0:
-        raise DomainError("target corner must not be the origin")
-    omega = x0 / (x0 + y0)
-    fit = fit_lambda(sample, omega, frac=frac)
-    s_target = x0 + y0  # radial coordinate: corner = (w*s, (1-w)*s)
-    v = s_target - fit.u
-    if v < 0.0:
-        # target inside the threshold: plain empirical probability
-        base = int(np.count_nonzero((sample.x > x0) & (sample.y > y0)))
-        return ProbEstimate(
-            value=base / sample.n,
-            method="wt",
-            is_zero=(base == 0),
-            meta={"omega": omega, "u_n": s_target, "v": 0.0, "k": fit.k,
-                  "lambda_hat": fit.lambda_hat},
-        )
-    return wt_probability(sample, omega, u_n=fit.u, v=v, fit=fit)
+    return _one(wt_probabilities_at(sample, [target], frac=frac))
 
 
-def lt_probability(sample, target, u_n=None, frac=0.10, baseline=None) -> ProbEstimate:
-    """Diagonal-extrapolation estimate of the corner probability.
+def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
+    """Diagonal-extrapolation estimates at a sequence of corners.
 
-    The corner is slid back along the diagonal by the largest v keeping
+    Each corner is slid back along the diagonal by the largest v keeping
     both coordinates at or above the baseline; the empirical probability
     of the slid set is scaled by exp(-v / eta_hat) with
-    1/eta_hat = 2*lambda_hat(1/2).
-
-    The baseline defaults to the per-margin empirical (1 - frac)
-    quantiles. Passing ``u_n`` instead uses (u_n/2, u_n/2), the structure
-    threshold of the diagonal fit split evenly; passing ``baseline``
-    overrides both.
+    1/eta_hat = 2*lambda_hat(1/2). The diagonal fit and the baseline (by
+    default the per-margin empirical (1 - frac) quantiles) are computed
+    once. One slot per corner; a failed diagonal fit fills every slot.
     """
     _require_bivariate(sample)
-    x0, y0 = (
-        target.corner if isinstance(target, SurvivorSet) else SurvivorSet(tuple(target)).corner
-    )
-    diag_fit = fit_lambda(sample, 0.5, frac=frac)
+    corners = [_corner2(t) for t in targets]
+    (diag_fit,) = fit_lambda_rays(sample, [0.5], frac=frac)
+    if isinstance(diag_fit, RaytailError):
+        return [diag_fit] * len(corners)
     eta_hat = 1.0 / (2.0 * diag_fit.lambda_hat)
     if baseline is not None:
         bx, by = (float(b) for b in baseline)
-    elif u_n is not None:
-        bx = by = 0.5 * float(u_n)
     else:
         bx = float(np.quantile(sample.x, 1.0 - frac))
         by = float(np.quantile(sample.y, 1.0 - frac))
-    v = max(0.0, min(x0 - bx, y0 - by))
-    base = int(np.count_nonzero((sample.x > x0 - v) & (sample.y > y0 - v)))
-    value = math.exp(-v / eta_hat) * base / sample.n
-    return ProbEstimate(
-        value=value,
-        method="lt",
-        is_zero=(base == 0),
-        meta={
-            "eta_hat": eta_hat,
-            "lambda_half": diag_fit.lambda_hat,
-            "v": v,
-            "base_corner": (x0 - v, y0 - v),
-            "k": diag_fit.k,
-        },
-    )
+    out = []
+    for x0, y0 in corners:
+        v = max(0.0, min(x0 - bx, y0 - by))
+        base = int(np.count_nonzero((sample.x > x0 - v) & (sample.y > y0 - v)))
+        out.append(ProbEstimate(
+            value=math.exp(-v / eta_hat) * base / sample.n,
+            method="lt",
+            is_zero=(base == 0),
+            meta={
+                "eta_hat": eta_hat,
+                "lambda_half": diag_fit.lambda_hat,
+                "v": v,
+                "base_corner": (x0 - v, y0 - v),
+                "k": diag_fit.k,
+            },
+        ))
+    return out
+
+
+def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
+    """Diagonal-extrapolation estimate of the corner probability; see
+    :func:`lt_probabilities`."""
+    return _one(lt_probabilities(sample, [target], frac=frac, baseline=baseline))
 
 
 def _ht_profile(betas, x, y, logy):

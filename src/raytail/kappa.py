@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import CopulaModel, log_survivor_exp
+from .copulas import CopulaModel
 from .errors import DomainError, NonDifferentiableError, NumericError
 
 #: relative disagreement of one-sided slopes beyond which a ray is
@@ -129,7 +129,7 @@ def kappa_oracle(model: CopulaModel, growth, n=1_000_000) -> float:
     if any(v < 0.0 for v in g) or all(v == 0.0 for v in g):
         raise DomainError(f"growth must be non-negative and not all zero: {g}")
     ln = math.log(n)
-    logp = log_survivor_exp(model, tuple(v * ln for v in g))
+    logp = model.log_survivor(tuple(v * ln for v in g))
     if not math.isfinite(logp):
         raise NumericError(f"survivor degenerated at scale n={n}")
     return -logp / ln

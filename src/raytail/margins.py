@@ -213,7 +213,7 @@ def read_raw_csv(path) -> RawSample:
     Where both parse a file they give bitwise the same values.
     """
     with open(path, newline="") as fh:
-        header = _read_header(fh, path)
+        header = _read_header(csv.reader(fh), path)
         try:
             with warnings.catch_warnings():
                 # loadtxt warns on an empty body; the row loop reports it
@@ -228,9 +228,9 @@ def read_raw_csv(path) -> RawSample:
     return RawSample(data, tuple(header))
 
 
-def _read_header(fh, path):
+def _read_header(reader, path):
     try:
-        header = next(csv.reader(fh))
+        header = next(reader)
     except StopIteration:
         raise DomainError(f"{path}: empty file") from None
     if len(header) not in (2, 3):
@@ -242,11 +242,14 @@ def _read_raw_csv_rows(path) -> RawSample:
     """Row-by-row reader behind :func:`read_raw_csv`; raises on the first bad
     line with its ``path:line`` location."""
     with open(path, newline="") as fh:
-        header = _read_header(fh, path)
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
         rows = []
-        for lineno, row in enumerate(csv.reader(fh), start=2):
+        for row in reader:
             if not row:
                 continue
+            # a quoted field may span lines, so count file lines, not records
+            lineno = reader.line_num
             if len(row) != len(header):
                 raise DomainError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"

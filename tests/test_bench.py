@@ -24,29 +24,29 @@ def tiny_config(**kw):
 
 
 def test_target_set_values():
-    t = bench.target_set(0.5, 5000)
+    t, t_quarter = tiny_config(m=5000, omegas=(0.5, 0.25)).targets()
     y = 1.5 * math.log(5000)
     assert math.isclose(t.corner[0], y, rel_tol=1e-15)
     assert math.isclose(t.corner[1], y, rel_tol=1e-15)
     assert math.isclose(t.corner[0], 12.776, rel_tol=1e-4)
 
-    t = bench.target_set(0.25, 5000)
+    t = t_quarter
     assert math.isclose(t.corner[0], y / 3.0, rel_tol=1e-12)
     assert math.isclose(t.corner[1], y, rel_tol=1e-15)
 
 
 def test_target_set_lies_on_ray():
-    for w in (0.05, 0.2, 0.45):
-        t = bench.target_set(w, 2000)
+    omegas = (0.05, 0.2, 0.45)
+    for w, t in zip(omegas, tiny_config(m=2000, omegas=omegas).targets()):
         x0, y0 = t.corner
         assert math.isclose(y0, (1.0 - w) / w * x0, rel_tol=1e-12)
 
 
 def test_target_set_rejects_boundary_rays():
-    with pytest.raises(DomainError):
-        bench.target_set(0.0, 5000)
-    with pytest.raises(DomainError):
-        bench.target_set(1.0, 5000)
+    with pytest.raises(DomainError, match="rays"):
+        tiny_config(omegas=(0.0,))
+    with pytest.raises(DomainError, match="rays"):
+        tiny_config(omegas=(1.0,))
 
 
 def test_config_validation():
@@ -108,8 +108,8 @@ def test_metric_identities_per_cell():
 def test_truth_column_is_exact_survivor():
     cfg = tiny_config()
     rep = bench.run_benchmark(cfg)
-    for w in cfg.omegas:
-        expected = cp.survivor_exp(cfg.model, bench.target_set(w, cfg.m))
+    for w, target in zip(cfg.omegas, cfg.targets()):
+        expected = cfg.model.survivor(target)
         assert rep.cell("wt", w).true_prob == expected
 
 
@@ -140,7 +140,7 @@ def test_untyped_errors_surface(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(bench.est, "fit_lambda", broken)
+    monkeypatch.setattr(bench.est, "fit_lambda_rays", broken)
     cfg = tiny_config(reps=1, methods=("wt", "lt"))
     with pytest.raises(TypeError):
         bench.run_benchmark(cfg)

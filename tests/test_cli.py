@@ -298,14 +298,12 @@ def test_estimate_numeric_failure_exit_code(tmp_path, capsys):
 
 
 def test_cli_import_leaves_optimize_and_integrate_unloaded():
-    # only ht fits and bvn truths need them; they are imported where used
+    # only ht fits and the bvn model need them; they are imported where used
     src = os.path.dirname(os.path.dirname(raytail.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, raytail.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-    )
+    mods = ("scipy.optimize", "scipy.integrate", "scipy.special")
+    code = f"import sys, raytail.cli; print(sorted(m for m in {mods!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -56,13 +56,13 @@ def test_unknown_family_rejected():
 def test_inverted_logistic_survivor_closed_value():
     m = cp.InvertedLogistic(0.5)
     assert math.isclose(
-        cp.survivor_exp(m, (1.0, 1.0)), math.exp(-math.sqrt(2.0)), rel_tol=1e-14
+        m.survivor((1.0, 1.0)), math.exp(-math.sqrt(2.0)), rel_tol=1e-14
     )
 
 
 def test_morgenstern_survivor_closed_value():
     m = cp.Morgenstern(1.0)
-    got = cp.survivor_exp(m, (math.log(2.0), math.log(2.0)))
+    got = m.survivor((math.log(2.0), math.log(2.0)))
     assert math.isclose(got, 0.3125, rel_tol=1e-14)
 
 
@@ -71,20 +71,20 @@ def test_marginal_corners(model):
     tol = 1e-9 if model.family == "bvn" else 1e-10
     for x in (0.3, 1.7, 4.0):
         assert math.isclose(
-            cp.survivor_exp(model, (x, 0.0)), math.exp(-x), rel_tol=tol
+            model.survivor((x, 0.0)), math.exp(-x), rel_tol=tol
         )
         assert math.isclose(
-            cp.survivor_exp(model, (0.0, x)), math.exp(-x), rel_tol=tol
+            model.survivor((0.0, x)), math.exp(-x), rel_tol=tol
         )
-    assert math.isclose(cp.survivor_exp(model, (0.0, 0.0)), 1.0, rel_tol=tol)
+    assert math.isclose(model.survivor((0.0, 0.0)), 1.0, rel_tol=tol)
 
 
 def test_log_survivor_matches_survivor(subtests=None):
     for model in bivariate_models():
         for c in [(0.5, 0.5), (1.0, 2.0), (3.0, 0.7)]:
             assert math.isclose(
-                math.exp(cp.log_survivor_exp(model, c)),
-                cp.survivor_exp(model, c),
+                math.exp(model.log_survivor(c)),
+                model.survivor(c),
                 rel_tol=1e-12,
             )
 
@@ -92,17 +92,17 @@ def test_log_survivor_matches_survivor(subtests=None):
 def test_deep_corner_log_survivor_stays_finite():
     # beyond exp underflow the algebraic families still evaluate in logs
     assert math.isclose(
-        cp.log_survivor_exp(cp.ClaytonLowerTail(1.0), (100.0, 130.0)),
+        cp.ClaytonLowerTail(1.0).log_survivor((100.0, 130.0)),
         -130.0 - math.log1p(math.exp(-30.0) - math.exp(-130.0)),
         rel_tol=1e-12,
     )
     m = cp.Morgenstern(0.5)
     assert math.isclose(
-        cp.log_survivor_exp(m, (400.0, 500.0)), -900.0 + math.log(1.5), rel_tol=1e-12
+        m.log_survivor((400.0, 500.0)), -900.0 + math.log(1.5), rel_tol=1e-12
     )
     il = cp.InvertedLogistic(0.5)
     assert math.isclose(
-        cp.log_survivor_exp(il, (800.0, 800.0)), -800.0 * math.sqrt(2.0), rel_tol=1e-12
+        il.log_survivor((800.0, 800.0)), -800.0 * math.sqrt(2.0), rel_tol=1e-12
     )
 
 
@@ -115,7 +115,7 @@ def test_logistic_bev_survivor_against_direct_formula():
         a, b = math.exp(-x), math.exp(-y)
         v = m.exponent_function(-1.0 / math.log1p(-a), -1.0 / math.log1p(-b))
         direct = a + b - 1.0 + math.exp(-v)
-        assert math.isclose(cp.survivor_exp(m, c), direct, rel_tol=1e-10)
+        assert math.isclose(m.survivor(c), direct, rel_tol=1e-10)
 
 
 # frozen 30-digit references: mpmath.quad of the corner integral
@@ -137,7 +137,7 @@ BVN_REFERENCE = [
 
 def test_bvn_quadrature_against_high_precision_reference():
     for rho, x, y, ref in BVN_REFERENCE:
-        got = cp.survivor_exp(cp.BivariateNormal(rho), (x, y))
+        got = cp.BivariateNormal(rho).survivor((x, y))
         assert math.isclose(got, ref, rel_tol=1e-10), (rho, x, y, got, ref)
 
 
@@ -145,7 +145,7 @@ def test_bvn_quadrature_matches_monte_carlo():
     model = cp.BivariateNormal(0.5)
     n = 100_000
     s = model.sample(n, 2024)
-    p = cp.survivor_exp(model, (1.0, 1.0))
+    p = model.survivor((1.0, 1.0))
     emp = float(np.mean((s.x > 1.0) & (s.y > 1.0)))
     se = math.sqrt(p * (1.0 - p) / n)
     assert abs(emp - p) <= 3.0 * se
@@ -192,15 +192,15 @@ def test_trivariate_kappa_branches_and_reductions():
 
 def test_true_lambda_values():
     il = cp.InvertedLogistic(0.5)
-    assert math.isclose(cp.true_lambda(il, 0.5), 2.0 ** -0.5, rel_tol=1e-15)
+    assert math.isclose(il.lam(0.5), 2.0 ** -0.5, rel_tol=1e-15)
     for model in bivariate_models():
-        assert cp.true_lambda(model, 0.0) == 1.0
-        assert cp.true_lambda(model, 1.0) == 1.0
+        assert model.lam(0.0) == 1.0
+        assert model.lam(1.0) == 1.0
     lb = cp.LogisticBEV(0.3)
     for w in (0.1, 0.3, 0.5, 0.8):
-        assert cp.true_lambda(lb, w) == max(w, 1.0 - w)
+        assert lb.lam(w) == max(w, 1.0 - w)
     with pytest.raises(DomainError):
-        cp.true_lambda(il, 1.2)
+        il.lam(1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_monte_carlo_consistency_nine_corners(model):
     s = model.sample(n, 314159)
     corners = [(a, b) for a in (0.5, 1.0, 2.0) for b in (0.5, 1.0, 2.0)]
     for c in corners:
-        p = cp.survivor_exp(model, c)
+        p = model.survivor(c)
         emp = float(np.mean((s.x > c[0]) & (s.y > c[1])))
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(emp - p) <= 4.0 * se, f"corner {c}: emp={emp}, p={p}"
@@ -353,7 +353,7 @@ def test_trivariate_pairwise_tail_dependence_structure():
 
 def test_ht_normalization_forms():
     bvn = cp.BivariateNormal(0.5)
-    norm = cp.true_ht_normalization(bvn)
+    norm = bvn.ht_normalization()
     u = 10.0
     assert math.isclose(norm.location(u), 0.25 * u, rel_tol=1e-15)
     assert math.isclose(norm.scale(u), math.sqrt(2.0 * 0.25 * u), rel_tol=1e-15)
@@ -365,7 +365,7 @@ def test_ht_normalization_forms():
         rel_tol=1e-12,
     )
 
-    mg = cp.true_ht_normalization(cp.Morgenstern(0.3))
+    mg = cp.Morgenstern(0.3).ht_normalization()
     assert mg.location(7.0) == 0.0
     assert mg.scale(7.0) == 1.0
     w = 1.3
@@ -375,19 +375,19 @@ def test_ht_normalization_forms():
         rel_tol=1e-12,
     )
 
-    il = cp.true_ht_normalization(cp.InvertedLogistic(0.4))
+    il = cp.InvertedLogistic(0.4).ht_normalization()
     assert il.location(9.0) == 0.0
     assert math.isclose(il.scale(9.0), 9.0**0.6, rel_tol=1e-15)
     assert math.isclose(
         il.limit_survivor(1.0), math.exp(-0.4), rel_tol=1e-12
     )
 
-    cl = cp.true_ht_normalization(cp.ClaytonLowerTail(2.0))
+    cl = cp.ClaytonLowerTail(2.0).ht_normalization()
     assert math.isclose(
         cl.limit_survivor(1.0), (math.exp(0.5) + 1.0) ** -2.0, rel_tol=1e-12
     )
 
-    lb = cp.true_ht_normalization(cp.LogisticBEV(0.5))
+    lb = cp.LogisticBEV(0.5).ht_normalization()
     w = 0.0
     assert math.isclose(lb.limit_survivor(0.0), 2.0 - 2.0**0.5, rel_tol=1e-12)
 
@@ -400,7 +400,7 @@ def test_ht_normalization_limit_survivors_are_valid():
         cp.LogisticBEV(0.5),
         cp.ClaytonLowerTail(1.5),
     ]:
-        surv = cp.true_ht_normalization(model).limit_survivor
+        surv = model.ht_normalization().limit_survivor
         grid = np.linspace(-8.0, 30.0, 200)
         vals = np.array([surv(w) for w in grid])
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
@@ -410,16 +410,16 @@ def test_ht_normalization_limit_survivors_are_valid():
 
 def test_ht_normalization_unsupported_cases():
     with pytest.raises(DomainError, match="rho > 0"):
-        cp.true_ht_normalization(cp.BivariateNormal(-0.3))
+        cp.BivariateNormal(-0.3).ht_normalization()
     with pytest.raises(DomainError):
-        cp.true_ht_normalization(cp.TrivariateMaxPareto())
+        cp.TrivariateMaxPareto().ht_normalization()
 
 
 def test_morgenstern_conditional_limit_matches_empirical():
     # location 0, scale 1: the conditional exceedance law needs no
     # normalization, so a finite-threshold empirical check is meaningful
     model = cp.Morgenstern(1.0)
-    surv = cp.true_ht_normalization(model).limit_survivor
+    surv = model.ht_normalization().limit_survivor
     n = 400_000
     s = model.sample(n, 33)
     thr = -math.log(0.01)  # y beyond its 99% level

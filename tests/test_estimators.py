@@ -46,7 +46,8 @@ def test_structure_variable_rejects_bad_omega():
 def test_fit_lambda_reciprocal_mean_excess():
     # excesses {0.5, 1.0, 1.5, 1.0, 1.0} above u=1 have mean 1 -> rate 1
     t = np.array([0.1] * 10 + [1.5, 2.0, 2.5, 2.0, 2.0])
-    fit = est._fit_lambda_from_t(t, 0.5, None, 1.0)
+    # on the diagonal T = min(x, y) / 0.5, so points (t/2, t/2) give T = t
+    fit = est.fit_lambda(make_sample(np.column_stack((t / 2, t / 2))), 0.5, u=1.0)
     assert fit.lambda_hat == 1.0
     assert fit.k == 5
     assert fit.u == 1.0
@@ -55,7 +56,7 @@ def test_fit_lambda_reciprocal_mean_excess():
 
 def test_fit_lambda_constant_excesses():
     t = np.array([0.0] * 5 + [3.0] * 6)  # excesses all equal to 2 above u=1
-    fit = est._fit_lambda_from_t(t, 0.5, None, 1.0)
+    fit = est.fit_lambda(make_sample(np.column_stack((t / 2, t / 2))), 0.5, u=1.0)
     assert fit.lambda_hat == 0.5
 
 
@@ -118,6 +119,64 @@ def test_fit_lambda_unbiased_for_exact_power_family():
     assert abs(float(np.mean(lams)) - true) <= 0.02
 
 
+def _tied_diagonal_sample():
+    # 600 points with min(x, y) = 50 exactly tie above every other point on
+    # the diagonal ray, where the 90% quantile then leaves no exceedances;
+    # along every other ray their structure values are spread out. Two
+    # points on the axes check that the boundary rays ignore the other
+    # coordinate even where it is 0.
+    base = cp.BivariateNormal(0.5).sample(5000, 31).points
+    atoms = np.column_stack(
+        (np.full(600, 50.0), 50.0 + np.random.default_rng(4).uniform(1.0, 100.0, 600))
+    )
+    atoms[300:] = atoms[300:, ::-1]
+    return make_sample(np.vstack((base, atoms, [[0.0, 3.0], [3.0, 0.0]])))
+
+
+def _hill_reference(s, w, frac=0.10):
+    t = s.y if w == 0.0 else s.x if w == 1.0 else np.minimum(s.x / w, s.y / (1.0 - w))
+    u = float(np.quantile(t, 1.0 - frac))
+    exc = t[t > u]
+    return u, exc.size, float(np.sum(exc - u))
+
+
+def test_fit_lambda_rays_matches_one_ray_fits():
+    s = _tied_diagonal_sample()
+    grid = [0.0, 0.05, 0.3, 0.5, 0.77, 1.0]
+    fits = est.fit_lambda_rays(s, grid)
+    assert len(fits) == len(grid)
+    for w, fit in zip(grid, fits):
+        u, k, total_excess = _hill_reference(s, w)
+        if w == 0.5:
+            assert k < 5
+            assert isinstance(fit, InsufficientExceedancesError)
+            assert fit.count == k
+            with pytest.raises(InsufficientExceedancesError):
+                est.fit_lambda(s, w)
+            continue
+        assert fit == est.fit_lambda(s, w)
+        assert fit.omega == w
+        assert fit.u == u and fit.k == k
+        assert math.isclose(fit.lambda_hat, k / total_excess, rel_tol=1e-14)
+
+
+def test_fit_lambda_rays_independent_of_batch():
+    # 99 rays span several row blocks; each ray's fit must not depend on
+    # which rays share its batch or block
+    s = _tied_diagonal_sample()
+    grid = np.round(np.arange(0.01, 0.995, 0.01), 4)
+    full = est.fit_lambda_rays(s, grid)
+    backwards = est.fit_lambda_rays(s, grid[::-1])[::-1]
+    for i, w in enumerate(grid):
+        for other in (backwards[i], est.fit_lambda_rays(s, [w])[0]):
+            if isinstance(full[i], est.AngularFit):
+                assert other == full[i]
+            else:
+                assert type(other) is type(full[i])
+                assert str(other) == str(full[i])
+    assert isinstance(full[49], InsufficientExceedancesError)  # the diagonal
+
+
 # ---------------------------------------------------------------------------
 # ray-extrapolation probability
 # ---------------------------------------------------------------------------
@@ -155,6 +214,44 @@ def test_wt_probability_at_uses_ray_through_corner():
     p = est.wt_probability_at(s, (4.0, 12.0))
     assert math.isclose(p.meta["omega"], 0.25, rel_tol=1e-12)
     assert p.value > 0.0
+
+
+def test_wt_probability_at_inside_threshold_is_empirical():
+    s = cp.InvertedLogistic(0.5).sample(5000, 123)
+    assert est.fit_lambda(s, 0.25).u > 1.0
+    x0, y0 = 0.25, 0.75  # on the ray 0.25 at radius 1, exactly
+    p = est.wt_probability_at(s, (x0, y0))
+    assert p.meta["v"] == 0.0
+    assert p.meta["u_n"] == 1.0
+    assert p.value == np.count_nonzero((s.x > x0) & (s.y > y0)) / s.n
+
+
+def test_corner_sequence_forms_match_one_corner_calls():
+    s = cp.InvertedLogistic(0.5).sample(5000, 123)
+    corners = [(4.0, 12.0), (0.25, 0.75), (0.0, 0.0), (9.0, 0.0), (0.0, 7.0),
+               cp.SurvivorSet((6.0, 6.0))]
+    for batch, one in (
+        (est.wt_probabilities_at(s, corners), est.wt_probability_at),
+        (est.lt_probabilities(s, corners), est.lt_probability),
+        (est.lt_probabilities(s, corners, baseline=(1.0, 2.0)),
+         lambda s, c: est.lt_probability(s, c, baseline=(1.0, 2.0))),
+    ):
+        assert len(batch) == len(corners)
+        for c, got in zip(corners, batch):
+            if isinstance(got, est.ProbEstimate):
+                assert got == one(s, c)
+            else:
+                with pytest.raises(type(got)):
+                    one(s, c)
+    assert isinstance(est.wt_probabilities_at(s, corners)[2], DomainError)
+    # a failed diagonal fit fills every lt slot with its error
+    tied = _tied_diagonal_sample()
+    assert all(
+        isinstance(p, InsufficientExceedancesError)
+        for p in est.lt_probabilities(tied, corners)
+    )
+    with pytest.raises(InsufficientExceedancesError):
+        est.lt_probability(tied, corners[0])
 
 
 def test_wt_rejects_negative_extrapolation():

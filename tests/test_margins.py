@@ -252,10 +252,12 @@ def test_read_raw_csv_matches_csv_float_reference(tmp_path, text):
         ("x,y\n# note\n1,2\n", "{path}:2: expected 2 fields, got 1"),
         ("", "{path}: empty file"),
         ("x,y\n", "{path}: no data rows"),
+        ('x,"y\nz"\n1,2\n3,4,5\n', "{path}:4: expected 2 fields, got 3"),
     ],
     ids=[
         "too-many-fields", "too-few-fields", "header-wider-than-rows",
         "non-numeric", "trailing-comma", "comment-line", "empty-file", "header-only",
+        "multi-line-header",
     ],
 )
 def test_read_raw_csv_error_messages(tmp_path, text, message):
