@@ -17,24 +17,85 @@ variable RAYTAIL_THREADS > 1 to evaluate replications in a process pool.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import estimators as est
 from . import margins
 from .copulas import CopulaModel, SurvivorSet
-from .errors import DomainError, RaytailError
+from .errors import ConfigError, DomainError, RaytailError
 
 DEFAULT_OMEGAS = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
 METHODS = ("wt", "lt", "ht")
 
 
+def _integer(name, value, lo):
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if ok and value >= lo:
+        return int(value)
+    raise ConfigError(f"/{name}", f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def _number(name, value, hi=1.0, pointer=None):
+    # every real field of the config lies in an open interval (0, hi)
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok and 0.0 < value < hi:
+        return float(value)
+    raise ConfigError(
+        pointer or f"/{name}", f"{name} must be a number in (0, {hi:g}), got {value!r}"
+    )
+
+
+def _boolean(name, value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ConfigError(f"/{name}", f"{name} must be a boolean, got {value!r}")
+
+
+def _method(pointer, value):
+    if isinstance(value, str) and value in METHODS:
+        return str(value)
+    raise ConfigError(pointer, f"methods must be one of {METHODS}, got {value!r}")
+
+
+def _sequence(name, value, item):
+    """``value`` as a non-empty tuple, each element checked by ``item``."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) == 0:
+        raise ConfigError(f"/{name}", f"{name} must be a non-empty list, got {value!r}")
+    return tuple(item(f"/{name}/{i}", v) for i, v in enumerate(value))
+
+
+def _plain(value):
+    """JSON form of a config or report value: models as ``as_dict()``, other
+    dataclasses field by field, tuples as lists and NaN as null."""
+    if isinstance(value, CopulaModel):
+        return value.as_dict()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    """Configuration of the replication study.
+
+    Construction checks the type and range of every field and normalises it
+    (integers to ``int``, reals to ``float``, sequences to tuples). A bad
+    field raises ConfigError carrying the JSON pointer of the field in
+    ``as_dict()``, such as ``/reps`` or ``/omegas/1``.
+    """
+
     model: CopulaModel
     reps: int = 500
     m: int = 5000
@@ -48,24 +109,29 @@ class BenchmarkConfig:
     ht_quantile: float = 0.90
 
     def __post_init__(self):
-        if self.model.dim != 2:
-            raise DomainError("the benchmark compares bivariate estimators only")
-        if self.reps < 1:
-            raise DomainError(f"reps must be >= 1, got {self.reps}")
-        if self.m < 50:
-            raise DomainError(f"sample size must be >= 50, got {self.m}")
-        if not 0.0 < self.frac < 1.0:
-            raise DomainError(f"frac must lie in (0, 1), got {self.frac}")
-        if self.seed_base < 0:
-            raise DomainError(f"seed_base must be >= 0, got {self.seed_base}")
-        omegas = tuple(float(w) for w in self.omegas)
-        if not omegas or any(not 0.0 < w < 1.0 for w in omegas):
-            raise DomainError(f"all rays must lie in (0, 1): {omegas}")
-        bad = [mth for mth in self.methods if mth not in METHODS]
-        if bad:
-            raise DomainError(f"unknown methods {bad}; choose from {METHODS}")
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "methods", tuple(self.methods))
+        if not isinstance(self.model, CopulaModel) or self.model.dim != 2:
+            raise ConfigError(
+                "/model",
+                f"the benchmark compares bivariate estimators only, got {self.model!r}",
+            )
+        checked = {
+            "reps": _integer("reps", self.reps, 1),
+            "m": _integer("m", self.m, 50),
+            "frac": _number("frac", self.frac),
+            "omegas": _sequence(
+                "omegas", self.omegas, lambda p, w: _number("rays", w, pointer=p)
+            ),
+            "y_corner": None
+            if self.y_corner is None
+            else _number("y_corner", self.y_corner, math.inf),
+            "seed_base": _integer("seed_base", self.seed_base, 0),
+            "methods": _sequence("methods", self.methods, _method),
+            "rank_transform": _boolean("rank_transform", self.rank_transform),
+            "r_draws": _integer("r_draws", self.r_draws, 1),
+            "ht_quantile": _number("ht_quantile", self.ht_quantile),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.y_corner is None:
             object.__setattr__(self, "y_corner", 1.5 * math.log(self.m))
 
@@ -80,19 +146,7 @@ class BenchmarkConfig:
         ]
 
     def as_dict(self) -> dict:
-        return {
-            "model": {"family": self.model.family, **self.model.params},
-            "reps": self.reps,
-            "m": self.m,
-            "frac": self.frac,
-            "omegas": list(self.omegas),
-            "y_corner": self.y_corner,
-            "seed_base": self.seed_base,
-            "methods": list(self.methods),
-            "rank_transform": self.rank_transform,
-            "r_draws": self.r_draws,
-            "ht_quantile": self.ht_quantile,
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -115,8 +169,8 @@ class BenchmarkCell:
 @dataclass(frozen=True)
 class BenchmarkReport:
     config: dict
-    cells: tuple
     n_failures: dict
+    cells: tuple
     wall_seconds: float
 
     def cell(self, method, omega) -> BenchmarkCell:
@@ -128,29 +182,9 @@ class BenchmarkReport:
     def as_dict(self) -> dict:
         # wall_seconds stays out: the report must be a pure function of the
         # configuration, bitwise reproducible across reruns
-        def _clean(v):
-            return None if isinstance(v, float) and math.isnan(v) else v
-
-        return {
-            "config": self.config,
-            "n_failures": dict(self.n_failures),
-            "cells": [
-                {
-                    "method": c.method,
-                    "omega": c.omega,
-                    "true_prob": c.true_prob,
-                    "rmse_nonzero_log": _clean(c.rmse_nonzero_log),
-                    "prop_exceed": c.prop_exceed,
-                    "prop_zero": c.prop_zero,
-                    "n_reps_used": c.n_reps_used,
-                    "n_nonzero": c.n_nonzero,
-                    "mean_lambda": _clean(c.mean_lambda),
-                    "lambda_lo": _clean(c.lambda_lo),
-                    "lambda_hi": _clean(c.lambda_hi),
-                }
-                for c in self.cells
-            ],
-        }
+        doc = _plain(self)
+        del doc["wall_seconds"]
+        return doc
 
     def tidy_rows(self):
         """Long-format rows (method, omega, metric, value) for plotting."""

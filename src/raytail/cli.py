@@ -14,12 +14,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import bench, estimators, kappa, margins
 from .copulas import FAMILIES, SurvivorSet, make_model
 from .errors import (
+    ConfigError,
     DomainError,
     ExtrapolationError,
     InsufficientExceedancesError,
@@ -30,37 +32,18 @@ from .errors import (
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_MODEL_PARAM_FLAGS = {
-    "bvn": ("rho",),
-    "invlog": ("alpha",),
-    "morgenstern": ("alpha",),
-    "logistic": ("alpha",),
-    "clayton": ("alpha",),
-    "trivariate": (),
-}
-
-
-class ConfigError(Exception):
-    """Benchmark configuration problem, locating the field by JSON pointer."""
-
-    def __init__(self, pointer, message):
-        super().__init__(f"config error at {pointer}: {message}")
-        self.pointer = pointer
-
 
 def _model_from_args(args):
-    family = args.model
-    wanted = _MODEL_PARAM_FLAGS[family]
-    params = {}
-    for name in wanted:
-        val = getattr(args, name, None)
-        if val is None:
-            raise DomainError(f"--{name} is required for model {family!r}")
-        params[name] = val
-    for name in ("rho", "alpha"):
-        if name not in wanted and getattr(args, name, None) is not None:
-            raise DomainError(f"--{name} is not a parameter of model {family!r}")
-    return make_model(family, **params)
+    params = {
+        name: getattr(args, name)
+        for name in ("rho", "alpha")
+        if getattr(args, name) is not None
+    }
+    try:
+        return make_model(args.model, **params)
+    except ConfigError as exc:
+        # the pointer names a parameter, and each parameter has its own flag
+        raise DomainError(f"--{exc.pointer[1:]}: {exc.message}") from None
 
 
 def _add_model_flags(parser):
@@ -108,7 +91,7 @@ def _cmd_simulate(args):
     names = ("x", "y", "z")[: sample.dim]
     resolved = {
         "subcommand": "simulate",
-        "model": {"family": model.family, **model.params},
+        "model": model.as_dict(),
         "n": args.n,
         "seed": args.seed,
         "out": args.out,
@@ -142,7 +125,7 @@ def _cmd_kappa(args):
     model = _model_from_args(args)
     resolved = {
         "subcommand": "kappa",
-        "model": {"family": model.family, **model.params},
+        "model": model.as_dict(),
     }
     result = {}
     if args.suite:
@@ -249,110 +232,22 @@ def _cmd_diagnose(args):
     return 0
 
 
-def _require(cond, pointer, message):
-    if not cond:
-        raise ConfigError(pointer, message)
-
-
 def _config_from_json(doc) -> bench.BenchmarkConfig:
-    _require(isinstance(doc, dict), "", "top level must be an object")
-    _require("model" in doc, "/model", "missing")
-    mnode = doc["model"]
-    _require(isinstance(mnode, dict), "/model", "must be an object")
-    _require("family" in mnode, "/model/family", "missing")
-    family = mnode["family"]
-    _require(
-        family in FAMILIES, "/model/family", f"unknown family {family!r}"
-    )
-    params = {k: v for k, v in mnode.items() if k != "family"}
-    for key, val in params.items():
-        _require(
-            key in _MODEL_PARAM_FLAGS[family],
-            f"/model/{key}",
-            f"not a parameter of {family!r}",
-        )
-        _require(
-            isinstance(val, (int, float)) and not isinstance(val, bool),
-            f"/model/{key}",
-            "must be a number",
-        )
-    try:
-        model = make_model(family, **params)
-    except DomainError as exc:
-        pointer = "/model/" + (next(iter(params), "family"))
-        raise ConfigError(pointer, str(exc)) from None
-    except TypeError as exc:
-        raise ConfigError("/model", str(exc)) from None
-
-    kwargs = {"model": model}
-    int_fields = {"reps": 1, "m": 50, "seed_base": 0, "r_draws": 1}
-    for name, lo in int_fields.items():
-        if name in doc:
-            val = doc[name]
-            _require(
-                isinstance(val, int) and not isinstance(val, bool) and val >= lo,
-                f"/{name}",
-                f"must be an integer >= {lo}",
-            )
-            kwargs[name] = val
-    for name in ("frac", "ht_quantile"):
-        if name in doc:
-            val = doc[name]
-            _require(
-                isinstance(val, (int, float))
-                and not isinstance(val, bool)
-                and 0.0 < val < 1.0,
-                f"/{name}",
-                "must be a number in (0, 1)",
-            )
-            kwargs[name] = float(val)
-    if "y_corner" in doc and doc["y_corner"] is not None:
-        val = doc["y_corner"]
-        _require(
-            isinstance(val, (int, float)) and not isinstance(val, bool) and val > 0,
-            "/y_corner",
-            "must be a positive number",
-        )
-        kwargs["y_corner"] = float(val)
-    if "omegas" in doc:
-        val = doc["omegas"]
-        _require(isinstance(val, list) and val, "/omegas", "must be a non-empty list")
-        for i, w in enumerate(val):
-            _require(
-                isinstance(w, (int, float))
-                and not isinstance(w, bool)
-                and 0.0 < w < 1.0,
-                f"/omegas/{i}",
-                "must be a number in (0, 1)",
-            )
-        kwargs["omegas"] = tuple(float(w) for w in val)
-    if "methods" in doc:
-        val = doc["methods"]
-        _require(isinstance(val, list) and val, "/methods", "must be a non-empty list")
-        for i, mth in enumerate(val):
-            _require(
-                mth in bench.METHODS,
-                f"/methods/{i}",
-                f"must be one of {list(bench.METHODS)}",
-            )
-        kwargs["methods"] = tuple(val)
-    if "rank_transform" in doc:
-        _require(
-            isinstance(doc["rank_transform"], bool),
-            "/rank_transform",
-            "must be a boolean",
-        )
-        kwargs["rank_transform"] = doc["rank_transform"]
-    known = {
-        "model", "reps", "m", "frac", "omegas", "y_corner", "seed_base",
-        "methods", "rank_transform", "r_draws", "ht_quantile",
-    }
+    if not isinstance(doc, dict):
+        raise ConfigError("", "top level must be an object")
+    known = [f.name for f in fields(bench.BenchmarkConfig)]
     for key in doc:
-        _require(key in known, f"/{key}", "unknown field")
+        if key not in known:
+            raise ConfigError(f"/{key}", "unknown field")
+    node = doc.get("model")
+    if not isinstance(node, dict):
+        raise ConfigError("/model", f"model must be an object, got {node!r}")
+    params = dict(node)
     try:
-        return bench.BenchmarkConfig(**kwargs)
-    except DomainError as exc:
-        raise ConfigError("", str(exc)) from None
+        model = make_model(params.pop("family", None), **params)
+    except ConfigError as exc:
+        raise ConfigError("/model" + exc.pointer, exc.message) from None
+    return bench.BenchmarkConfig(**{**doc, "model": model})
 
 
 def _cmd_benchmark(args):
@@ -463,9 +358,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

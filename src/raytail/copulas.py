@@ -28,12 +28,13 @@ cancellation, and in log space once exponents grow large.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, NumericError, QuadratureError
+from .errors import ConfigError, DomainError, NumericError, QuadratureError
 from .margins import ExponentialSample
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -97,8 +98,6 @@ class CopulaModel(ABC):
     #: positive quadrant (orthant) dependence; controls the upper bound
     #: kappa <= beta + gamma in the property suite
     pqd = True
-    #: whether the angular dependence function is differentiable on (0, 1)
-    smooth = True
     #: whether kappa is convex (equivalently subadditive); gates the
     #: subadditivity check the same way pqd gates the sum bound
     convex = True
@@ -134,7 +133,12 @@ class CopulaModel(ABC):
 
     @property
     def params(self) -> dict:
-        return {}
+        """The model's parameters by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def as_dict(self) -> dict:
+        """The ``{"family": ..., **params}`` object that ``make_model`` reads."""
+        return {"family": self.family, **self.params}
 
     def _check_growth(self, growth):
         g = tuple(float(v) for v in growth)
@@ -164,7 +168,7 @@ class BivariateNormal(CopulaModel):
 
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
-            raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
+            raise ConfigError("/rho", f"rho must lie in (-1, 1), got {self.rho}")
 
     @property
     def pqd(self):
@@ -174,10 +178,6 @@ class BivariateNormal(CopulaModel):
     def convex(self):
         # negative dependence makes the angular function concave
         return self.rho >= 0.0
-
-    @property
-    def params(self):
-        return {"rho": self.rho}
 
     def sample(self, n, seed):
         if n < 1:
@@ -338,11 +338,7 @@ class InvertedLogistic(CopulaModel):
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-    @property
-    def params(self):
-        return {"alpha": self.alpha}
+            raise ConfigError("/alpha", f"alpha must lie in (0, 1], got {self.alpha}")
 
     def sample(self, n, seed):
         if n < 1:
@@ -409,15 +405,11 @@ class Morgenstern(CopulaModel):
 
     def __post_init__(self):
         if not -1.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [-1, 1], got {self.alpha}")
+            raise ConfigError("/alpha", f"alpha must lie in [-1, 1], got {self.alpha}")
 
     @property
     def pqd(self):
         return self.alpha >= 0.0
-
-    @property
-    def params(self):
-        return {"alpha": self.alpha}
 
     def sample(self, n, seed):
         if n < 1:
@@ -489,15 +481,10 @@ class LogisticBEV(CopulaModel):
 
     alpha: float
     family = "logistic"
-    smooth = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-    @property
-    def params(self):
-        return {"alpha": self.alpha}
+            raise ConfigError("/alpha", f"alpha must lie in (0, 1], got {self.alpha}")
 
     def sample(self, n, seed):
         if n < 1:
@@ -573,15 +560,10 @@ class ClaytonLowerTail(CopulaModel):
 
     alpha: float
     family = "clayton"
-    smooth = False
 
     def __post_init__(self):
         if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-
-    @property
-    def params(self):
-        return {"alpha": self.alpha}
+            raise ConfigError("/alpha", f"alpha must be > 0, got {self.alpha}")
 
     def sample(self, n, seed):
         if n < 1:
@@ -631,7 +613,6 @@ class TrivariateMaxPareto(CopulaModel):
 
     family = "trivariate"
     dim = 3
-    smooth = False
     # kappa(1,1,0) + kappa(0,1,1) = 2 < 3 = kappa(1,2,1): the shared-maximum
     # construction is not subadditive, so no convexity is claimed
     convex = False
@@ -746,11 +727,26 @@ FAMILIES = {
 
 
 def make_model(family, **params) -> CopulaModel:
-    """Instantiate a model by family tag; parameter errors carry the bound."""
-    try:
-        cls = FAMILIES[family]
-    except KeyError:
-        raise DomainError(
-            f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
-        ) from None
+    """Instantiate a model by family tag and its parameters by name.
+
+    Every error is a ConfigError whose pointer locates the faulty entry of the
+    model's ``as_dict()`` object: ``/family`` or ``/<parameter>``. Range
+    errors carry the bound.
+    """
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ConfigError(
+            "/family", f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
+        )
+    names = [f.name for f in fields(cls)]
+    for name, value in params.items():
+        if name not in names:
+            raise ConfigError(
+                f"/{name}", f"{name} is not a parameter of model {family!r}"
+            )
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"/{name}", f"{name} must be a number, got {value!r}")
+    for name in names:
+        if name not in params:
+            raise ConfigError(f"/{name}", f"{name} is required for model {family!r}")
     return cls(**params)

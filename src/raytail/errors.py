@@ -11,6 +11,27 @@ class DomainError(RaytailError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
+class ConfigError(DomainError):
+    """A configuration field holds an invalid value.
+
+    Attributes
+    ----------
+    pointer : str
+        JSON pointer of the field, such as ``/reps`` or ``/omegas/1``; empty
+        for the document as a whole.
+    message : str
+        What is wrong with the value, without the location.
+    """
+
+    def __init__(self, pointer, message):
+        super().__init__(pointer, message)
+        self.pointer = pointer
+        self.message = message
+
+    def __str__(self):
+        return f"config error at {self.pointer}: {self.message}"
+
+
 class NumericError(RaytailError, ArithmeticError):
     """A numerical routine failed to reach its accuracy target."""
 

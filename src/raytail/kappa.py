@@ -37,20 +37,17 @@ class KappaFunction:
         Maps a growth tuple of length ``dim`` to kappa > 0.
     dim : int
         2 or 3.
-    smooth : bool
-        Hint that the angular restriction is differentiable on (0, 1).
     """
 
     evaluator: object
     dim: int = 2
-    smooth: bool = True
 
     def __call__(self, growth):
         return float(self.evaluator(tuple(growth)))
 
     @classmethod
     def of_model(cls, model: CopulaModel) -> "KappaFunction":
-        return cls(evaluator=model.kappa, dim=model.dim, smooth=model.smooth)
+        return cls(evaluator=model.kappa, dim=model.dim)
 
 
 @dataclass(frozen=True)

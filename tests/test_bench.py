@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from raytail import bench
 from raytail import copulas as cp
-from raytail.errors import DomainError
+from raytail.errors import ConfigError, DomainError
 
 ETA_075_ALPHA = -math.log(0.75) / math.log(2.0)
 
@@ -60,6 +61,52 @@ def test_config_validation():
         tiny_config(model=cp.TrivariateMaxPareto())
     with pytest.raises(DomainError, match="seed_base"):
         tiny_config(seed_base=-1)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("r_draws", 0),
+        ("ht_quantile", 0.0),
+        ("ht_quantile", 1.5),
+        ("rank_transform", "no"),
+        ("reps", 2.5),
+        ("reps", True),
+        ("m", 60.5),
+        ("y_corner", -1.0),
+    ],
+)
+def test_config_rejects_field_at_construction(field, value):
+    with pytest.raises(ConfigError, match=field) as info:
+        tiny_config(**{field: value})
+    assert isinstance(info.value, DomainError)
+    assert info.value.pointer == f"/{field}"
+
+
+def test_config_normalises_numpy_scalars_and_lists():
+    cfg = tiny_config(
+        reps=np.int64(3), m=np.int32(600), frac=np.float32(0.25),
+        omegas=[np.float64(0.5), 0.25], y_corner=np.int64(9),
+        methods=["wt"], rank_transform=np.bool_(True), ht_quantile=np.float64(0.9),
+    )
+    assert (type(cfg.reps), type(cfg.m), type(cfg.y_corner)) == (int, int, float)
+    assert (cfg.frac, cfg.omegas, cfg.methods) == (0.25, (0.5, 0.25), ("wt",))
+    assert cfg.rank_transform is True
+    assert json.loads(json.dumps(cfg.as_dict()))["model"] == {
+        "family": "invlog", "alpha": ETA_075_ALPHA
+    }
+
+
+def test_make_model_rejects_foreign_and_missing_parameters():
+    with pytest.raises(ConfigError, match="not a parameter") as info:
+        cp.make_model("bvn", alpha=0.4)
+    assert info.value.pointer == "/alpha"
+    with pytest.raises(ConfigError, match="required") as info:
+        cp.make_model("bvn")
+    assert info.value.pointer == "/rho"
+    with pytest.raises(ConfigError, match="number") as info:
+        cp.make_model("invlog", alpha="0.5")
+    assert info.value.pointer == "/alpha"
 
 
 def test_config_defaults():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import raytail
-from raytail import cli
+from raytail import bench, cli
 
 
 def run_cli(args, capsys):
@@ -258,6 +259,8 @@ def test_benchmark_report_reproducible(tmp_path, capsys):
         ({"model": {"family": "invlog", "alpha": 0.4}, "reps": "many"}, "/reps"),
         ({"model": {"family": "invlog", "alpha": 0.4}, "bogus": 1}, "/bogus"),
         ({"model": {"family": "bvn", "alpha": 0.4}}, "/model/alpha"),
+        ({"model": {"family": "bvn"}}, "/model/rho"),
+        ({"model": {"family": "trivariate"}}, "/model:"),
     ],
 )
 def test_benchmark_malformed_config_pointers(tmp_path, capsys, doc, pointer):
@@ -266,6 +269,40 @@ def test_benchmark_malformed_config_pointers(tmp_path, capsys, doc, pointer):
     code, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert pointer in err
+
+
+def test_benchmark_report_is_valid_json_when_a_method_always_fails(tmp_path, capsys):
+    # 30 conditioning exceedances < 50: every ht fit fails, so the ht cells
+    # have no replications and their proportions are undefined
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"model": {"family": "invlog", "alpha": 0.5}, "reps": 2, "m": 300})
+    )
+    code, out, _ = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    doc = json.loads(out, parse_constant=reject)
+    ht = [c for c in doc["cells"] if c["method"] == "ht"]
+    assert ht and all(c["n_reps_used"] == 0 for c in ht)
+    assert all(c["prop_exceed"] is None and c["prop_zero"] is None for c in ht)
+
+
+def test_readme_benchmark_config_example_loads():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("Benchmark configuration example"):]
+    example = section[section.index("```json") + len("```json"):]
+    doc = json.loads(example[: example.index("```")])
+    # every field is documented in the example
+    assert set(doc) == {f.name for f in dataclasses.fields(bench.BenchmarkConfig)}
+    resolved = cli._config_from_json(doc).as_dict()
+    assert {k: resolved[k] for k, v in doc.items() if v is not None} == {
+        k: v for k, v in doc.items() if v is not None
+    }
 
 
 def test_benchmark_missing_config(tmp_path, capsys):
