@@ -70,6 +70,14 @@ def _sequence(name, value, item):
     return tuple(item(f"/{name}/{i}", v) for i, v in enumerate(value))
 
 
+def _methods(value):
+    methods = _sequence("methods", value, _method)
+    for i, mth in enumerate(methods):
+        if mth in methods[:i]:
+            raise ConfigError(f"/methods/{i}", f"methods must not repeat, got {mth!r} twice")
+    return methods
+
+
 def _plain(value):
     """JSON form of a config or report value: models as ``as_dict()``, other
     dataclasses field by field, tuples as lists and NaN as null."""
@@ -125,7 +133,7 @@ class BenchmarkConfig:
             if self.y_corner is None
             else _number("y_corner", self.y_corner, math.inf),
             "seed_base": _integer("seed_base", self.seed_base, 0),
-            "methods": _sequence("methods", self.methods, _method),
+            "methods": _methods(self.methods),
             "rank_transform": _boolean("rank_transform", self.rank_transform),
             "r_draws": _integer("r_draws", self.r_draws, 1),
             "ht_quantile": _number("ht_quantile", self.ht_quantile),
@@ -136,8 +144,10 @@ class BenchmarkConfig:
             object.__setattr__(self, "y_corner", 1.5 * math.log(self.m))
 
     def quick(self) -> "BenchmarkConfig":
-        """CI profile: 100 replications of size 2000."""
-        return replace(self, reps=100, m=2000, y_corner=None)
+        """CI profile: 100 replications of size 2000. A y_corner at its
+        default 1.5*log(m) follows the new m; any other value is kept."""
+        default = self.y_corner == 1.5 * math.log(self.m)
+        return replace(self, reps=100, m=2000, y_corner=None if default else self.y_corner)
 
     def targets(self):
         return [
@@ -367,14 +377,15 @@ class LambdaRecovery:
     reps: int
 
     def as_dict(self):
-        return {
+        # a ray whose every fit failed has NaN summaries, written as null
+        return _plain({
             "reps": self.reps,
             "omegas": self.omegas.tolist(),
             "true_lambda": self.true_lambda.tolist(),
             "mean_lambda": self.mean_lambda.tolist(),
             "lo": self.lo.tolist(),
             "hi": self.hi.tolist(),
-        }
+        })
 
 
 def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:

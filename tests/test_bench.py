@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ def test_config_rejects_field_at_construction(field, value):
         tiny_config(**{field: value})
     assert isinstance(info.value, DomainError)
     assert info.value.pointer == f"/{field}"
+
+
+def test_config_rejects_repeated_methods():
+    with pytest.raises(ConfigError, match="repeat") as info:
+        tiny_config(methods=["wt", "lt", "wt"])
+    assert info.value.pointer == "/methods/2"
+
+
+def test_quick_keeps_explicit_y_corner():
+    assert tiny_config(y_corner=3.0).quick().y_corner == 3.0
+    q = tiny_config(m=5000).quick()
+    assert q.y_corner == 1.5 * math.log(2000)
 
 
 def test_config_normalises_numpy_scalars_and_lists():
@@ -214,6 +227,16 @@ def test_lambda_recovery_summary():
         assert math.isclose(rec.true_lambda[i], cfg.model.lam(w), rel_tol=1e-15)
         assert abs(rec.mean_lambda[i] - rec.true_lambda[i]) < 0.15
         assert rec.lo[i] <= rec.mean_lambda[i] <= rec.hi[i]
+
+
+def test_lambda_recovery_dict_writes_null_for_a_ray_that_always_fails():
+    # 3 exceedances of 60 at frac=0.05: every fit on the ray fails
+    cfg = bench.BenchmarkConfig(cp.InvertedLogistic(0.5), reps=2, m=60, frac=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy: all-NaN slices
+        doc = bench.lambda_recovery(cfg, omega_grid=[0.5]).as_dict()
+    assert (doc["mean_lambda"], doc["lo"], doc["hi"]) == ([None], [None], [None])
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
 
 def test_lambda_recovery_boundary_rays_near_unit_rate():

@@ -40,6 +40,71 @@ def test_structure_variable_rejects_bad_omega():
 
 
 # ---------------------------------------------------------------------------
+# array expressions inside the estimators, checked against direct numpy
+# references on one fixed exponential sample
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def arrays():
+    rng = np.random.default_rng(123)
+    x = rng.standard_exponential(5000)
+    y = rng.standard_exponential(5000)
+    return x, y
+
+
+@pytest.fixture(scope="module")
+def sample(arrays):
+    return ExponentialSample(np.column_stack(arrays), provenance="simulated")
+
+
+def test_structure_min_matches_numpy_reference(arrays, sample):
+    x, y = arrays
+    ref = np.minimum(x / 0.3, y / (1.0 - 0.3))
+    out = est.structure_variable(sample, 0.3)
+    assert np.array_equal(out, ref)
+
+
+def test_excess_stats(arrays, sample):
+    x, y = arrays
+    t = np.minimum(x / 0.3, y / (1.0 - 0.3))
+    u = float(np.quantile(t, 0.9))
+    fit = est.fit_lambda(sample, 0.3, u=u)
+    exc = t[t > u]
+    assert fit.k == exc.size
+    assert np.isclose(fit.lambda_hat, exc.size / np.sum(exc - u), rtol=1e-12)
+
+
+def test_count_joint_exceedances(arrays, sample):
+    x, y = arrays
+    omega, u_n = 0.4, 2.0
+    p = est.wt_probability(sample, omega, u_n=u_n, v=0.0)
+    ref = int(np.sum((x > omega * u_n) & (y > (1.0 - omega) * u_n)))
+    assert p.value == ref / sample.n
+
+
+def test_ht_indicator_fraction(arrays):
+    x, y = arrays
+    fit = est.HTFit(
+        alpha=0.25,
+        beta=0.5,
+        u_y=2.0,
+        residuals=y[:1000] - 1.0,
+        mu=0.0,
+        sigma=1.0,
+        nll=0.0,
+    )
+    omega, u_n, r = 0.4, 5.0, 1000
+    p = est.ht_probability(fit, omega, u_n, r=r, seed=7)
+    rng = np.random.default_rng(7)
+    y_thresh = (1.0 - omega) * u_n
+    ystar = y_thresh + rng.standard_exponential(r)
+    z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
+    frac = np.mean(0.25 * ystar + ystar**0.5 * z > omega * u_n)
+    assert 0.0 < frac < 1.0
+    assert np.isclose(p.value, math.exp(-y_thresh) * frac, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Hill fit of the angular index
 # ---------------------------------------------------------------------------
 
@@ -133,9 +198,10 @@ def _tied_diagonal_sample():
     return make_sample(np.vstack((base, atoms, [[0.0, 3.0], [3.0, 0.0]])))
 
 
-def _hill_reference(s, w, frac=0.10):
+def _hill_reference(s, w, frac=0.10, u=None):
     t = s.y if w == 0.0 else s.x if w == 1.0 else np.minimum(s.x / w, s.y / (1.0 - w))
-    u = float(np.quantile(t, 1.0 - frac))
+    if u is None:
+        u = float(np.quantile(t, 1.0 - frac))
     exc = t[t > u]
     return u, exc.size, float(np.sum(exc - u))
 
@@ -175,6 +241,88 @@ def test_fit_lambda_rays_independent_of_batch():
                 assert type(other) is type(full[i])
                 assert str(other) == str(full[i])
     assert isinstance(full[49], InsufficientExceedancesError)  # the diagonal
+
+
+def _reference_fit(s, w, frac, u=None):
+    # the Hill fit on the full sample, threshold by np.quantile
+    u, k, total_excess = _hill_reference(s, w, frac, u)
+    if k < 5:
+        return InsufficientExceedancesError(k, 5)
+    lam = k / total_excess
+    return est.AngularFit(float(w), lam, u, k, lam / math.sqrt(k))
+
+
+def _assert_fits_equal(fits, refs):
+    for fit, ref in zip(fits, refs, strict=True):
+        if isinstance(ref, est.AngularFit):
+            # dataclass equality compares every float exactly
+            assert fit == ref
+        else:
+            assert type(fit) is type(ref) and fit.count == ref.count
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.10, 0.25])
+@pytest.mark.parametrize("m", [60, 305, 2000, 5003])
+@pytest.mark.parametrize("tied", [False, True], ids=["raw", "tied"])
+@pytest.mark.parametrize(
+    "model", [cp.BivariateNormal(0.5), cp.InvertedLogistic(ETA_075_ALPHA)],
+    ids=["bvn", "invlog"],
+)
+def test_fit_lambda_rays_bitwise_equals_full_sample_reference(model, tied, m, frac):
+    # 99 rays from axis to axis: the batch prunes candidate points from
+    # m=2000 on and keeps them all below; fits must not tell the difference.
+    # At m=305 and 5003 the quantile's interpolation weight is >= 0.5.
+    s = model.sample(m, 500 + m)
+    if tied:
+        s = make_sample(np.round(s.points, 1))
+    grid = np.linspace(0.0, 1.0, 99)
+    _assert_fits_equal(
+        est.fit_lambda_rays(s, grid, frac=frac),
+        [_reference_fit(s, w, frac) for w in grid],
+    )
+    # below the cut-off in ray count
+    for few in ([0.0], [1.0, 0.4, 0.5]):
+        _assert_fits_equal(
+            est.fit_lambda_rays(s, few, frac=frac),
+            [_reference_fit(s, w, frac) for w in few],
+        )
+
+
+def test_fit_lambda_rays_bitwise_on_tied_atoms_edge_frac_and_explicit_u():
+    s = _tied_diagonal_sample()
+    grid = np.linspace(0.0, 1.0, 101)
+    _assert_fits_equal(est.fit_lambda_rays(s, grid), [_reference_fit(s, w, 0.1) for w in grid])
+    # k = 1: 1 - frac rounds to 1 and the threshold is the maximum
+    _assert_fits_equal(
+        est.fit_lambda_rays(s, grid, frac=1e-17), [_reference_fit(s, w, 1e-17) for w in grid]
+    )
+    # an explicit threshold keeps every point
+    u = float(np.quantile(s.x, 0.7))
+    _assert_fits_equal(
+        est.fit_lambda_rays(s, grid, u=u), [_reference_fit(s, w, None, u=u) for w in grid]
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_candidates_keep_k_dominating_points_for_every_dropped_one(k):
+    # a dropped point is safe when k kept points match or beat it in both
+    # coordinates; small integer samples make ties and tight corners common
+    rng = np.random.default_rng(k)
+    dropped = 0
+    for m in (k + 1, 60, 200, 2000):
+        for scale in (3, 50, None):
+            for _ in range(30 if m < 2000 else 1):
+                x, y = rng.standard_exponential((2, m))
+                if scale is not None:
+                    x, y = np.floor(x * scale), np.floor(y * scale)
+                keep = est._candidates(x, y, k)
+                xk, yk = x[keep], y[keep]
+                for xd, yd in zip(x[~keep], y[~keep]):
+                    assert np.count_nonzero((xk >= xd) & (yk >= yd)) >= k
+                dropped += np.count_nonzero(~keep)
+                if m == 2000 and scale is None:
+                    assert np.count_nonzero(keep) < m // 2
+    assert dropped > 0
 
 
 # ---------------------------------------------------------------------------
