@@ -340,8 +340,8 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
                 lcol = lcol[~np.isnan(lcol)]
                 if lcol.size:
                     mean_lam = float(np.mean(lcol))
-                    lo = float(np.quantile(lcol, 0.025))
-                    hi = float(np.quantile(lcol, 0.975))
+                    lo = float(est._quantile(lcol, 0.025))
+                    hi = float(est._quantile(lcol, 0.975))
             cells.append(
                 BenchmarkCell(
                     method=mth,
@@ -404,11 +404,19 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
         fits[rep] = _slots(
             est.fit_lambda_rays(sample, grid, frac=config.frac), lambda f: f.lambda_hat
         )
+    ok = ~np.isnan(fits)
+    # np.nanmean's own sum and count over the whole array, so the mean is
+    # bitwise its value; 0/0 gives NaN where every fit of a ray failed
+    with np.errstate(invalid="ignore"):
+        mean = np.sum(np.where(ok, fits, 0.0), axis=0) / np.count_nonzero(ok, axis=0)
+    cols = [fits[ok[:, j], j] for j in range(grid.size)]
+    lo = np.array([est._quantile(c, 0.025) if c.size else math.nan for c in cols])
+    hi = np.array([est._quantile(c, 0.975) if c.size else math.nan for c in cols])
     return LambdaRecovery(
         omegas=grid,
         true_lambda=np.array([config.model.lam(w) for w in grid]),
-        mean_lambda=np.nanmean(fits, axis=0),
-        lo=np.nanquantile(fits, 0.025, axis=0),
-        hi=np.nanquantile(fits, 0.975, axis=0),
+        mean_lambda=mean,
+        lo=lo,
+        hi=hi,
         reps=config.reps,
     )

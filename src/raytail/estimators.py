@@ -41,6 +41,12 @@ finds most such points, and they are dropped before the matrix is built;
 about a quarter of a sample stays at frac=0.1. Every fit is bitwise the
 one on the full sample (see ``_fit_rays``).
 
+Every interpolated order statistic goes through ``_quantile``, numpy's
+default linear quantile from one partition and bitwise np.quantile's value:
+the ray thresholds, the ``lt`` baselines, ``fit_ht``'s u_y and the
+benchmark's lambda envelopes. Only the staircase of ``_candidates`` reads
+exact k-th largest values, by its own partitions.
+
 Zero estimates are recorded outcomes, never exceptions: downstream
 benchmarking counts them.
 """
@@ -67,8 +73,19 @@ _MIN_HT_EXCEEDANCES = 50
 _HT_GRID_POINTS = 121
 _HT_BETA_LO = -1.0  # lower edge of the first beta grid
 _HT_BETA_HI = 1.0 - 1e-8
-_HT_BLOCK_ELEMS = 1 << 20
-_RAY_BLOCK_ELEMS = 1 << 16
+# (grid x points) arrays are built in row blocks of at most this many
+# elements, which also bounds memory on long grids and large samples. The
+# blocks are cache-sized: a temporary of more than about 128 KiB (glibc's
+# default mmap threshold) is fresh memory from the kernel and page-faults on
+# every allocation. At m=5000 on 2 cores, one fit_ht call took 558 minor
+# faults and one 99-ray fit 510-584 with the earlier blocks of 2^20 and 2^16
+# elements, and both take 0 at 2^14. Rows are independent, so the block
+# size changes no result.
+_HT_BLOCK_ELEMS = 1 << 14
+_RAY_BLOCK_ELEMS = 1 << 14
+# a ray batch whose full structure matrix holds fewer elements skips the
+# candidate pruning of _fit_rays
+_PRUNE_MIN_ELEMS = 1 << 15
 _SKYBAND_STEPS = 8  # corners of the candidate staircase in _candidates
 
 
@@ -168,6 +185,34 @@ def _as_omegas(omegas) -> np.ndarray:
     return w
 
 
+def _quantile(v, q, n=None):
+    """np.quantile(v, q, axis=-1), bitwise: numpy's default linear method
+    (Hyndman & Fan type 7) as numpy computes it since 1.22.
+
+    With h = (n - 1) q, the quantile lies between the order statistics at
+    positions floor(h) and floor(h) + 1 of a row's n values, and is numpy's
+    two-branch lerp between them with weight gamma = h - floor(h). One
+    partition at the lower one finds both: the upper one is the least of
+    the values partitioned above it.
+
+    ``n`` is the size of the full sample; by default the row length. When
+    it is larger, each row of ``v`` holds only part of its sample: it must
+    hold the sample's k = n - floor(h) largest values, and each value it
+    lacks must lie at or below the k-th largest. The result is then the
+    quantile of the full sample. ``q`` is a float in [0, 1] and n >= 1.
+    """
+    n = v.shape[-1] if n is None else n
+    h = (n - 1) * q
+    k = n - math.floor(h)  # values at or above the lower order statistic
+    gamma = h - math.floor(h)
+    lo = v.shape[-1] - k
+    part = np.partition(v, lo, axis=-1)
+    a = part[..., lo]
+    b = part[..., lo + 1:].min(axis=-1) if k > 1 else a
+    d = b - a
+    return a + d * gamma if gamma < 0.5 else b - d * (1.0 - gamma)
+
+
 def _structure(x, y, gx, gy) -> np.ndarray:
     # (rays x m) matrix of min(x/gx, y/gy); a zero weight drops its
     # coordinate: x/0 is inf, and fmin skips the NaN of 0/0
@@ -206,50 +251,37 @@ def _fit_rays(sample, omegas, gx, gy, frac, u) -> list:
     """Hill fits along the rays with weights (gx, gy), tagged with their
     angles ``omegas``; a failed ray's slot holds its typed error.
 
-    With u None, each ray's threshold is np.quantile(T, 1 - frac) of its
-    structure values T: numpy's linear method, the lerp between the order
-    statistics at positions floor(h) and floor(h) + 1 of the m values,
-    h = (m - 1)(1 - frac). Only the top k = m - floor(h) values enter it,
-    and only values above it are exceedances. T is non-decreasing in both
-    coordinates, so a point that k others match or beat in both is never
-    needed: on a batch large enough to pay for it, _candidates drops most
-    such points before the structure matrix is built. The kept points hold
-    every ray's top k values and, in the same order, every exceedance, so
-    each fit is bitwise the one on the full sample. An explicit ``u`` keeps
-    every point, since its exceedances are not limited by rank.
+    With u None, each ray's threshold is the (1 - frac) quantile of its m
+    structure values T (see ``_quantile``). Only the top k = m - floor(h)
+    values enter it, h = (m - 1)(1 - frac), and only values above it are
+    exceedances. T is non-decreasing in both coordinates, so a point that k
+    others match or beat in both is never needed: on a batch large enough
+    to pay for it, _candidates drops most such points before the structure
+    matrix is built. The kept points hold every ray's top k values and, in
+    the same order, every exceedance, so each fit is bitwise the one on the
+    full sample. An explicit ``u`` keeps every point, since its exceedances
+    are not limited by rank. An empty sample fails every ray.
     """
     _require_bivariate(sample)
     x, y = sample.x, sample.y
+    m = x.size
     if u is None:
         if not 0.0 < frac < 1.0:
             raise DomainError(f"frac must lie in (0, 1), got {frac}")
-        h = (x.size - 1) * (1.0 - frac)
-        k, gamma = x.size - math.floor(h), h - math.floor(h)
         # the staircase costs a sort and a fixed overhead; measured on two
         # cores it pays from about 7 rays at m=5000, 12 at m=2000 and 50 at
         # m=300
-        if gx.size >= _SKYBAND_STEPS and gx.size * x.size >= _RAY_BLOCK_ELEMS // 2:
-            keep = _candidates(x, y, k)
+        if gx.size >= _SKYBAND_STEPS and gx.size * m >= _PRUNE_MIN_ELEMS:
+            keep = _candidates(x, y, m - math.floor((m - 1) * (1.0 - frac)))
             x, y = x[keep], y[keep]
-        lo = x.size - k  # position of the lower order statistic
+    if m == 0:
+        return [InsufficientExceedancesError(0, _MIN_EXCEEDANCES)] * gx.size
     fits = []
-    # the (ray x m) structure matrix is built in row blocks so that memory
-    # stays bounded for long ray grids and large samples
     step = max(1, _RAY_BLOCK_ELEMS // x.size)
     for start in range(0, gx.size, step):
         block = slice(start, start + step)
         t = _structure(x, y, gx[block], gy[block])
-        if u is None:
-            # one selection: the next order statistic is the least of the
-            # values partitioned above the lower one
-            t_part = np.partition(t, lo, axis=1)
-            a = t_part[:, lo]
-            b = t_part[:, lo + 1:].min(axis=1) if k > 1 else a
-            # numpy's lerp, as np.quantile applies it since numpy 1.22
-            d = b - a
-            us = a + d * gamma if gamma < 0.5 else b - d * (1.0 - gamma)
-        else:
-            us = np.full(len(t), u)
+        us = _quantile(t, 1.0 - frac, m) if u is None else np.full(len(t), u)
         for row, u_r, omega in zip(t, us.tolist(), omegas[block]):
             exc = row[row > u_r]
             k_r, total_excess = exc.size, float(np.sum(exc - u_r))
@@ -377,8 +409,8 @@ def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
     if baseline is not None:
         bx, by = (float(b) for b in baseline)
     else:
-        bx = float(np.quantile(sample.x, 1.0 - frac))
-        by = float(np.quantile(sample.y, 1.0 - frac))
+        bx = float(_quantile(sample.x, 1.0 - frac))
+        by = float(_quantile(sample.y, 1.0 - frac))
     out = []
     for x0, y0 in corners:
         v = max(0.0, min(x0 - bx, y0 - by))
@@ -404,21 +436,21 @@ def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
     return _one(lt_probabilities(sample, [target], frac=frac, baseline=baseline))
 
 
-def _ht_profile(betas, x, y, logy):
+def _ht_profile(betas, x, y, logy, logy_stats):
     """Profile negative log-likelihood and location slope along a beta vector.
 
     For fixed beta the residual variance var(x*y**-beta - alpha*y**(1-beta))
     is quadratic in alpha, so alpha*(beta) = cov / var clipped to [0, 1] is
     the exact constrained minimizer (variable projection). Betas with
     |beta * log y| > 600 for some y, and degenerate variances, get +inf.
+    ``logy_stats`` is (max, min, sum) of logy, computed once per fit.
     """
+    logy_max, logy_min, logy_sum = logy_stats
     nll = np.full(betas.size, np.inf)
     alpha = np.full(betas.size, np.nan)
     feasible = np.flatnonzero(
-        (betas * np.max(logy) <= 600.0) & (betas * np.min(logy) >= -600.0)
+        (betas * logy_max <= 600.0) & (betas * logy_min >= -600.0)
     )
-    # the (grid x exceedance) arrays are built in row blocks so that memory
-    # stays bounded for very large conditioning tails
     step = max(1, _HT_BLOCK_ELEMS // x.size)
     for start in range(0, feasible.size, step):
         rows = feasible[start:start + step]
@@ -430,7 +462,7 @@ def _ht_profile(betas, x, y, logy):
         with np.errstate(divide="ignore", invalid="ignore"):
             al = np.clip(np.sum(a * c, axis=1) / np.sum(c * c, axis=1), 0.0, 1.0)
             s2 = np.mean((a - al[:, None] * c) ** 2, axis=1)
-            nll[rows] = 0.5 * x.size * np.log(s2) + betas[rows] * np.sum(logy)
+            nll[rows] = 0.5 * x.size * np.log(s2) + betas[rows] * logy_sum
         alpha[rows] = al
     nll[~np.isfinite(nll)] = np.inf
     return nll, alpha
@@ -453,7 +485,9 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     if u_y is None:
         if not 0.0 < quantile < 1.0:
             raise DomainError(f"quantile must lie in (0, 1), got {quantile}")
-        u_y = float(np.quantile(sample.y, quantile))
+        if sample.n == 0:
+            raise InsufficientExceedancesError(0, _MIN_HT_EXCEEDANCES)
+        u_y = float(_quantile(sample.y, quantile))
     mask = sample.y > u_y
     n_exc = int(np.count_nonzero(mask))
     if n_exc < _MIN_HT_EXCEEDANCES:
@@ -463,10 +497,15 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     if np.min(y) <= 0.0:
         raise DomainError("conditioning threshold must keep Y_E positive")
     logy = np.log(y)
+    logy_stats = (np.max(logy), np.min(logy), np.sum(logy))
+
+    def profile(betas):
+        return _ht_profile(betas, x, y, logy, logy_stats)
+
     lo, hi = _HT_BETA_LO, _HT_BETA_HI
     while True:
         betas = np.linspace(lo, hi, _HT_GRID_POINTS)
-        nll, alphas = _ht_profile(betas, x, y, logy)
+        nll, alphas = profile(betas)
         i = int(np.argmin(nll))
         # widen while the minimum sits on a finite lower edge; the
         # |beta * log y| guard makes that edge infinite eventually
@@ -479,7 +518,7 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(
-        lambda b: _ht_profile(np.array([b]), x, y, logy)[0][0],
+        lambda b: profile(np.array([b]))[0][0],
         bounds=(betas[max(i - 1, 0)], betas[min(i + 1, betas.size - 1)]),
         method="bounded",
         options={"xatol": 1e-10},
@@ -488,7 +527,7 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
         best = (float(alphas[i]), float(betas[i]))
         raise OptimizerError("conditional-tail fit did not converge", best)
     beta = float(res.x)
-    fbest, abest = _ht_profile(np.array([beta]), x, y, logy)
+    fbest, abest = profile(np.array([beta]))
     alpha = float(abest[0])
     z = (x - alpha * y) / np.exp(beta * logy)
     sigma = float(np.std(z))

@@ -8,7 +8,8 @@ import pytest
 
 from raytail import bench
 from raytail import copulas as cp
-from raytail.errors import ConfigError, DomainError
+from raytail import estimators as est
+from raytail.errors import ConfigError, DomainError, InsufficientExceedancesError
 
 ETA_075_ALPHA = -math.log(0.75) / math.log(2.0)
 
@@ -233,10 +234,41 @@ def test_lambda_recovery_dict_writes_null_for_a_ray_that_always_fails():
     # 3 exceedances of 60 at frac=0.05: every fit on the ray fails
     cfg = bench.BenchmarkConfig(cp.InvertedLogistic(0.5), reps=2, m=60, frac=0.05)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy: all-NaN slices
+        warnings.simplefilter("error", RuntimeWarning)  # no all-NaN slice reaches numpy
         doc = bench.lambda_recovery(cfg, omega_grid=[0.5]).as_dict()
     assert (doc["mean_lambda"], doc["lo"], doc["hi"]) == ([None], [None], [None])
     assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+def test_lambda_recovery_summaries_bitwise_equal_numpy_nan_reductions(monkeypatch):
+    # a stand-in for the ray fits fails ray 0 on every replication and the
+    # others on some
+    fit_rays, seen = est.fit_lambda_rays, []
+
+    def flaky(sample, omegas, frac):
+        fits = fit_rays(sample, omegas, frac=frac)
+        rep = len(seen)
+        seen.append([
+            math.nan if j == 0 or (rep + j) % 3 == 0 else f.lambda_hat
+            for j, f in enumerate(fits)
+        ])
+        return [InsufficientExceedancesError(0, 5) if math.isnan(v) else f
+                for v, f in zip(seen[-1], fits)]
+
+    monkeypatch.setattr(est, "fit_lambda_rays", flaky)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = bench.lambda_recovery(tiny_config(reps=12, m=300))
+    fits = np.array(seen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # ray 0: all-NaN slice
+        want = (
+            np.nanmean(fits, axis=0),
+            np.nanquantile(fits, 0.025, axis=0),
+            np.nanquantile(fits, 0.975, axis=0),
+        )
+    for got, ref in zip((rec.mean_lambda, rec.lo, rec.hi), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_lambda_recovery_boundary_rays_near_unit_rate():

@@ -104,6 +104,84 @@ def test_ht_indicator_fraction(arrays):
     assert np.isclose(p.value, math.exp(-y_thresh) * frac, rtol=1e-12)
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [0.025, 0.9, 0.975, 0.95, 0.75])
+@pytest.mark.parametrize("n", [1, 2, 10, 5003])
+@pytest.mark.parametrize("tied", [False, True], ids=["raw", "tied"])
+def test_quantile_bitwise_equals_numpy(q, n, tied):
+    rng = np.random.default_rng(n)
+    v = rng.standard_exponential((7, n))
+    if tied:
+        v = np.floor(3.0 * v)
+    # 1-D, and row-wise along the last axis
+    for row in v:
+        _same_bits(est._quantile(row, q), np.quantile(row, q))
+    _same_bits(est._quantile(v, q), np.quantile(v, q, axis=1))
+    # rows that hold only the top k values of their sample, in any order,
+    # with or without a few values below them
+    k = n - math.floor((n - 1) * q)
+    for extra in (0, min(3, n - k)):
+        top = rng.permuted(np.sort(v, axis=1)[:, n - k - extra:], axis=1)
+        _same_bits(est._quantile(top, q, n), np.quantile(v, q, axis=1))
+    # np.nanquantile of a column is _quantile of its finite values
+    col = v[0].copy()
+    col[rng.random(n) < 0.3] = np.nan
+    if not np.isnan(col).all():
+        _same_bits(est._quantile(col[~np.isnan(col)], q), np.nanquantile(col, q))
+
+
+@pytest.mark.parametrize("elems", [1 << 8, 1 << 20])
+def test_block_size_changes_no_result(monkeypatch, elems):
+    # one row per block at 2^8, every row in one block at 2^20
+    s = cp.InvertedLogistic(ETA_075_ALPHA).sample(5000, 31)
+    grid = np.round(np.arange(0.0, 1.005, 0.01), 4)
+    x, y = s.x[s.y > 2.0], s.y[s.y > 2.0]
+    logy = np.log(y)
+    stats = (logy.max(), logy.min(), logy.sum())
+    betas = np.linspace(-3.0, 1.0 - 1e-8, 121)
+
+    def run():
+        return (
+            est._ht_profile(betas, x, y, logy, stats),
+            est.fit_lambda_rays(s, grid),
+            est.fit_lambda_rays(s, grid, u=1.5),
+            est.fit_ht(s),
+        )
+
+    (nll, alpha), fits, fits_u, ht = run()
+    monkeypatch.setattr(est, "_HT_BLOCK_ELEMS", elems)
+    monkeypatch.setattr(est, "_RAY_BLOCK_ELEMS", elems)
+    (nll_b, alpha_b), fits_b, fits_u_b, ht_b = run()
+    _same_bits(nll_b, nll)
+    _same_bits(alpha_b, alpha)
+    assert np.isfinite(nll).sum() > 100
+    _assert_fits_equal(fits_b, fits)
+    _assert_fits_equal(fits_u_b, fits_u)
+    for name in ("alpha", "beta", "u_y", "mu", "sigma", "nll", "residuals"):
+        _same_bits(getattr(ht_b, name), getattr(ht, name))
+
+
+def test_empty_sample_fails_with_a_typed_error():
+    s = ExponentialSample(np.empty((0, 2)))
+    fits = est.fit_lambda_rays(s, np.linspace(0.0, 1.0, 99))
+    assert len(fits) == 99
+    assert all(isinstance(f, InsufficientExceedancesError) for f in fits)
+    for call in (
+        lambda: est.fit_lambda(s, 0.5),
+        lambda: est.fit_lambda(s, 0.5, u=1.0),
+        lambda: est.lt_probability(s, (2.0, 2.0)),
+        lambda: est.wt_probability_at(s, (2.0, 2.0)),
+        lambda: est.fit_ht(s),
+    ):
+        with pytest.raises(InsufficientExceedancesError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Hill fit of the angular index
 # ---------------------------------------------------------------------------
@@ -568,7 +646,9 @@ def test_fit_ht_widens_beta_grid_below_initial_edge():
     # betas with |beta * log y| > 600 for some y are infeasible, which is
     # what ends the widening
     x, y = s.x[s.y > fit.u_y], s.y[s.y > fit.u_y]
-    nll, _ = est._ht_profile(np.array([-1e6, fit.beta]), x, y, np.log(y))
+    logy = np.log(y)
+    stats = (logy.max(), logy.min(), logy.sum())
+    nll, _ = est._ht_profile(np.array([-1e6, fit.beta]), x, y, logy, stats)
     assert np.isinf(nll[0]) and np.isfinite(nll[1])
 
 
