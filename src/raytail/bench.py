@@ -80,11 +80,13 @@ def _methods(value):
 
 def _plain(value):
     """JSON form of a config or report value: models as ``as_dict()``, other
-    dataclasses field by field, tuples as lists and NaN as null."""
+    dataclasses field by field, tuples and arrays as lists and NaN as null."""
     if isinstance(value, CopulaModel):
         return value.as_dict()
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return _plain(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -369,23 +371,16 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
 class LambdaRecovery:
     """Per-ray summary of repeated angular-index fits."""
 
+    reps: int
     omegas: np.ndarray
     true_lambda: np.ndarray
     mean_lambda: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    reps: int
 
     def as_dict(self):
         # a ray whose every fit failed has NaN summaries, written as null
-        return _plain({
-            "reps": self.reps,
-            "omegas": self.omegas.tolist(),
-            "true_lambda": self.true_lambda.tolist(),
-            "mean_lambda": self.mean_lambda.tolist(),
-            "lo": self.lo.tolist(),
-            "hi": self.hi.tolist(),
-        })
+        return _plain(self)
 
 
 def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:

@@ -185,8 +185,10 @@ def _cmd_estimate_prob(args):
     elif args.method == "lt":
         estimate = estimators.lt_probability(sample, target, frac=args.frac)
     else:
-        fit = estimators.fit_ht(sample, quantile=args.ht_quantile)
         s_radial = args.x + args.y
+        if s_radial == 0.0:
+            raise DomainError("target corner must not be the origin")
+        fit = estimators.fit_ht(sample, quantile=args.ht_quantile)
         omega = args.x / s_radial
         estimate = estimators.ht_probability(
             fit, omega, s_radial, r=args.r, seed=args.seed

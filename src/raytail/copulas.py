@@ -260,7 +260,8 @@ class BivariateNormal(CopulaModel):
         rho = self.rho
         if min(b, g) == 0.0:
             # exact marginal behaviour; for rho < 0 the interior form does
-            # not extend continuously to the axes (see slowly_varying_lead)
+            # not extend continuously to the axes, where it tends to
+            # (b + g) / (1 - rho^2)
             return b + g if rho < 0.0 else max(b, g)
         if rho < 0.0 or rho * rho < min(b / g, g / b):
             return (b + g - 2.0 * rho * math.sqrt(b * g)) / (1.0 - rho * rho)
@@ -281,29 +282,6 @@ class BivariateNormal(CopulaModel):
             * (1.0 - 2.0 * omega)
             / (math.sqrt(omega * (1.0 - omega)) * (1.0 - rho * rho))
         )
-
-    def slowly_varying_lead(self, n, growth):
-        """Leading term of the slowly varying correction to the survivor,
-        exposed for bias diagnostics only (never used as estimation truth).
-
-        Valid in the regime where the quadratic-form kappa applies.
-        """
-        b, g = self._check_growth(growth)
-        rho = self.rho
-        if min(b, g) <= 0.0:
-            raise DomainError("lead term requires strictly positive growth rates")
-        if not (rho < 0.0 or rho * rho < min(b / g, g / b)):
-            raise DomainError("lead term only applies in the quadratic regime")
-        ln = math.log(n)
-        r2 = 1.0 - rho * rho
-        expo = (2.0 * rho**2 - rho * (math.sqrt(b / g) + math.sqrt(g / b))) / (2.0 * r2)
-        const = (
-            b ** ((1.0 - rho * math.sqrt(g / b)) / (2.0 * r2))
-            * g ** ((1.0 - rho * math.sqrt(b / g)) / (2.0 * r2))
-            * r2**1.5
-            / ((math.sqrt(b) - rho * math.sqrt(g)) * (math.sqrt(g) - rho * math.sqrt(b)))
-        )
-        return (4.0 * math.pi * ln) ** expo * const
 
     def ht_normalization(self):
         rho = self.rho
@@ -431,10 +409,6 @@ class Morgenstern(CopulaModel):
         pts = np.column_stack((-np.log1p(-u), -np.log1p(-v)))
         return ExponentialSample(pts, provenance="simulated")
 
-    def conditional_cdf(self, u, v):
-        """C(v | u) = dC/du, the conditional CDF used by the sampler."""
-        return v * (1.0 + self.alpha * (1.0 - 2.0 * u) * (1.0 - v))
-
     def log_survivor(self, s):
         x, y = _corner2(s)
         al = self.alpha
@@ -501,11 +475,6 @@ class LogisticBEV(CopulaModel):
             (-np.log(-np.expm1(-w1)), -np.log(-np.expm1(-w2)))
         )
         return ExponentialSample(pts, provenance="simulated")
-
-    def exponent_function(self, x, y):
-        """Max-stable exponent V(x, y) = (x**(-1/a) + y**(-1/a))**a."""
-        a = self.alpha
-        return (x ** (-1.0 / a) + y ** (-1.0 / a)) ** a
 
     def log_survivor(self, s):
         x, y = _corner2(s)

@@ -39,7 +39,7 @@ k-th largest value: it neither sets the quantile threshold, which only
 the top k values enter, nor exceeds it. A short staircase on the x order
 finds most such points, and they are dropped before the matrix is built;
 about a quarter of a sample stays at frac=0.1. Every fit is bitwise the
-one on the full sample (see ``_fit_rays``).
+one on the full sample (see ``fit_lambda_rays``).
 
 Every interpolated order statistic goes through ``_quantile``, numpy's
 default linear quantile from one partition and bitwise np.quantile's value:
@@ -84,7 +84,7 @@ _HT_BETA_HI = 1.0 - 1e-8
 _HT_BLOCK_ELEMS = 1 << 14
 _RAY_BLOCK_ELEMS = 1 << 14
 # a ray batch whose full structure matrix holds fewer elements skips the
-# candidate pruning of _fit_rays
+# candidate pruning of fit_lambda_rays
 _PRUNE_MIN_ELEMS = 1 << 15
 _SKYBAND_STEPS = 8  # corners of the candidate staircase in _candidates
 
@@ -173,8 +173,7 @@ def structure_variable(sample: ExponentialSample, omega) -> np.ndarray:
     """T_i = min(x_i/w, y_i/(1-w)); by convention T = Y_E at w = 0 and
     T = X_E at w = 1."""
     _require_bivariate(sample)
-    w = _as_omegas(omega)
-    return _structure(sample.x, sample.y, w, 1.0 - w)[0]
+    return _structure(sample.x, sample.y, _as_omegas(omega))[0]
 
 
 def _as_omegas(omegas) -> np.ndarray:
@@ -213,11 +212,11 @@ def _quantile(v, q, n=None):
     return a + d * gamma if gamma < 0.5 else b - d * (1.0 - gamma)
 
 
-def _structure(x, y, gx, gy) -> np.ndarray:
-    # (rays x m) matrix of min(x/gx, y/gy); a zero weight drops its
+def _structure(x, y, w) -> np.ndarray:
+    # (rays x m) matrix of min(x/w, y/(1-w)); a zero weight drops its
     # coordinate: x/0 is inf, and fmin skips the NaN of 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.fmin(x / gx[:, None], y / gy[:, None])
+        return np.fmin(x / w[:, None], y / (1.0 - w)[:, None])
 
 
 def _candidates(x, y, k) -> np.ndarray:
@@ -247,9 +246,10 @@ def _candidates(x, y, k) -> np.ndarray:
     return keep
 
 
-def _fit_rays(sample, omegas, gx, gy, frac, u) -> list:
-    """Hill fits along the rays with weights (gx, gy), tagged with their
-    angles ``omegas``; a failed ray's slot holds its typed error.
+def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
+    """Hill fits along every ray in ``omegas``: one slot per ray, holding
+    its AngularFit or, where the fit fails, the typed error (not raised).
+    A ray's fit does not depend on the other rays of the batch.
 
     With u None, each ray's threshold is the (1 - frac) quantile of its m
     structure values T (see ``_quantile``). Only the top k = m - floor(h)
@@ -262,6 +262,7 @@ def _fit_rays(sample, omegas, gx, gy, frac, u) -> list:
     full sample. An explicit ``u`` keeps every point, since its exceedances
     are not limited by rank. An empty sample fails every ray.
     """
+    w = _as_omegas(omegas)
     _require_bivariate(sample)
     x, y = sample.x, sample.y
     m = x.size
@@ -271,18 +272,18 @@ def _fit_rays(sample, omegas, gx, gy, frac, u) -> list:
         # the staircase costs a sort and a fixed overhead; measured on two
         # cores it pays from about 7 rays at m=5000, 12 at m=2000 and 50 at
         # m=300
-        if gx.size >= _SKYBAND_STEPS and gx.size * m >= _PRUNE_MIN_ELEMS:
+        if w.size >= _SKYBAND_STEPS and w.size * m >= _PRUNE_MIN_ELEMS:
             keep = _candidates(x, y, m - math.floor((m - 1) * (1.0 - frac)))
             x, y = x[keep], y[keep]
     if m == 0:
-        return [InsufficientExceedancesError(0, _MIN_EXCEEDANCES)] * gx.size
+        return [InsufficientExceedancesError(0, _MIN_EXCEEDANCES)] * w.size
     fits = []
     step = max(1, _RAY_BLOCK_ELEMS // x.size)
-    for start in range(0, gx.size, step):
+    for start in range(0, w.size, step):
         block = slice(start, start + step)
-        t = _structure(x, y, gx[block], gy[block])
+        t = _structure(x, y, w[block])
         us = _quantile(t, 1.0 - frac, m) if u is None else np.full(len(t), u)
-        for row, u_r, omega in zip(t, us.tolist(), omegas[block]):
+        for row, u_r, omega in zip(t, us.tolist(), w[block].tolist()):
             exc = row[row > u_r]
             k_r, total_excess = exc.size, float(np.sum(exc - u_r))
             if k_r < _MIN_EXCEEDANCES:
@@ -302,14 +303,6 @@ def _one(results):
     return result
 
 
-def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
-    """Hill fits along every ray in ``omegas``: one slot per ray, holding
-    its AngularFit or, where the fit fails, the typed error (not raised).
-    A ray's fit does not depend on the other rays of the batch."""
-    w = _as_omegas(omegas)
-    return _fit_rays(sample, w.tolist(), w, 1.0 - w, frac, u)
-
-
 def fit_lambda(sample, omega, frac=0.10, u=None) -> AngularFit:
     """Hill fit of the structure-variable tail index along the ray omega.
 
@@ -320,31 +313,15 @@ def fit_lambda(sample, omega, frac=0.10, u=None) -> AngularFit:
     return _one(fit_lambda_rays(sample, [omega], frac=frac, u=u))
 
 
-def fit_lambda_growth(sample, growth, frac=0.10, u=None) -> AngularFit:
-    """Hill fit along a general growth direction (gx, gy); the estimator
-    scales exactly as lambda_hat(h*g) = h * lambda_hat(g)."""
-    gx, gy = (float(v) for v in growth)
-    if gx < 0 or gy < 0 or gx + gy == 0.0:
-        raise DomainError(f"invalid growth direction {growth}")
-    omega = gx / (gx + gy)
-    return _one(_fit_rays(sample, [omega], np.array([gx]), np.array([gy]), frac, u))
-
-
-def wt_probability(sample, omega, u_n=None, v=0.0, frac=0.10, fit=None) -> ProbEstimate:
-    """Ray-extrapolation estimate of P(X_E > w(u+v), Y_E > (1-w)(u+v)).
-
-    The estimate is exp(-lambda_hat * v) times the empirical probability
-    of the base set {X_E > w*u_n, Y_E > (1-w)*u_n}. With the default
-    u_n = fit threshold, the base count equals the exceedance count of the
-    Hill fit. An empty base set yields a zero estimate, never an error.
+def _wt_estimate(sample, fit, s) -> ProbEstimate:
+    """Ray estimate at radius s on the ray of ``fit``: exp(-lambda_hat * v)
+    times the empirical probability of the base set {X_E > w*u_n,
+    Y_E > (1-w)*u_n}, with u_n = min(u, s) and v = max(s - u, 0) for the fit
+    threshold u. At u_n = u the base count is the fit's exceedance count. An
+    empty base set yields a zero estimate, never an error.
     """
-    _require_bivariate(sample)
-    if v < 0.0:
-        raise DomainError(f"extrapolation distance v must be >= 0, got {v}")
-    if fit is None:
-        fit = fit_lambda(sample, omega, frac=frac)
-    if u_n is None:
-        u_n = fit.u
+    omega = fit.omega
+    u_n, v = min(fit.u, s), max(s - fit.u, 0.0)
     if omega == 0.0:
         base = int(np.count_nonzero(sample.y > u_n))
     elif omega == 1.0:
@@ -378,9 +355,7 @@ def wt_probabilities_at(sample, targets, frac=0.10) -> list:
     fits = fit_lambda_rays(sample, [corners[i][0] / s for i, s in rays], frac=frac)
     out = [DomainError("target corner must not be the origin")] * len(corners)
     for (i, s), fit in zip(rays, fits):
-        out[i] = fit if isinstance(fit, RaytailError) else wt_probability(
-            sample, fit.omega, u_n=min(fit.u, s), v=max(s - fit.u, 0.0), fit=fit
-        )
+        out[i] = fit if isinstance(fit, RaytailError) else _wt_estimate(sample, fit, s)
     return out
 
 
@@ -600,6 +575,8 @@ def diagnose_linearity(sample, omega, c_grid) -> dict:
     cs = np.asarray(list(c_grid), dtype=np.float64)
     if cs.size < 3 or np.any(np.diff(cs) <= 0.0):
         raise DomainError("c grid must be increasing with at least 3 values")
+    if sample.n == 0:
+        raise InsufficientExceedancesError(0, 3)
     logm = math.log(sample.n)
     pairs = []
     for c in cs:
@@ -625,17 +602,3 @@ def diagnose_linearity(sample, omega, c_grid) -> dict:
         "intercept": float(intercept),
         "r_squared": r2,
     }
-
-
-def qq_excesses(fit: AngularFit, sample) -> np.ndarray:
-    """Quantile pairs (theoretical, empirical) for the excesses of the
-    structure variable above the fitted threshold, against the fitted
-    exponential rate; returns an array of shape (k, 2)."""
-    t = structure_variable(sample, fit.omega)
-    exc = np.sort(t[t > fit.u] - fit.u)
-    k = exc.size
-    if k < 1:
-        raise InsufficientExceedancesError(0, 1)
-    probs = np.arange(1, k + 1) / (k + 1.0)
-    theo = -np.log1p(-probs) / fit.lambda_hat
-    return np.column_stack((theo, exc))

@@ -3,9 +3,8 @@
 All estimation in this package operates on coordinates whose margins are
 standard exponential, so that P(X_E > x) = exp(-x) per component and joint
 tail events live in the positive quadrant (or octant). This module holds
-the container types and the three routes onto that scale: exact log
-transform from standard Pareto margins, the empirical rank transform, and
-the probability integral transform through user-supplied marginal CDFs.
+the container types, the CSV reader and writer, and the one route onto that
+scale: the empirical rank transform of raw data.
 """
 
 from __future__ import annotations
@@ -117,35 +116,6 @@ class ExponentialSample:
     def y(self):
         return self.points[:, 1]
 
-    @property
-    def z(self):
-        if self.dim < 3:
-            raise DomainError("sample has no third coordinate")
-        return self.points[:, 2]
-
-
-def pareto_to_exponential(points) -> ExponentialSample:
-    """Map standard-Pareto-margin points to exponential margins by log.
-
-    Every coordinate must be >= 1; the transform is the componentwise
-    natural logarithm.
-    """
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DomainError(f"expected 2-d array, got shape {arr.shape}")
-    bad = np.argwhere(~(arr >= 1.0))
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"Pareto-margin coordinate {arr[i, j]!r} < 1 at row {i}, column {j}"
-        )
-    return ExponentialSample(np.log(arr), provenance="exact-transform")
-
-
-def exponential_to_pareto(sample: ExponentialSample) -> np.ndarray:
-    """Inverse of :func:`pareto_to_exponential`; returns a plain array."""
-    return np.exp(sample.points)
-
 
 def rank_transform(raw) -> ExponentialSample:
     """Replace each margin by its exponential rank scores.
@@ -176,31 +146,6 @@ def rank_transform(raw) -> ExponentialSample:
         ranks[order] = np.arange(n)
         out[:, j] = grid[ranks]
     return ExponentialSample(out, provenance="rank-transform")
-
-
-def cdf_transform(raw, marginal_cdfs) -> ExponentialSample:
-    """Probability integral transform through per-column marginal CDFs.
-
-    Each callable F_j must map its column into (0, 1); the exponential
-    coordinate is -log(1 - F_j(x)).
-    """
-    arr = raw.data if isinstance(raw, RawSample) else np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DomainError(f"expected 2-d array, got shape {arr.shape}")
-    n, d = arr.shape
-    if len(marginal_cdfs) != d:
-        raise DomainError(f"{len(marginal_cdfs)} CDFs supplied for {d} columns")
-    out = np.empty_like(arr)
-    for j, cdf in enumerate(marginal_cdfs):
-        u = np.asarray(cdf(arr[:, j]), dtype=np.float64)
-        inside = (u > 0.0) & (u < 1.0)
-        if not np.all(inside):
-            i = int(np.argmax(~inside))
-            raise DomainError(
-                f"CDF value {u[i]!r} outside (0, 1) at row {i}, column {j}"
-            )
-        out[:, j] = -np.log1p(-u)
-    return ExponentialSample(out, provenance="exact-transform")
 
 
 def read_raw_csv(path) -> RawSample:

@@ -183,6 +183,24 @@ def test_estimate_prob_methods(tmp_path, capsys, method):
     assert 0.0 <= doc["result"]["value"] < 1.0
 
 
+@pytest.mark.parametrize("method", ["wt", "ht"])
+def test_estimate_prob_rejects_the_origin(tmp_path, capsys, method):
+    sample_path = tmp_path / "s.csv"
+    run_cli(
+        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "2000",
+         "--seed", "2", "--out", str(sample_path)],
+        capsys,
+    )
+    code, stdout, err = run_cli(
+        ["estimate", "prob", "--method", method, "--input", str(sample_path),
+         "--x", "0", "--y", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "target corner must not be the origin" in err
+
+
 def test_diagnose_grid(tmp_path, capsys):
     sample_path = tmp_path / "s.csv"
     run_cli(

@@ -106,6 +106,11 @@ def test_deep_corner_log_survivor_stays_finite():
     )
 
 
+def logistic_exponent(alpha, x, y):
+    """Max-stable logistic exponent V(x, y) = (x**(-1/a) + y**(-1/a))**a."""
+    return (x ** (-1.0 / alpha) + y ** (-1.0 / alpha)) ** alpha
+
+
 def test_logistic_bev_survivor_against_direct_formula():
     # direct (cancellation-prone) evaluation is fine at moderate corners and
     # serves as an independent route
@@ -113,7 +118,7 @@ def test_logistic_bev_survivor_against_direct_formula():
     for c in [(0.5, 0.5), (1.0, 2.0), (2.5, 0.3), (3.0, 3.0)]:
         x, y = c
         a, b = math.exp(-x), math.exp(-y)
-        v = m.exponent_function(-1.0 / math.log1p(-a), -1.0 / math.log1p(-b))
+        v = logistic_exponent(m.alpha, -1.0 / math.log1p(-a), -1.0 / math.log1p(-b))
         direct = a + b - 1.0 + math.exp(-v)
         assert math.isclose(m.survivor(c), direct, rel_tol=1e-10)
 
@@ -247,8 +252,9 @@ def test_morgenstern_conditional_inversion_exact():
     s = model.sample(n, 77)
     u = 1.0 - np.exp(-s.x)
     v = 1.0 - np.exp(-s.y)
-    # pushing the draws back through the conditional CDF must give uniforms
-    p = model.conditional_cdf(u, v)
+    # pushing the draws back through the conditional CDF
+    # C(v | u) = dC/du = v(1 + alpha(1 - 2u)(1 - v)) must give uniforms
+    p = v * (1.0 + model.alpha * (1.0 - 2.0 * u) * (1.0 - v))
     assert kstest(p, "uniform").pvalue > 0.01
 
 
@@ -268,10 +274,9 @@ def test_inverted_logistic_is_reflected_logistic():
     alpha = 0.5
     n = 50_000
     model = cp.InvertedLogistic(alpha)
-    helper = cp.LogisticBEV(alpha)
 
     def printed_copula(u, v):
-        vv = helper.exponent_function(-1.0 / math.log1p(-u), -1.0 / math.log1p(-v))
+        vv = logistic_exponent(alpha, -1.0 / math.log1p(-u), -1.0 / math.log1p(-v))
         return u + v - 1.0 + math.exp(-vv)
 
     _empirical_copula_matches(model.sample(n, 21), printed_copula, n)
@@ -430,11 +435,3 @@ def test_morgenstern_conditional_limit_matches_empirical():
         p = surv(w)
         se = math.sqrt(p * (1.0 - p) / mask.sum())
         assert abs(emp - p) <= 5.0 * se
-
-
-def test_bvn_slowly_varying_lead_positive_and_regime_guarded():
-    m = cp.BivariateNormal(0.5)
-    val = m.slowly_varying_lead(1e6, (1.0, 1.0))
-    assert val > 0.0
-    with pytest.raises(DomainError, match="quadratic regime"):
-        m.slowly_varying_lead(1e6, (1.0, 0.1))

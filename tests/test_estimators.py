@@ -77,7 +77,9 @@ def test_excess_stats(arrays, sample):
 def test_count_joint_exceedances(arrays, sample):
     x, y = arrays
     omega, u_n = 0.4, 2.0
-    p = est.wt_probability(sample, omega, u_n=u_n, v=0.0)
+    fit = est.fit_lambda(sample, omega)
+    assert fit.u > u_n  # so u_n is the base level and v = 0
+    p = est._wt_estimate(sample, fit, u_n)
     ref = int(np.sum((x > omega * u_n) & (y > (1.0 - omega) * u_n)))
     assert p.value == ref / sample.n
 
@@ -177,6 +179,7 @@ def test_empty_sample_fails_with_a_typed_error():
         lambda: est.lt_probability(s, (2.0, 2.0)),
         lambda: est.wt_probability_at(s, (2.0, 2.0)),
         lambda: est.fit_ht(s),
+        lambda: est.diagnose_linearity(s, 0.5, [0.2, 0.5, 0.8]),
     ):
         with pytest.raises(InsufficientExceedancesError):
             call()
@@ -223,11 +226,13 @@ def test_fit_lambda_positive_and_finite_on_tiny_samples():
     assert 0.0 < fit.lambda_hat < math.inf
 
 
-def test_fit_lambda_scales_exactly_with_growth():
+def test_fit_lambda_scales_exactly_with_the_sample():
+    # growth (h*w, h*(1-w)) divides T by h, as the sample scaled by 1/h does,
+    # so lambda_hat(h*g) = h * lambda_hat(g)
     s = cp.BivariateNormal(0.5).sample(3000, 12)
-    base = est.fit_lambda_growth(s, (0.35, 0.65))
+    base = est.fit_lambda(s, 0.35)
     for h in (0.5, 2.0, 7.3):
-        scaled = est.fit_lambda_growth(s, (h * 0.35, h * 0.65))
+        scaled = est.fit_lambda(make_sample(s.points / h), 0.35)
         assert math.isclose(scaled.lambda_hat, h * base.lambda_hat, rel_tol=1e-12)
         assert math.isclose(scaled.u, base.u / h, rel_tol=1e-12)
 
@@ -412,7 +417,8 @@ def test_wt_probability_closed_fixture():
     pts = [[0.1, 0.1]] * 9 + [[5.0, 5.0]]
     s = make_sample(pts)
     fit = est.AngularFit(omega=0.5, lambda_hat=1.0, u=4.0, k=1, se=1.0)
-    p = est.wt_probability(s, 0.5, u_n=4.0, v=math.log(2.0), fit=fit)
+    p = est._wt_estimate(s, fit, 4.0 + math.log(2.0))
+    assert p.meta["u_n"] == 4.0
     assert math.isclose(p.value, 0.05, rel_tol=1e-15)
     assert not p.is_zero
 
@@ -420,7 +426,8 @@ def test_wt_probability_closed_fixture():
 def test_wt_probability_v_zero_is_empirical():
     s = cp.InvertedLogistic(0.5).sample(2000, 9)
     fit = est.fit_lambda(s, 0.4)
-    p = est.wt_probability(s, 0.4, v=0.0, fit=fit)
+    p = est._wt_estimate(s, fit, fit.u)
+    assert p.meta["v"] == 0.0
     base = np.mean((s.x > 0.4 * fit.u) & (s.y > 0.6 * fit.u))
     assert p.value == base
     # the base count at the fit threshold is the exceedance count itself
@@ -431,7 +438,7 @@ def test_wt_probability_v_zero_is_empirical():
 def test_wt_probability_zero_outcome_never_raises():
     s = make_sample([[0.5, 0.5]] * 50)
     fit = est.AngularFit(omega=0.5, lambda_hat=1.0, u=10.0, k=1, se=1.0)
-    p = est.wt_probability(s, 0.5, u_n=10.0, v=1.0, fit=fit)
+    p = est._wt_estimate(s, fit, 11.0)
     assert p.is_zero and p.value == 0.0
 
 
@@ -480,10 +487,24 @@ def test_corner_sequence_forms_match_one_corner_calls():
         est.lt_probability(tied, corners[0])
 
 
-def test_wt_rejects_negative_extrapolation():
-    s = cp.InvertedLogistic(0.5).sample(1000, 3)
-    with pytest.raises(DomainError):
-        est.wt_probability(s, 0.5, v=-0.5)
+def test_wt_axis_corners_match_marginal_reference():
+    # on an axis ray T is one margin and the base set that margin's
+    # exceedances: a point with a zero in the other coordinate still counts
+    pts = np.random.default_rng(31).standard_exponential((5000, 2))
+    pts[:300, 0] = 0.0
+    pts[300:600, 1] = 0.0
+    s = make_sample(pts)
+    for axis, corner_of in ((1, lambda c: (0.0, c)), (0, lambda c: (c, 0.0))):
+        t = pts[:, axis]
+        u = float(np.quantile(t, 0.9))
+        exc = t[t > u]
+        lam = exc.size / float(np.sum(exc - u))
+        for c in (1.0, 9.0):  # inside and beyond the threshold u (about 2.3)
+            v, u_n = max(c - u, 0.0), min(u, c)
+            ref = math.exp(-lam * v) * np.count_nonzero(t > u_n) / s.n
+            p = est.wt_probability_at(s, corner_of(c))
+            assert p.meta["v"] == v and p.meta["u_n"] == u_n
+            assert math.isclose(p.value, ref, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +549,7 @@ def test_lt_equals_wt_on_diagonal_with_matching_base():
     fit = est.fit_lambda(s, 0.5, frac=0.10)
     v = 9.0
     t0 = (fit.u + v) / 2.0
-    wt = est.wt_probability(s, 0.5, u_n=fit.u, v=v, fit=fit)
+    wt = est._wt_estimate(s, fit, fit.u + v)
     lt = est.lt_probability(s, (t0, t0), baseline=(fit.u / 2.0, fit.u / 2.0))
     assert math.isclose(wt.value, lt.value, rel_tol=1e-12)
     assert math.isclose(
@@ -732,42 +753,3 @@ def test_diagnose_linearity_grid_validation():
     s = cp.InvertedLogistic(0.5).sample(100, 0)
     with pytest.raises(DomainError):
         est.diagnose_linearity(s, 0.5, [0.5, 0.4, 0.6])
-
-
-def test_qq_excesses_small_fixture():
-    pts = np.zeros((7, 2))
-    pts[:, 0] = [0.0, 0.0, 0.0, 0.0, 1.5, 2.0, 2.5]
-    pts[:, 1] = 100.0  # never binding at omega=1
-    s = make_sample(pts)
-    fit = est.AngularFit(omega=1.0, lambda_hat=2.0, u=1.0, k=3, se=1.0)
-    pairs = est.qq_excesses(fit, s)
-    theo = [-math.log(1.0 - i / 4.0) / 2.0 for i in (1, 2, 3)]
-    assert np.allclose(pairs[:, 0], theo, rtol=1e-12)
-    assert np.allclose(pairs[:, 1], [0.5, 1.0, 1.5], rtol=1e-12)
-
-
-def test_qq_excesses_exponential_data_near_diagonal():
-    rng = np.random.default_rng(2)
-    t = rng.standard_exponential(20_000)
-    pts = np.column_stack((t, np.full_like(t, 50.0)))
-    s = make_sample(pts)
-    fit = est.fit_lambda(s, 1.0, frac=0.2)
-    pairs = est.qq_excesses(fit, s)
-    resid = pairs[:, 1] - pairs[:, 0]
-    # the extreme order statistics fluctuate; the bulk must hug the diagonal
-    assert float(np.quantile(np.abs(resid), 0.9)) < 0.25
-    assert abs(float(np.mean(resid))) < 0.05
-
-
-def test_qq_excesses_heavy_tail_curves_upward():
-    rng = np.random.default_rng(6)
-    t = (1.0 / rng.random(20_000)) ** 0.8  # polynomial tail, not exponential
-    pts = np.column_stack((t, np.full_like(t, 1e9)))
-    s = make_sample(pts)
-    fit = est.fit_lambda(s, 1.0, frac=0.1)
-    pairs = est.qq_excesses(fit, s)
-    k = pairs.shape[0]
-    resid = pairs[:, 1] - pairs[:, 0]
-    # convexity signature: bulk sags below the line, top decile overshoots
-    assert float(np.mean(resid[: int(0.5 * k)])) < 0.0
-    assert float(np.mean(resid[int(0.9 * k):])) > 0.0

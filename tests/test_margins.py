@@ -10,44 +10,10 @@ from raytail.errors import DomainError
 from raytail.margins import (
     ExponentialSample,
     RawSample,
-    cdf_transform,
-    exponential_to_pareto,
-    pareto_to_exponential,
     rank_transform,
     read_raw_csv,
     write_csv,
 )
-
-
-def test_pareto_to_exponential_exact_points():
-    out = pareto_to_exponential(np.array([[1.0, 1.0], [math.e, math.e**2]]))
-    assert np.allclose(out.points[0], [0.0, 0.0])
-    assert np.allclose(out.points[1], [1.0, 2.0], rtol=1e-15)
-    assert out.provenance == "exact-transform"
-
-
-def test_pareto_to_exponential_rejects_below_one():
-    with pytest.raises(DomainError, match="row 1, column 0"):
-        pareto_to_exponential(np.array([[2.0, 3.0], [0.5, 2.0]]))
-
-
-def test_pareto_exponential_round_trip():
-    rng = np.random.default_rng(0)
-    pts = 1.0 / rng.random((500, 2))
-    back = exponential_to_pareto(pareto_to_exponential(pts))
-    assert np.max(np.abs(back - pts) / pts) < 1e-12
-
-
-def test_inverse_uniform_pareto_margins_pass_exponentiality():
-    # probability integral transform: U^{-1} is standard Pareto, so the log
-    # margins must be standard exponential
-    from scipy.stats import kstest
-
-    rng = np.random.default_rng(42)
-    pts = 1.0 / rng.random((10_000, 2))
-    sample = pareto_to_exponential(pts)
-    assert kstest(sample.x, "expon").pvalue > 0.01
-    assert kstest(sample.y, "expon").pvalue > 0.01
 
 
 def test_rank_transform_single_margin_values():
@@ -141,27 +107,6 @@ def test_rank_transform_bitwise_equal_to_stable_sort_reference():
         tied[rng.choice(tied.shape[0], size=40, replace=False), 1] = value
     out = rank_transform(tied).points
     assert out.tobytes() == _stable_rank_reference(tied).tobytes()
-
-
-def test_cdf_transform_known_values():
-    from scipy.stats import norm
-
-    raw = RawSample(np.array([[2.0, 1.0 - 1.0 / math.e], [1.0, 0.5]]))
-    out = cdf_transform(
-        raw, [lambda v: 1.0 - np.exp(-v), lambda v: np.clip(v, 1e-12, 1 - 1e-12)]
-    )
-    assert math.isclose(out.points[0, 0], 2.0, rel_tol=1e-12)
-    assert math.isclose(out.points[0, 1], 1.0, rel_tol=1e-9)
-
-    raw2 = RawSample(np.array([[0.0, 0.0]]))
-    out2 = cdf_transform(raw2, [norm.cdf, norm.cdf])
-    assert math.isclose(out2.points[0, 0], -math.log(0.5), rel_tol=1e-12)
-
-
-def test_cdf_transform_rejects_degenerate_cdf_values():
-    raw = RawSample(np.array([[1.0, 1.0]]))
-    with pytest.raises(DomainError, match=r"outside \(0, 1\)"):
-        cdf_transform(raw, [lambda v: np.ones_like(v), lambda v: v * 0.5])
 
 
 def test_raw_sample_validation():
