@@ -140,20 +140,25 @@ class HTFit:
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """A tail probability estimate with its method tag and bookkeeping."""
+    """A tail probability estimate with its method tag and bookkeeping.
+
+    ``is_zero`` follows the value: an extrapolation factor that underflows
+    to 0.0 makes a zero estimate like an empty base set does.
+    """
 
     value: float
     method: str
-    is_zero: bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.value < 0.0 or self.value > 1.0:
             raise DomainError(f"probability estimate outside [0, 1]: {self.value}")
-        if self.is_zero != (self.value == 0.0):
-            raise DomainError("is_zero flag inconsistent with value")
         if self.method not in ("wt", "lt", "ht", "empirical"):
             raise DomainError(f"unknown method tag {self.method!r}")
+
+    @property
+    def is_zero(self):
+        return self.value == 0.0
 
     def as_dict(self):
         return {
@@ -285,7 +290,8 @@ def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
         us = _quantile(t, 1.0 - frac, m) if u is None else np.full(len(t), u)
         for row, u_r, omega in zip(t, us.tolist(), w[block].tolist()):
             exc = row[row > u_r]
-            k_r, total_excess = exc.size, float(np.sum(exc - u_r))
+            exc -= u_r
+            k_r, total_excess = exc.size, float(np.add.reduce(exc))
             if k_r < _MIN_EXCEEDANCES:
                 fits.append(InsufficientExceedancesError(k_r, _MIN_EXCEEDANCES))
             elif total_excess <= 0.0:
@@ -333,7 +339,6 @@ def _wt_estimate(sample, fit, s) -> ProbEstimate:
     return ProbEstimate(
         value=value,
         method="wt",
-        is_zero=(base == 0),
         meta={
             "omega": omega,
             "u_n": u_n,
@@ -351,11 +356,19 @@ def wt_probabilities_at(sample, targets, frac=0.10) -> list:
     the corner inside it. One slot per corner: a ProbEstimate or a typed
     error."""
     corners = [_corner2(t) for t in targets]
-    rays = [(i, x0 + y0) for i, (x0, y0) in enumerate(corners) if x0 + y0 > 0.0]
-    fits = fit_lambda_rays(sample, [corners[i][0] / s for i, s in rays], frac=frac)
-    out = [DomainError("target corner must not be the origin")] * len(corners)
-    for (i, s), fit in zip(rays, fits):
-        out[i] = fit if isinstance(fit, RaytailError) else _wt_estimate(sample, fit, s)
+    radii = [x0 + y0 for x0, y0 in corners]
+    rays = [i for i, s in enumerate(radii) if 0.0 < s < math.inf]
+    fits = fit_lambda_rays(sample, [corners[i][0] / radii[i] for i in rays], frac=frac)
+    out = [
+        DomainError("target corner must not be the origin") if s == 0.0
+        else DomainError(f"target radius x0 + y0 overflows to {s}")
+        for s in radii
+    ]
+    for i, fit in zip(rays, fits):
+        out[i] = (
+            fit if isinstance(fit, RaytailError)
+            else _wt_estimate(sample, fit, radii[i])
+        )
     return out
 
 
@@ -393,7 +406,6 @@ def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
         out.append(ProbEstimate(
             value=math.exp(-v / eta_hat) * base / sample.n,
             method="lt",
-            is_zero=(base == 0),
             meta={
                 "eta_hat": eta_hat,
                 "lambda_half": diag_fit.lambda_hat,
@@ -411,6 +423,39 @@ def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
     return _one(lt_probabilities(sample, [target], frac=frac, baseline=baseline))
 
 
+def _ht_feasible(betas, logy_stats):
+    # exp(beta * log y) stays within e^600 for every y; scalar or array
+    logy_max, logy_min, _ = logy_stats
+    return (betas * logy_max <= 600.0) & (betas * logy_min >= -600.0)
+
+
+def _ht_block(b, x, y, logy, logy_sum):
+    """Profile nll and location slope for a (rows, 1) column of betas that
+    pass ``_ht_feasible``: the one kernel of the grid scan and the Brent
+    refinement. The caller holds np.errstate(divide, invalid) and maps a
+    non-finite nll to +inf.
+
+    Each row is np.mean's arithmetic, bitwise: an np.add.reduce along the
+    row divided by n. Three (rows x points) buffers hold y**beta, then c, a
+    and the products; a and c are centred and reused in place.
+    """
+    n = x.size
+    c = np.multiply(b, logy)
+    np.exp(c, out=c)
+    a = x / c
+    np.divide(y, c, out=c)
+    a -= np.add.reduce(a, axis=1, keepdims=True) / n
+    c -= np.add.reduce(c, axis=1, keepdims=True) / n
+    t = a * c
+    cov = np.add.reduce(t, axis=1)
+    al = (cov / np.add.reduce(np.multiply(c, c, out=t), axis=1)).clip(0.0, 1.0)
+    c *= al[:, None]
+    a -= c
+    a *= a
+    nll = 0.5 * n * np.log(np.add.reduce(a, axis=1) / n) + b[:, 0] * logy_sum
+    return nll, al
+
+
 def _ht_profile(betas, x, y, logy, logy_stats):
     """Profile negative log-likelihood and location slope along a beta vector.
 
@@ -418,27 +463,20 @@ def _ht_profile(betas, x, y, logy, logy_stats):
     is quadratic in alpha, so alpha*(beta) = cov / var clipped to [0, 1] is
     the exact constrained minimizer (variable projection). Betas with
     |beta * log y| > 600 for some y, and degenerate variances, get +inf.
-    ``logy_stats`` is (max, min, sum) of logy, computed once per fit.
+    ``logy_stats`` is (max, min, sum) of logy, computed once per fit. The
+    feasible betas go through ``_ht_block`` in cache-sized row blocks; the
+    Brent refinement of ``fit_ht`` calls the same kernel one row at a time.
     """
-    logy_max, logy_min, logy_sum = logy_stats
     nll = np.full(betas.size, np.inf)
     alpha = np.full(betas.size, np.nan)
-    feasible = np.flatnonzero(
-        (betas * logy_max <= 600.0) & (betas * logy_min >= -600.0)
-    )
+    feasible = np.flatnonzero(_ht_feasible(betas, logy_stats))
     step = max(1, _HT_BLOCK_ELEMS // x.size)
-    for start in range(0, feasible.size, step):
-        rows = feasible[start:start + step]
-        yb = np.exp(betas[rows, None] * logy)
-        a = x / yb
-        c = y / yb
-        a -= np.mean(a, axis=1, keepdims=True)
-        c -= np.mean(c, axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            al = np.clip(np.sum(a * c, axis=1) / np.sum(c * c, axis=1), 0.0, 1.0)
-            s2 = np.mean((a - al[:, None] * c) ** 2, axis=1)
-            nll[rows] = 0.5 * x.size * np.log(s2) + betas[rows] * logy_sum
-        alpha[rows] = al
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, feasible.size, step):
+            rows = feasible[start:start + step]
+            nll[rows], alpha[rows] = _ht_block(
+                betas[rows, None], x, y, logy, logy_stats[2]
+            )
     nll[~np.isfinite(nll)] = np.inf
     return nll, alpha
 
@@ -452,9 +490,11 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     each beta, leaving a 1-D profile in beta. It is evaluated on a
     121-point grid ending at 1 - 1e-8, which widens downward while its
     minimum sits on the lower edge, then refined by bounded Brent search
-    on the bracket around the best grid point. Raises OptimizerError when
-    the likelihood is nowhere finite on the grid, the refinement fails, or
-    the residual scale is degenerate.
+    on the bracket around the best grid point. The grid and each Brent
+    evaluation run the one profile kernel ``_ht_block``, a block of rows or
+    a single row, inside one np.errstate held for the whole profile. Raises
+    OptimizerError when the likelihood is nowhere finite on the grid, the
+    refinement fails, or the residual scale is degenerate.
     """
     _require_bivariate(sample)
     if u_y is None:
@@ -474,36 +514,43 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     logy = np.log(y)
     logy_stats = (np.max(logy), np.min(logy), np.sum(logy))
 
-    def profile(betas):
-        return _ht_profile(betas, x, y, logy, logy_stats)
+    def one(b):
+        # one beta of the refinement: the guard as a scalar check, then one
+        # kernel row; bitwise the value of _ht_profile at [b]
+        if not _ht_feasible(b, logy_stats):
+            return math.inf, math.nan
+        (nll,), (al,) = _ht_block(np.array([[b]]), x, y, logy, logy_stats[2])
+        return (nll if math.isfinite(nll) else math.inf), al
 
     lo, hi = _HT_BETA_LO, _HT_BETA_HI
-    while True:
-        betas = np.linspace(lo, hi, _HT_GRID_POINTS)
-        nll, alphas = profile(betas)
-        i = int(np.argmin(nll))
-        # widen while the minimum sits on a finite lower edge; the
-        # |beta * log y| guard makes that edge infinite eventually
-        if i > 0 or not np.isfinite(nll[0]):
-            break
-        lo, hi = lo - 2.0 * (hi - lo), betas[1]
-    if not np.isfinite(nll[i]):
-        raise OptimizerError("conditional-tail likelihood never finite", None)
-    # imported here: the CLI's wt/lt paths never fit ht and skip its load time
-    from scipy.optimize import minimize_scalar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            betas = np.linspace(lo, hi, _HT_GRID_POINTS)
+            nll, alphas = _ht_profile(betas, x, y, logy, logy_stats)
+            i = int(np.argmin(nll))
+            # widen while the minimum sits on a finite lower edge; the
+            # |beta * log y| guard makes that edge infinite eventually
+            if i > 0 or not np.isfinite(nll[0]):
+                break
+            lo, hi = lo - 2.0 * (hi - lo), betas[1]
+        if not np.isfinite(nll[i]):
+            raise OptimizerError("conditional-tail likelihood never finite", None)
+        # imported here: the CLI's wt/lt paths never fit ht and skip its
+        # load time
+        from scipy.optimize import minimize_scalar
 
-    res = minimize_scalar(
-        lambda b: profile(np.array([b]))[0][0],
-        bounds=(betas[max(i - 1, 0)], betas[min(i + 1, betas.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if not res.success:
-        best = (float(alphas[i]), float(betas[i]))
-        raise OptimizerError("conditional-tail fit did not converge", best)
-    beta = float(res.x)
-    fbest, abest = profile(np.array([beta]))
-    alpha = float(abest[0])
+        res = minimize_scalar(
+            lambda b: one(b)[0],
+            bounds=(betas[max(i - 1, 0)], betas[min(i + 1, betas.size - 1)]),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        if not res.success:
+            best = (float(alphas[i]), float(betas[i]))
+            raise OptimizerError("conditional-tail fit did not converge", best)
+        beta = float(res.x)
+        fbest, alpha = one(beta)
+    alpha = float(alpha)
     z = (x - alpha * y) / np.exp(beta * logy)
     sigma = float(np.std(z))
     # a spread at the rounding level of the residuals themselves means the
@@ -517,7 +564,7 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
         residuals=z,
         mu=float(np.mean(z)),
         sigma=sigma,
-        nll=float(fbest[0]),
+        nll=float(fbest),
     )
 
 
@@ -534,6 +581,8 @@ def ht_probability(fit: HTFit, omega, u_n, r=10_000, seed=0) -> ProbEstimate:
         raise DomainError(f"omega must lie in [0, 1), got {omega}")
     if r < 1:
         raise DomainError(f"draw count must be >= 1, got {r}")
+    if not math.isfinite(u_n):
+        raise DomainError(f"u_n must be finite, got {u_n}")
     y_thresh = (1.0 - omega) * u_n
     if y_thresh < fit.u_y:
         raise ExtrapolationError(
@@ -541,15 +590,21 @@ def ht_probability(fit: HTFit, omega, u_n, r=10_000, seed=0) -> ProbEstimate:
             f"{fit.u_y:.4f}"
         )
     rng = np.random.default_rng(seed)
-    ystar = y_thresh + rng.standard_exponential(r)
+    ystar = rng.standard_exponential(r)
+    ystar += y_thresh
     z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
-    xs = fit.alpha * ystar + np.exp(fit.beta * np.log(ystar)) * z
+    # alpha * Y* + exp(beta * log Y*) * z, in one buffer beside Y*
+    xs = np.log(ystar)
+    xs *= fit.beta
+    np.exp(xs, out=xs)
+    xs *= z
+    ystar *= fit.alpha
+    xs += ystar
     frac_cond = float(np.count_nonzero(xs > omega * u_n)) / r
     value = math.exp(-y_thresh) * frac_cond
     return ProbEstimate(
         value=value,
         method="ht",
-        is_zero=(frac_cond == 0.0),
         meta={
             "omega": omega,
             "u_n": u_n,

@@ -195,6 +195,18 @@ def test_ht_failures_recorded_not_raised():
     assert rep.cell("wt", 0.5).n_reps_used == 3
 
 
+def test_underflowing_estimates_are_recorded_zeros():
+    # on the diagonal ray at y_corner=520 the wt factor exp(-lambda_hat v)
+    # underflows to 0.0 over a non-empty base set: a zero estimate, recorded
+    cfg = bench.BenchmarkConfig(
+        cp.BivariateNormal(0.5), reps=3, m=2000, y_corner=520.0
+    )
+    rep = bench.run_benchmark(cfg)
+    assert rep.n_failures == {"wt": 0, "lt": 0, "ht": 0}
+    cell = rep.cell("wt", 0.5)
+    assert cell.n_reps_used == 3 and cell.prop_zero > 0.0
+
+
 def test_untyped_errors_surface(monkeypatch):
     # only RaytailError is a recorded replication failure; anything else is
     # a bug and must propagate

@@ -183,8 +183,7 @@ def test_estimate_prob_methods(tmp_path, capsys, method):
     assert 0.0 <= doc["result"]["value"] < 1.0
 
 
-@pytest.mark.parametrize("method", ["wt", "ht"])
-def test_estimate_prob_rejects_the_origin(tmp_path, capsys, method):
+def _rejected_corner(tmp_path, capsys, method, x, y):
     sample_path = tmp_path / "s.csv"
     run_cli(
         ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "2000",
@@ -193,12 +192,24 @@ def test_estimate_prob_rejects_the_origin(tmp_path, capsys, method):
     )
     code, stdout, err = run_cli(
         ["estimate", "prob", "--method", method, "--input", str(sample_path),
-         "--x", "0", "--y", "0"],
+         "--x", x, "--y", y],
         capsys,
     )
     assert code == 2
     assert stdout == ""
+    return err
+
+
+@pytest.mark.parametrize("method", ["wt", "ht"])
+def test_estimate_prob_rejects_the_origin(tmp_path, capsys, method):
+    err = _rejected_corner(tmp_path, capsys, method, "0", "0")
     assert "target corner must not be the origin" in err
+
+
+@pytest.mark.parametrize("method", ["wt", "ht"])
+def test_estimate_prob_rejects_a_radius_that_overflows(tmp_path, capsys, method):
+    err = _rejected_corner(tmp_path, capsys, method, "1e308", "1e308")
+    assert "inf" in err
 
 
 def test_diagnose_grid(tmp_path, capsys):

@@ -544,6 +544,32 @@ def test_lt_probability_zero_outcome_recorded():
     assert p.is_zero and p.value == 0.0
 
 
+def test_an_estimate_that_underflows_is_a_recorded_zero():
+    # each base set is non-empty; the extrapolation factor underflows
+    s = cp.BivariateNormal(0.5).sample(3000, 1)
+    fit = est.fit_ht(s)
+    for p in (
+        est.wt_probability_at(s, (700.0, 700.0)),
+        est.lt_probability(s, (700.0, 700.0)),
+        est.ht_probability(fit, 0.0, 800.0, r=2000),
+    ):
+        assert p.value == 0.0 and p.is_zero
+        assert list(p.as_dict())[:3] == ["value", "method", "is_zero"]
+        assert p.as_dict()["is_zero"] is True
+    assert est.wt_probability_at(s, (700.0, 700.0)).meta["k"] > 0
+
+
+def test_a_corner_whose_radius_overflows_is_rejected():
+    s = cp.BivariateNormal(0.5).sample(3000, 1)
+    far, near = est.wt_probabilities_at(s, [(1e308, 1e308), (1.0, 2.0)])
+    assert isinstance(far, DomainError)
+    assert near == est.wt_probability_at(s, (1.0, 2.0))
+    fit = est.fit_ht(s)
+    for u_n in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            est.ht_probability(fit, 0.5, u_n)
+
+
 def test_lt_equals_wt_on_diagonal_with_matching_base():
     s = cp.InvertedLogistic(ETA_075_ALPHA).sample(5000, 99)
     fit = est.fit_lambda(s, 0.5, frac=0.10)
@@ -560,6 +586,91 @@ def test_lt_equals_wt_on_diagonal_with_matching_base():
 # ---------------------------------------------------------------------------
 # conditional-tail fit and probability
 # ---------------------------------------------------------------------------
+
+def _ref_ht_profile(betas, x, y, logy, logy_stats):
+    # the profile in its np.mean form, every feasible beta in one block:
+    # the reference of the one block kernel, on the grid and on one row
+    logy_max, logy_min, logy_sum = logy_stats
+    nll = np.full(betas.size, np.inf)
+    alpha = np.full(betas.size, np.nan)
+    rows = np.flatnonzero((betas * logy_max <= 600.0) & (betas * logy_min >= -600.0))
+    yb = np.exp(betas[rows, None] * logy)
+    a = x / yb
+    c = y / yb
+    a -= np.mean(a, axis=1, keepdims=True)
+    c -= np.mean(c, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        al = np.clip(np.sum(a * c, axis=1) / np.sum(c * c, axis=1), 0.0, 1.0)
+        s2 = np.mean((a - al[:, None] * c) ** 2, axis=1)
+        nll[rows] = 0.5 * x.size * np.log(s2) + betas[rows] * logy_sum
+    alpha[rows] = al
+    nll[~np.isfinite(nll)] = np.inf
+    return nll, alpha
+
+
+def _ref_fit_ht(sample, quantile):
+    # grid scan, widening and bounded Brent refinement, each evaluation a
+    # fresh call of the reference profile
+    from scipy.optimize import minimize_scalar
+
+    u_y = float(np.quantile(sample.y, quantile))
+    x, y = sample.x[sample.y > u_y], sample.y[sample.y > u_y]
+    logy = np.log(y)
+    stats = (np.max(logy), np.min(logy), np.sum(logy))
+    lo, hi = -1.0, 1.0 - 1e-8
+    while True:
+        betas = np.linspace(lo, hi, 121)
+        nll, _ = _ref_ht_profile(betas, x, y, logy, stats)
+        i = int(np.argmin(nll))
+        if i > 0 or not np.isfinite(nll[0]):
+            break
+        lo, hi = lo - 2.0 * (hi - lo), betas[1]
+    res = minimize_scalar(
+        lambda b: _ref_ht_profile(np.array([b]), x, y, logy, stats)[0][0],
+        bounds=(betas[max(i - 1, 0)], betas[min(i + 1, betas.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    assert res.success
+    beta = float(res.x)
+    fbest, abest = _ref_ht_profile(np.array([beta]), x, y, logy, stats)
+    alpha = float(abest[0])
+    z = (x - alpha * y) / np.exp(beta * logy)
+    return {"alpha": alpha, "beta": beta, "u_y": u_y, "residuals": z,
+            "mu": float(np.mean(z)), "sigma": float(np.std(z)),
+            "nll": float(fbest[0])}
+
+
+def _ref_ht_value(fit, omega, u_n, r, seed):
+    rng = np.random.default_rng(seed)
+    y_thresh = (1.0 - omega) * u_n
+    ystar = y_thresh + rng.standard_exponential(r)
+    z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
+    xs = fit.alpha * ystar + np.exp(fit.beta * np.log(ystar)) * z
+    return math.exp(-y_thresh) * (float(np.count_nonzero(xs > omega * u_n)) / r)
+
+
+@pytest.mark.parametrize("m", [300, 2000, 5000])
+@pytest.mark.parametrize(
+    "model",
+    [cp.BivariateNormal(0.5), cp.BivariateNormal(0.9), cp.BivariateNormal(-0.3),
+     cp.InvertedLogistic(0.415), cp.InvertedLogistic(1.0)],
+    ids=["bvn0.5", "bvn0.9", "bvn-0.3", "invlog0.415", "invlog1"],
+)
+def test_ht_path_bitwise_equals_reference(model, m):
+    for seed in range(20):
+        s = model.sample(m, 700 + seed)
+        # 60 exceedances at m=300; two thresholds at the larger sizes
+        quantile = 0.8 if m == 300 or seed % 2 else 0.9
+        fit = est.fit_ht(s, quantile=quantile)
+        ref = _ref_fit_ht(s, quantile)
+        for name, want in ref.items():
+            _same_bits(getattr(fit, name), want)
+        for omega in (0.0, 0.3, 0.6):
+            u_n = fit.u_y / (1.0 - omega) + 2.0
+            p = est.ht_probability(fit, omega, u_n, r=2000, seed=seed)
+            _same_bits(p.value, _ref_ht_value(fit, omega, u_n, 2000, seed))
+
 
 def test_fit_ht_requires_enough_exceedances():
     s = cp.BivariateNormal(0.5).sample(100, 1)
@@ -671,6 +782,17 @@ def test_fit_ht_widens_beta_grid_below_initial_edge():
     stats = (logy.max(), logy.min(), logy.sum())
     nll, _ = est._ht_profile(np.array([-1e6, fit.beta]), x, y, logy, stats)
     assert np.isinf(nll[0]) and np.isfinite(nll[1])
+
+
+def test_ht_profile_reads_degenerate_variances_as_inf():
+    # at beta = 0, x = y/2 leaves a residual variance of exactly 0 (log 0 is
+    # -inf), and a constant y leaves the slope at 0/0 (NaN)
+    y = np.random.default_rng(3).standard_exponential(200) + 1.0
+    for x_, y_ in ((0.5 * y, y), (y, np.full_like(y, 2.0))):
+        logy = np.log(y_)
+        stats = (logy.max(), logy.min(), logy.sum())
+        nll, _ = est._ht_profile(np.array([0.0]), x_, y_, logy, stats)
+        assert nll[0] == np.inf
 
 
 def test_ht_probability_deterministic_and_seed_sensitive():
