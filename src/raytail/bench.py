@@ -10,17 +10,21 @@ and diagonal methods the mean fitted angular index with its 95% envelope.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
-execution order of replications is irrelevant. Set the environment
-variable RAYTAIL_THREADS > 1 to evaluate replications in a process pool.
+execution order of replications is irrelevant. Replications run in one
+process pool, forked once per process and reused by every later study, with
+as many workers as the environment variable RAYTAIL_THREADS says (default:
+the usable cores); RAYTAIL_THREADS=1 runs them serially in the caller.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -28,7 +32,7 @@ import numpy as np
 from . import estimators as est
 from . import margins
 from .copulas import CopulaModel, SurvivorSet
-from .errors import ConfigError, DomainError, RaytailError
+from .errors import ConfigError, DomainError, NumericError, RaytailError
 
 DEFAULT_OMEGAS = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
 METHODS = ("wt", "lt", "ht")
@@ -274,24 +278,78 @@ def _run_single_rep(config: BenchmarkConfig, rep: int) -> dict:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("RAYTAIL_THREADS", "1")
+    raw = os.environ.get("RAYTAIL_THREADS")
+    if raw is None:
+        # the usable cores; all cores where the platform cannot say
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
 
 
+_pool = None  # (workers, executor) of _map_reps, created on first use
+
+
+def _map_reps(fn, config, order, *args):
+    """``{rep: fn(config, rep, *args)}`` for every rep of ``order``.
+
+    The calls run in one module-level pool of forked workers, created on
+    the first parallel call and reused by every later one; a different
+    worker count replaces it. Each worker takes one contiguous chunk of
+    ``order``. Results are keyed by replication, so they are bitwise the
+    serial ones. Serial when one worker would do, or where the platform
+    cannot fork.
+    """
+    global _pool
+    workers = _worker_count()
+    n = len(order)
+    if min(workers, n) == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return {rep: fn(config, rep, *args) for rep in order}
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        ctx = multiprocessing.get_context("fork")
+        _pool = (workers, ProcessPoolExecutor(workers, mp_context=ctx))
+    chunk = -(-n // min(workers, n))
+    try:
+        results = _pool[1].map(
+            fn, [config] * n, order, *([a] * n for a in args), chunksize=chunk
+        )
+        return dict(zip(order, results))
+    except BrokenProcessPool:
+        # a worker died; the next call forks a fresh pool
+        _pool = None
+        raise
+
+
 def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     """Run the full replication study and aggregate the report.
 
     ``rep_order`` permutes the execution order only; results are stored by
-    replication index, so any order yields the identical report.
+    replication index, so any order yields the identical report. Raises
+    NumericError when a truth is not a positive finite probability, before
+    any replication runs.
     """
     t_start = time.perf_counter()
     n_omegas = len(config.omegas)
     order = list(range(config.reps)) if rep_order is None else list(rep_order)
     if sorted(order) != list(range(config.reps)):
         raise DomainError("rep_order must be a permutation of range(reps)")
+
+    # truths first, and the optimizer fit_ht imports on first use: what they
+    # load before the pool forks, every worker inherits instead of importing
+    if "ht" in config.methods:
+        import scipy.optimize  # noqa: F401
+    targets = config.targets()
+    truths = [config.model.survivor(t) for t in targets]
+    for t, p in zip(targets, truths):
+        if not (math.isfinite(p) and p > 0.0):
+            raise NumericError(
+                f"the truth at corner {t.corner} is {p!r}, not a positive probability"
+            )
 
     values = {
         mth: np.full((config.reps, n_omegas), np.nan) for mth in config.methods
@@ -302,22 +360,13 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
         if mth in ("wt", "lt")
     }
 
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(
-                zip(order, pool.map(_run_single_rep, [config] * len(order), order))
-            )
-    else:
-        results = {rep: _run_single_rep(config, rep) for rep in order}
-
+    results = _map_reps(_run_single_rep, config, order)
     for rep, res in results.items():
         for mth in config.methods:
             values[mth][rep] = res[mth]["values"]
             if mth in lambdas:
                 lambdas[mth][rep] = res[mth]["lambda"]
 
-    truths = [config.model.survivor(t) for t in config.targets()]
     cells = []
     failures = {}
     for mth in config.methods:
@@ -383,6 +432,14 @@ class LambdaRecovery:
         return _plain(self)
 
 
+def _recover_rep(config: BenchmarkConfig, rep: int, grid) -> np.ndarray:
+    """One replication's angular-index fits over ``grid``; NaN on failure."""
+    sample = config.model.sample(config.m, config.seed_base + rep)
+    if config.rank_transform:
+        sample = margins.rank_transform(sample.points)
+    return _slots(est.fit_lambda_rays(sample, grid, frac=config.frac), lambda f: f.lambda_hat)
+
+
 def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
     """Repeatedly fit the angular index across a ray grid and summarize
     against the generating model's closed form."""
@@ -391,14 +448,7 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
     grid = np.asarray(omega_grid, dtype=np.float64)
     if np.any((grid <= 0.0) | (grid >= 1.0)):
         raise DomainError("omega grid must lie strictly inside (0, 1)")
-    fits = np.full((config.reps, grid.size), np.nan)
-    for rep in range(config.reps):
-        sample = config.model.sample(config.m, config.seed_base + rep)
-        if config.rank_transform:
-            sample = margins.rank_transform(sample.points)
-        fits[rep] = _slots(
-            est.fit_lambda_rays(sample, grid, frac=config.frac), lambda f: f.lambda_hat
-        )
+    fits = np.array(list(_map_reps(_recover_rep, config, range(config.reps), grid).values()))
     ok = ~np.isnan(fits)
     # np.nanmean's own sum and count over the whole array, so the mean is
     # bitwise its value; 0/0 gives NaN where every fit of a ray failed

@@ -142,9 +142,7 @@ def rank_transform(raw) -> ExponentialSample:
         ordered = key[order]
         if not np.all(ordered[1:] > ordered[:-1]):
             order = np.argsort(key, kind="stable")
-        ranks = np.empty(n, dtype=np.intp)
-        ranks[order] = np.arange(n)
-        out[:, j] = grid[ranks]
+        out[order, j] = grid
     return ExponentialSample(out, provenance="rank-transform")
 
 

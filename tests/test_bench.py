@@ -2,6 +2,7 @@ import json
 import math
 import os
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ import pytest
 from raytail import bench
 from raytail import copulas as cp
 from raytail import estimators as est
-from raytail.errors import ConfigError, DomainError, InsufficientExceedancesError
+from raytail.errors import (
+    ConfigError,
+    DomainError,
+    InsufficientExceedancesError,
+    NumericError,
+)
 
 ETA_075_ALPHA = -math.log(0.75) / math.log(2.0)
 
@@ -213,6 +219,8 @@ def test_untyped_errors_surface(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
+    # workers forked earlier do not see a patch made now
+    monkeypatch.setenv("RAYTAIL_THREADS", "1")
     monkeypatch.setattr(bench.est, "fit_lambda_rays", broken)
     cfg = tiny_config(reps=1, methods=("wt", "lt"))
     with pytest.raises(TypeError):
@@ -221,15 +229,54 @@ def test_untyped_errors_surface(monkeypatch):
         bench.lambda_recovery(cfg, omega_grid=[0.5])
 
 
-def test_process_pool_matches_serial():
-    cfg = tiny_config(reps=4, m=400, methods=("wt", "lt"))
-    serial = bench.run_benchmark(cfg).as_dict()
-    os.environ["RAYTAIL_THREADS"] = "2"
-    try:
-        parallel = bench.run_benchmark(cfg).as_dict()
-    finally:
-        del os.environ["RAYTAIL_THREADS"]
-    assert serial == parallel
+def test_truth_underflow_raises_before_any_replication(monkeypatch):
+    # the bvn survivor at the diagonal corner (600, 600) underflows to 0.0
+    def replicate(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setenv("RAYTAIL_THREADS", "1")
+    monkeypatch.setattr(bench, "_run_single_rep", replicate)
+    cfg = bench.BenchmarkConfig(cp.BivariateNormal(0.5), reps=3, m=2000, y_corner=600.0)
+    with pytest.raises(NumericError, match=r"corner \(600.0, 600.0\)"):
+        bench.run_benchmark(cfg)
+
+
+def _reports_with_threads(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("RAYTAIL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RAYTAIL_THREADS", threads)
+    cfg = tiny_config(reps=5, m=600)
+    order = [3, 0, 4, 2, 1]
+    return (
+        bench.run_benchmark(cfg).as_dict(),
+        bench.run_benchmark(cfg, rep_order=order).as_dict(),
+        bench.lambda_recovery(cfg, omega_grid=[0.1, 0.5, 0.9]).as_dict(),
+    )
+
+
+def test_process_pool_matches_serial(monkeypatch):
+    serial = _reports_with_threads(monkeypatch, "1")
+    assert serial[0] == serial[1]
+    assert {c["method"] for c in serial[0]["cells"]} == {"wt", "lt", "ht"}
+    assert _reports_with_threads(monkeypatch, None) == serial
+    assert _reports_with_threads(monkeypatch, "2") == serial
+
+
+def _exit_on_rep_one(config, rep):
+    if rep == 1:
+        os._exit(1)
+    return rep
+
+
+def test_broken_pool_is_dropped(monkeypatch):
+    monkeypatch.setenv("RAYTAIL_THREADS", "2")
+    cfg = tiny_config(reps=4, m=600)
+    with pytest.raises(BrokenProcessPool):
+        bench._map_reps(_exit_on_rep_one, cfg, range(cfg.reps))
+    pooled = bench.run_benchmark(cfg).as_dict()
+    monkeypatch.setenv("RAYTAIL_THREADS", "1")
+    assert pooled == bench.run_benchmark(cfg).as_dict()
 
 
 def test_lambda_recovery_summary():
@@ -267,6 +314,7 @@ def test_lambda_recovery_summaries_bitwise_equal_numpy_nan_reductions(monkeypatc
         return [InsufficientExceedancesError(0, 5) if math.isnan(v) else f
                 for v, f in zip(seen[-1], fits)]
 
+    monkeypatch.setenv("RAYTAIL_THREADS", "1")  # the stand-in records in this process
     monkeypatch.setattr(est, "fit_lambda_rays", flaky)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

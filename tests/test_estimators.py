@@ -795,6 +795,51 @@ def test_ht_profile_reads_degenerate_variances_as_inf():
         assert nll[0] == np.inf
 
 
+def test_ht_feasible_boundary_is_inclusive():
+    # 300 * 2.0 and -300 * 2.0 are exactly +-600, the largest |beta log y|
+    # the guard admits; one ulp beyond is out
+    past = np.nextafter(300.0, np.inf)
+    assert est._ht_feasible(300.0, (2.0, 0.5, 0.0))
+    assert est._ht_feasible(-300.0, (0.5, 2.0, 0.0))
+    assert not est._ht_feasible(past, (2.0, 0.5, 0.0))
+    assert not est._ht_feasible(-past, (0.5, 2.0, 0.0))
+    # both sides at once on logy in [-2, 2]
+    assert est._ht_feasible(np.array([300.0, past]), (2.0, -2.0, 0.0)).tolist() == [True, False]
+
+
+def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
+    # above the threshold x = 2^20 y^b0 exactly, with b0 the first point
+    # bounded Brent evaluates in the bracket around the grid minimum: there
+    # the residual variance is exactly 0 and the kernel's nll is -inf, which
+    # the refinement must read as +inf, as the grid does
+    import scipy.optimize
+
+    rng = np.random.default_rng(3)
+    y = rng.standard_exponential(1000)
+    mask = y > est._quantile(y, 0.9)
+    logy = np.log(y[mask])
+    betas = np.linspace(est._HT_BETA_LO, est._HT_BETA_HI, est._HT_GRID_POINTS)
+    lo, hi = betas[79], betas[81]
+    b0 = lo + 0.5 * (3.0 - math.sqrt(5.0)) * (hi - lo)
+    x = rng.standard_exponential(1000)
+    x[mask] = 2.0**20 * np.exp(b0 * logy)
+    with np.errstate(divide="ignore"):
+        (raw,), _ = est._ht_block(np.array([[b0]]), x[mask], y[mask], logy, logy.sum())
+    assert raw == -np.inf
+
+    seen, brent = [], scipy.optimize.minimize_scalar
+
+    def spy(fun, **kwargs):
+        assert kwargs["bounds"] == (lo, hi)
+        return brent(lambda b: seen.append((b, fun(b))) or seen[-1][1], **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
+    with pytest.raises(OptimizerError, match="degenerate"):
+        est.fit_ht(make_sample(np.column_stack((x, y))))
+    assert seen[0] == (b0, np.inf)
+    assert all(math.isfinite(v) or v == np.inf for _, v in seen)
+
+
 def test_ht_probability_deterministic_and_seed_sensitive():
     fit = est.fit_ht(cp.BivariateNormal(0.5).sample(5000, 17))
     a = est.ht_probability(fit, 0.3, 15.0, r=5000, seed=42)
