@@ -9,7 +9,6 @@ from .copulas import (
     InvertedLogistic,
     LogisticBEV,
     Morgenstern,
-    SurvivorSet,
     TrivariateMaxPareto,
     make_model,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "InvertedLogistic",
     "LogisticBEV",
     "Morgenstern",
-    "SurvivorSet",
     "TrivariateMaxPareto",
     "make_model",
     "ExponentialSample",

@@ -1,12 +1,12 @@
 """Seeded simulation benchmark comparing the three tail estimators.
 
 For each replication a fresh sample is drawn, each estimator is pointed at
-the same family of corners (one per ray), and the estimates are compared
-against the exact survivor of the generating model. Per (method, ray) cell
-the report carries the root mean squared error of the non-zero log
+the same family of corners (one per ray), and the log estimates are compared
+against the exact log survivor of the generating model. Per (method, ray)
+cell the report carries the root mean squared error of the non-zero log
 estimates, the proportion of estimates exceeding the truth (zero estimates
-never exceed), the proportion of exactly-zero estimates, and for the ray
-and diagonal methods the mean fitted angular index with its 95% envelope.
+never exceed), the proportion of zero estimates, and for the ray and
+diagonal methods the mean fitted angular index with its 95% envelope.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import estimators as est
 from . import margins
-from .copulas import CopulaModel, SurvivorSet
+from .copulas import CopulaModel, _corners
 from .errors import ConfigError, DomainError, NumericError, RaytailError
 
 DEFAULT_OMEGAS = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
@@ -155,11 +155,10 @@ class BenchmarkConfig:
         default = self.y_corner == 1.5 * math.log(self.m)
         return replace(self, reps=100, m=2000, y_corner=None if default else self.y_corner)
 
-    def targets(self):
-        return [
-            SurvivorSet((w / (1.0 - w) * self.y_corner, self.y_corner))
-            for w in self.omegas
-        ]
+    def targets(self) -> np.ndarray:
+        """The (rays, 2) array of corners (w/(1-w) y_corner, y_corner)."""
+        corners = [(w / (1.0 - w) * self.y_corner, self.y_corner) for w in self.omegas]
+        return _corners(corners, 2)
 
     def as_dict(self) -> dict:
         return _plain(self)
@@ -234,8 +233,8 @@ def _slots(batch, get):
 
 
 def _run_single_rep(config: BenchmarkConfig, rep: int) -> dict:
-    """One replication; returns per-method estimate/lambda arrays (NaN on
-    failure) so aggregation stays order-independent."""
+    """One replication; returns per-method arrays of log estimates and
+    lambdas (NaN on failure) so aggregation stays order-independent."""
     seed = config.seed_base + rep
     sample = config.model.sample(config.m, seed)
     if config.rank_transform:
@@ -246,34 +245,34 @@ def _run_single_rep(config: BenchmarkConfig, rep: int) -> dict:
     if "wt" in config.methods:
         ests = est.wt_probabilities_at(sample, targets, frac=config.frac)
         out["wt"] = {
-            "values": _slots(ests, lambda p: p.value),
+            "log_values": _slots(ests, lambda p: p.log_value),
             "lambda": _slots(ests, lambda p: p.meta["lambda_hat"]),
         }
 
     if "lt" in config.methods:
         ests = est.lt_probabilities(sample, targets, frac=config.frac)
         out["lt"] = {
-            "values": _slots(ests, lambda p: p.value),
+            "log_values": _slots(ests, lambda p: p.log_value),
             "lambda": _slots(ests, lambda p: p.meta["lambda_half"]),
         }
 
     if "ht" in config.methods:
-        values = np.full(len(config.omegas), np.nan)
+        log_values = np.full(len(config.omegas), np.nan)
         # every ray's event threshold is y_corner, so a ray that cannot be
         # extrapolated means none can: one failure ends the sample's rays
         try:
             fit_h = est.fit_ht(sample, quantile=config.ht_quantile)
             for i, w in enumerate(config.omegas):
-                values[i] = est.ht_probability(
+                log_values[i] = est.ht_probability(
                     fit_h,
                     w,
                     config.y_corner / (1.0 - w),
                     r=config.r_draws,
                     seed=_ht_draw_seed(seed, i),
-                ).value
+                ).log_value
         except RaytailError:
             pass
-        out["ht"] = {"values": values}
+        out["ht"] = {"log_values": log_values}
     return out
 
 
@@ -330,8 +329,8 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
 
     ``rep_order`` permutes the execution order only; results are stored by
     replication index, so any order yields the identical report. Raises
-    NumericError when a truth is not a positive finite probability, before
-    any replication runs.
+    NumericError when a log truth is not a finite number <= 0, before any
+    replication runs.
     """
     t_start = time.perf_counter()
     n_omegas = len(config.omegas)
@@ -344,14 +343,14 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     if "ht" in config.methods:
         import scipy.optimize  # noqa: F401
     targets = config.targets()
-    truths = [config.model.survivor(t) for t in targets]
-    for t, p in zip(targets, truths):
-        if not (math.isfinite(p) and p > 0.0):
+    log_truths = [config.model.log_survivor(t) for t in targets]
+    for t, lp in zip(targets, log_truths):
+        if not -math.inf < lp <= 0.0:
             raise NumericError(
-                f"the truth at corner {t.corner} is {p!r}, not a positive probability"
+                f"the log truth at corner {tuple(t.tolist())} is {lp!r}, not a log probability"
             )
 
-    values = {
+    log_values = {
         mth: np.full((config.reps, n_omegas), np.nan) for mth in config.methods
     }
     lambdas = {
@@ -363,28 +362,26 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     results = _map_reps(_run_single_rep, config, order)
     for rep, res in results.items():
         for mth in config.methods:
-            values[mth][rep] = res[mth]["values"]
+            log_values[mth][rep] = res[mth]["log_values"]
             if mth in lambdas:
                 lambdas[mth][rep] = res[mth]["lambda"]
 
     cells = []
     failures = {}
     for mth in config.methods:
-        vals = values[mth]
+        vals = log_values[mth]
         failures[mth] = int(np.sum(np.all(np.isnan(vals), axis=1)))
         for i, w in enumerate(config.omegas):
             col = vals[:, i]
             used = col[~np.isnan(col)]
             n_used = used.size
-            nonzero = used[used > 0.0]
+            nonzero = used[used > -np.inf]
             if nonzero.size:
-                rmse = float(
-                    np.sqrt(np.mean((np.log(nonzero) - math.log(truths[i])) ** 2))
-                )
+                rmse = float(np.sqrt(np.mean((nonzero - log_truths[i]) ** 2)))
             else:
                 rmse = math.nan
-            prop_exceed = float(np.mean(used > truths[i])) if n_used else math.nan
-            prop_zero = float(np.mean(used == 0.0)) if n_used else math.nan
+            prop_exceed = float(np.mean(used > log_truths[i])) if n_used else math.nan
+            prop_zero = float(np.mean(used == -np.inf)) if n_used else math.nan
             mean_lam = lo = hi = math.nan
             if mth in lambdas:
                 lcol = lambdas[mth][:, i]
@@ -397,7 +394,7 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
                 BenchmarkCell(
                     method=mth,
                     omega=w,
-                    true_prob=truths[i],
+                    true_prob=math.exp(log_truths[i]),
                     rmse_nonzero_log=rmse,
                     prop_exceed=prop_exceed,
                     prop_zero=prop_zero,

@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import bench, estimators, kappa, margins
-from .copulas import FAMILIES, SurvivorSet, make_model
+from .copulas import FAMILIES, _corners, make_model
 from .errors import (
     ConfigError,
     DomainError,
@@ -179,17 +179,17 @@ def _cmd_estimate_lambda(args):
 
 def _cmd_estimate_prob(args):
     sample = _load_sample(args)
-    target = SurvivorSet((args.x, args.y))
     if args.method == "wt":
-        estimate = estimators.wt_probability_at(sample, target, frac=args.frac)
+        estimate = estimators.wt_probability_at(sample, (args.x, args.y), frac=args.frac)
     elif args.method == "lt":
-        estimate = estimators.lt_probability(sample, target, frac=args.frac)
+        estimate = estimators.lt_probability(sample, (args.x, args.y), frac=args.frac)
     else:
-        s_radial = args.x + args.y
+        ((x, y),) = _corners([(args.x, args.y)], 2).tolist()
+        s_radial = x + y
         if s_radial == 0.0:
             raise DomainError("target corner must not be the origin")
         fit = estimators.fit_ht(sample, quantile=args.ht_quantile)
-        omega = args.x / s_radial
+        omega = x / s_radial
         estimate = estimators.ht_probability(
             fit, omega, s_radial, r=args.r, seed=args.seed
         )

@@ -42,25 +42,6 @@ _EXP_GUARD = 700.0  # beyond this, plain exp/exp-inverse arithmetic degenerates
 
 
 @dataclass(frozen=True)
-class SurvivorSet:
-    """Upper-orthant corner (x0, y0[, z0]) in exponential margins."""
-
-    corner: tuple
-
-    def __post_init__(self):
-        c = tuple(float(v) for v in self.corner)
-        if len(c) not in (2, 3):
-            raise DomainError(f"corner must have 2 or 3 coordinates, got {len(c)}")
-        if any(not math.isfinite(v) or v < 0.0 for v in c):
-            raise DomainError(f"corner coordinates must be finite and >= 0: {c}")
-        object.__setattr__(self, "corner", c)
-
-    @property
-    def dim(self):
-        return len(self.corner)
-
-
-@dataclass(frozen=True)
 class HTNormalization:
     """Location/scale normalization and limit survivor for the conditional
     tail of X_E given Y_E large: (X_E - location(u)) / scale(u) converges,
@@ -71,10 +52,19 @@ class HTNormalization:
     limit_survivor: object
 
 
-def _corner2(s):
-    c = s.corner if isinstance(s, SurvivorSet) else SurvivorSet(tuple(s)).corner
-    if len(c) != 2:
-        raise DomainError(f"expected a bivariate corner, got {len(c)} coordinates")
+def _corners(targets, dim):
+    """Upper-orthant corners (x0, y0[, z0]) in exponential margins, a
+    sequence of corners or an (n, dim) array, as one checked (n, dim)
+    float64 array: every coordinate finite and >= 0."""
+    try:
+        c = np.asarray(targets, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"corners must be numbers of {dim} coordinates: {exc}") from None
+    if c.ndim != 2 or c.shape[1] != dim:
+        raise DomainError(f"expected corners of {dim} coordinates, got shape {c.shape}")
+    ok = np.all((c >= 0.0) & (c < np.inf), axis=1)
+    if not ok.all():
+        raise DomainError(f"corner coordinates must be finite and >= 0: {c[~ok][0].tolist()}")
     return c
 
 
@@ -139,6 +129,10 @@ class CopulaModel(ABC):
     def as_dict(self) -> dict:
         """The ``{"family": ..., **params}`` object that ``make_model`` reads."""
         return {"family": self.family, **self.params}
+
+    def _corner(self, s):
+        # one checked corner as a tuple of Python floats
+        return tuple(_corners([s], self.dim)[0].tolist())
 
     def _check_growth(self, growth):
         g = tuple(float(v) for v in growth)
@@ -239,7 +233,7 @@ class BivariateNormal(CopulaModel):
         return log_phi_t + math.log(val), err
 
     def log_survivor(self, s):
-        x, y = _corner2(s)
+        x, y = self._corner(s)
         if max(x, y) > _EXP_GUARD:
             raise NumericError(
                 f"corner {x, y} exceeds the quadrature range of the normal model"
@@ -330,7 +324,7 @@ class InvertedLogistic(CopulaModel):
         return ExponentialSample(pts, provenance="simulated")
 
     def log_survivor(self, s):
-        x, y = _corner2(s)
+        x, y = self._corner(s)
         return -self.kappa_unchecked(x, y)
 
     def kappa_unchecked(self, b, g):
@@ -410,7 +404,7 @@ class Morgenstern(CopulaModel):
         return ExponentialSample(pts, provenance="simulated")
 
     def log_survivor(self, s):
-        x, y = _corner2(s)
+        x, y = self._corner(s)
         al = self.alpha
         if x + y > _EXP_GUARD:
             a = math.exp(-x) if x < _EXP_GUARD else 0.0
@@ -477,7 +471,7 @@ class LogisticBEV(CopulaModel):
         return ExponentialSample(pts, provenance="simulated")
 
     def log_survivor(self, s):
-        x, y = _corner2(s)
+        x, y = self._corner(s)
         if x > y:
             x, y = y, x  # exchangeable; keep the first survivor the larger
         if x == 0.0:
@@ -549,7 +543,7 @@ class ClaytonLowerTail(CopulaModel):
         return ExponentialSample(pts, provenance="simulated")
 
     def log_survivor(self, s):
-        x, y = _corner2(s)
+        x, y = self._corner(s)
         a = self.alpha
         m = max(x, y) / a
         inner = math.exp(x / a - m) + math.exp(y / a - m) - math.exp(-m)
@@ -608,10 +602,7 @@ class TrivariateMaxPareto(CopulaModel):
         return (1.0 + math.sqrt(1.0 - q)) / q
 
     def survivor(self, s):
-        c = s.corner if isinstance(s, SurvivorSet) else SurvivorSet(tuple(s)).corner
-        if len(c) != 3:
-            raise DomainError("trivariate model needs a 3-coordinate corner")
-        x, y, z = c
+        c = self._corner(s)
         if max(c) > _EXP_GUARD:
             raise NumericError(f"corner {c} exceeds the exp range")
         tx, ty, tz = (self._pareto_threshold(v) for v in c)

@@ -47,8 +47,8 @@ the ray thresholds, the ``lt`` baselines, ``fit_ht``'s u_y and the
 benchmark's lambda envelopes. Only the staircase of ``_candidates`` reads
 exact k-th largest values, by its own partitions.
 
-Zero estimates are recorded outcomes, never exceptions: downstream
-benchmarking counts them.
+Zero estimates (an empty count) are recorded outcomes, never exceptions:
+downstream benchmarking counts them.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copulas import _corner2
+from .copulas import _corners
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -142,31 +142,42 @@ class HTFit:
 class ProbEstimate:
     """A tail probability estimate with its method tag and bookkeeping.
 
-    ``is_zero`` follows the value: an extrapolation factor that underflows
-    to 0.0 makes a zero estimate like an empty base set does.
+    ``log_value`` is the log of the estimate from the same count and factor,
+    log factor + log(count/n), or -inf for a zero count: it stays finite
+    where ``value`` underflows to 0.0. ``is_zero`` follows it.
     """
 
     value: float
+    log_value: float
     method: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.value < 0.0 or self.value > 1.0:
             raise DomainError(f"probability estimate outside [0, 1]: {self.value}")
-        if self.method not in ("wt", "lt", "ht", "empirical"):
+        if not self.log_value <= 0.0:
+            raise DomainError(f"log probability estimate must be <= 0: {self.log_value}")
+        if self.method not in ("wt", "lt", "ht"):
             raise DomainError(f"unknown method tag {self.method!r}")
 
     @property
     def is_zero(self):
-        return self.value == 0.0
+        return self.log_value == -math.inf
 
     def as_dict(self):
+        # a zero's log is written as null: JSON has no -Infinity
         return {
             "value": self.value,
             "method": self.method,
             "is_zero": self.is_zero,
+            "log_value": None if self.is_zero else self.log_value,
             **self.meta,
         }
+
+
+def _log_prob(log_factor, count, n):
+    # log of exp(log_factor) * count / n without forming the product
+    return log_factor + math.log(count / n) if count else -math.inf
 
 
 def _require_bivariate(sample: ExponentialSample):
@@ -335,9 +346,9 @@ def _wt_estimate(sample, fit, s) -> ProbEstimate:
     else:
         x0, y0 = omega * u_n, (1.0 - omega) * u_n
         base = int(np.count_nonzero((sample.x > x0) & (sample.y > y0)))
-    value = math.exp(-fit.lambda_hat * v) * base / sample.n
     return ProbEstimate(
-        value=value,
+        value=math.exp(-fit.lambda_hat * v) * base / sample.n,
+        log_value=_log_prob(-fit.lambda_hat * v, base, sample.n),
         method="wt",
         meta={
             "omega": omega,
@@ -355,7 +366,7 @@ def wt_probabilities_at(sample, targets, frac=0.10) -> list:
     beyond the fit threshold u, or v = 0 and the empirical probability at
     the corner inside it. One slot per corner: a ProbEstimate or a typed
     error."""
-    corners = [_corner2(t) for t in targets]
+    corners = _corners(targets, 2).tolist()
     radii = [x0 + y0 for x0, y0 in corners]
     rays = [i for i, s in enumerate(radii) if 0.0 < s < math.inf]
     fits = fit_lambda_rays(sample, [corners[i][0] / radii[i] for i in rays], frac=frac)
@@ -389,7 +400,7 @@ def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
     once. One slot per corner; a failed diagonal fit fills every slot.
     """
     _require_bivariate(sample)
-    corners = [_corner2(t) for t in targets]
+    corners = _corners(targets, 2).tolist()
     (diag_fit,) = fit_lambda_rays(sample, [0.5], frac=frac)
     if isinstance(diag_fit, RaytailError):
         return [diag_fit] * len(corners)
@@ -405,6 +416,7 @@ def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
         base = int(np.count_nonzero((sample.x > x0 - v) & (sample.y > y0 - v)))
         out.append(ProbEstimate(
             value=math.exp(-v / eta_hat) * base / sample.n,
+            log_value=_log_prob(-v / eta_hat, base, sample.n),
             method="lt",
             meta={
                 "eta_hat": eta_hat,
@@ -424,9 +436,9 @@ def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
 
 
 def _ht_feasible(betas, logy_stats):
-    # exp(beta * log y) stays within e^600 for every y; scalar or array
+    # |beta log y| <= 600 at both ends of the range of log y; scalar or array
     logy_max, logy_min, _ = logy_stats
-    return (betas * logy_max <= 600.0) & (betas * logy_min >= -600.0)
+    return (abs(betas * logy_max) <= 600.0) & (abs(betas * logy_min) <= 600.0)
 
 
 def _ht_block(b, x, y, logy, logy_sum):
@@ -481,7 +493,7 @@ def _ht_profile(betas, x, y, logy, logy_stats):
     return nll, alpha
 
 
-def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
+def fit_ht(sample, quantile=0.90) -> HTFit:
     """Fit the conditional-tail model X_E | Y_E = y ~ Normal(alpha*y +
     mu*y**beta, (sigma*y**beta)**2) above the conditioning threshold.
 
@@ -497,12 +509,11 @@ def fit_ht(sample, quantile=0.90, u_y=None) -> HTFit:
     refinement fails, or the residual scale is degenerate.
     """
     _require_bivariate(sample)
-    if u_y is None:
-        if not 0.0 < quantile < 1.0:
-            raise DomainError(f"quantile must lie in (0, 1), got {quantile}")
-        if sample.n == 0:
-            raise InsufficientExceedancesError(0, _MIN_HT_EXCEEDANCES)
-        u_y = float(_quantile(sample.y, quantile))
+    if not 0.0 < quantile < 1.0:
+        raise DomainError(f"quantile must lie in (0, 1), got {quantile}")
+    if sample.n == 0:
+        raise InsufficientExceedancesError(0, _MIN_HT_EXCEEDANCES)
+    u_y = float(_quantile(sample.y, quantile))
     mask = sample.y > u_y
     n_exc = int(np.count_nonzero(mask))
     if n_exc < _MIN_HT_EXCEEDANCES:
@@ -600,10 +611,10 @@ def ht_probability(fit: HTFit, omega, u_n, r=10_000, seed=0) -> ProbEstimate:
     xs *= z
     ystar *= fit.alpha
     xs += ystar
-    frac_cond = float(np.count_nonzero(xs > omega * u_n)) / r
-    value = math.exp(-y_thresh) * frac_cond
+    count = int(np.count_nonzero(xs > omega * u_n))
     return ProbEstimate(
-        value=value,
+        value=math.exp(-y_thresh) * (count / r),
+        log_value=_log_prob(-y_thresh, count, r),
         method="ht",
         meta={
             "omega": omega,

@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,21 +34,23 @@ def tiny_config(**kw):
 
 
 def test_target_set_values():
-    t, t_quarter = tiny_config(m=5000, omegas=(0.5, 0.25)).targets()
+    targets = tiny_config(m=5000, omegas=(0.5, 0.25)).targets()
+    assert targets.shape == (2, 2) and targets.dtype == np.float64
+    t, t_quarter = targets
     y = 1.5 * math.log(5000)
-    assert math.isclose(t.corner[0], y, rel_tol=1e-15)
-    assert math.isclose(t.corner[1], y, rel_tol=1e-15)
-    assert math.isclose(t.corner[0], 12.776, rel_tol=1e-4)
+    assert math.isclose(t[0], y, rel_tol=1e-15)
+    assert math.isclose(t[1], y, rel_tol=1e-15)
+    assert math.isclose(t[0], 12.776, rel_tol=1e-4)
 
     t = t_quarter
-    assert math.isclose(t.corner[0], y / 3.0, rel_tol=1e-12)
-    assert math.isclose(t.corner[1], y, rel_tol=1e-15)
+    assert math.isclose(t[0], y / 3.0, rel_tol=1e-12)
+    assert math.isclose(t[1], y, rel_tol=1e-15)
 
 
 def test_target_set_lies_on_ray():
     omegas = (0.05, 0.2, 0.45)
     for w, t in zip(omegas, tiny_config(m=2000, omegas=omegas).targets()):
-        x0, y0 = t.corner
+        x0, y0 = t
         assert math.isclose(y0, (1.0 - w) / w * x0, rel_tol=1e-12)
 
 
@@ -203,14 +206,30 @@ def test_ht_failures_recorded_not_raised():
 
 def test_underflowing_estimates_are_recorded_zeros():
     # on the diagonal ray at y_corner=520 the wt factor exp(-lambda_hat v)
-    # underflows to 0.0 over a non-empty base set: a zero estimate, recorded
+    # underflows to 0.0 over a non-empty base set; the study scores the log
+    # estimate, which stays finite, so it is not a zero
     cfg = bench.BenchmarkConfig(
         cp.BivariateNormal(0.5), reps=3, m=2000, y_corner=520.0
     )
     rep = bench.run_benchmark(cfg)
     assert rep.n_failures == {"wt": 0, "lt": 0, "ht": 0}
     cell = rep.cell("wt", 0.5)
-    assert cell.n_reps_used == 3 and cell.prop_zero > 0.0
+    assert cell.n_reps_used == 3 and cell.prop_zero == 0.0
+    assert math.isfinite(cell.rmse_nonzero_log)
+
+
+def test_study_runs_where_the_truth_underflows():
+    # the bvn truth at (600, 600) underflows to 0.0, but its log, about
+    # -802, is finite; every wt estimate's log is finite too
+    cfg = bench.BenchmarkConfig(
+        cp.BivariateNormal(0.5), reps=3, m=2000, y_corner=600.0
+    )
+    rep = bench.run_benchmark(cfg)
+    assert rep.cell("wt", 0.5).true_prob == 0.0
+    for w in cfg.omegas:
+        cell = rep.cell("wt", w)
+        assert cell.n_reps_used == 3 and cell.prop_zero == 0.0, w
+        assert math.isfinite(cell.rmse_nonzero_log), w
 
 
 def test_untyped_errors_surface(monkeypatch):
@@ -230,15 +249,20 @@ def test_untyped_errors_surface(monkeypatch):
 
 
 def test_truth_underflow_raises_before_any_replication(monkeypatch):
-    # the bvn survivor at the diagonal corner (600, 600) underflows to 0.0
+    # the bvn log survivor at the diagonal corner (800, 800) lies beyond the
+    # model's quadrature range, and a log truth that is not finite fails the
+    # study's own check
     def replicate(*args):
         raise AssertionError("a replication ran")
 
     monkeypatch.setenv("RAYTAIL_THREADS", "1")
     monkeypatch.setattr(bench, "_run_single_rep", replicate)
-    cfg = bench.BenchmarkConfig(cp.BivariateNormal(0.5), reps=3, m=2000, y_corner=600.0)
-    with pytest.raises(NumericError, match=r"corner \(600.0, 600.0\)"):
+    cfg = bench.BenchmarkConfig(cp.BivariateNormal(0.5), reps=3, m=2000, y_corner=800.0)
+    with pytest.raises(NumericError, match=r"corner \(800.0, 800.0\)"):
         bench.run_benchmark(cfg)
+    monkeypatch.setattr(cp.BivariateNormal, "log_survivor", lambda self, s: -math.inf)
+    with pytest.raises(NumericError, match=r"log truth at corner \(6.0, 6.0\) is -inf"):
+        bench.run_benchmark(replace(cfg, y_corner=6.0))
 
 
 def _reports_with_threads(monkeypatch, threads):

@@ -7,13 +7,22 @@ import sys
 import pytest
 
 import raytail
-from raytail import bench, cli
+from raytail import bench, cli, copulas, estimators
+from raytail.errors import DomainError
 
 
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    # json.loads that refuses NaN, Infinity and -Infinity, which JSON lacks
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_simulate_deterministic_files(tmp_path, capsys):
@@ -212,6 +221,59 @@ def test_estimate_prob_rejects_a_radius_that_overflows(tmp_path, capsys, method)
     assert "inf" in err
 
 
+BIVARIATE_MODELS = [
+    copulas.BivariateNormal(0.5), copulas.InvertedLogistic(0.5), copulas.Morgenstern(0.5),
+    copulas.LogisticBEV(0.6), copulas.ClaytonLowerTail(1.2),
+]
+
+
+@pytest.mark.parametrize(
+    "corner",
+    [(-1.0, 2.0), (float("nan"), 2.0), (float("inf"), 2.0), (1.0, 2.0, 3.0)],
+    ids=["negative", "nan", "inf", "wrong-width"],
+)
+def test_a_bad_corner_raises_a_domain_error(tmp_path, capsys, corner):
+    s = copulas.BivariateNormal(0.5).sample(2000, 2)
+    calls = [
+        lambda: estimators.wt_probability_at(s, corner),
+        lambda: estimators.wt_probabilities_at(s, [(1.0, 2.0), corner]),
+        lambda: estimators.lt_probability(s, corner),
+        lambda: estimators.lt_probabilities(s, [(1.0, 2.0), corner]),
+    ]
+    calls += [lambda m=m: m.log_survivor(corner) for m in BIVARIATE_MODELS]
+    # the trivariate corner: the bad coordinate and a third one, or two
+    tri = copulas.TrivariateMaxPareto()
+    tri_corner = corner[:2] if len(corner) == 3 else corner + (1.0,)
+    calls += [lambda: tri.survivor(tri_corner), lambda: tri.log_survivor(tri_corner)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    if len(corner) == 2:
+        for method in ("wt", "lt", "ht"):
+            _rejected_corner(tmp_path, capsys, method, *(repr(v) for v in corner))
+
+
+def test_estimate_prob_writes_a_zero_as_strict_json(tmp_path, capsys):
+    # the lt corner (30, 40) slides back to about (2.2, 12.2), beyond every
+    # point of the sample in y: the base set is empty
+    sample_path = tmp_path / "s.csv"
+    run_cli(
+        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "2000",
+         "--seed", "2", "--out", str(sample_path)],
+        capsys,
+    )
+    code, stdout, _ = run_cli(
+        ["estimate", "prob", "--method", "lt", "--input", str(sample_path),
+         "--x", "30", "--y", "40"],
+        capsys,
+    )
+    assert code == 0
+    result = strict_json(stdout)["result"]
+    assert result["is_zero"] is True and result["log_value"] is None
+    assert result["value"] == 0.0
+    assert list(result)[:4] == ["value", "method", "is_zero", "log_value"]
+
+
 def test_diagnose_grid(tmp_path, capsys):
     sample_path = tmp_path / "s.csv"
     run_cli(
@@ -309,11 +371,7 @@ def test_benchmark_report_is_valid_json_when_a_method_always_fails(tmp_path, cap
     )
     code, out, _ = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
     assert code == 0
-
-    def reject(name):
-        raise ValueError(f"not JSON: {name}")
-
-    doc = json.loads(out, parse_constant=reject)
+    doc = strict_json(out)
     ht = [c for c in doc["cells"] if c["method"] == "ht"]
     assert ht and all(c["n_reps_used"] == 0 for c in ht)
     assert all(c["prop_exceed"] is None and c["prop_zero"] is None for c in ht)

@@ -420,6 +420,7 @@ def test_wt_probability_closed_fixture():
     p = est._wt_estimate(s, fit, 4.0 + math.log(2.0))
     assert p.meta["u_n"] == 4.0
     assert math.isclose(p.value, 0.05, rel_tol=1e-15)
+    assert math.isclose(p.log_value, math.log(0.05), rel_tol=1e-15)
     assert not p.is_zero
 
 
@@ -439,7 +440,8 @@ def test_wt_probability_zero_outcome_never_raises():
     s = make_sample([[0.5, 0.5]] * 50)
     fit = est.AngularFit(omega=0.5, lambda_hat=1.0, u=10.0, k=1, se=1.0)
     p = est._wt_estimate(s, fit, 11.0)
-    assert p.is_zero and p.value == 0.0
+    assert p.is_zero and p.value == 0.0 and p.log_value == -math.inf
+    assert p.as_dict()["log_value"] is None
 
 
 def test_wt_probability_at_uses_ray_through_corner():
@@ -462,7 +464,7 @@ def test_wt_probability_at_inside_threshold_is_empirical():
 def test_corner_sequence_forms_match_one_corner_calls():
     s = cp.InvertedLogistic(0.5).sample(5000, 123)
     corners = [(4.0, 12.0), (0.25, 0.75), (0.0, 0.0), (9.0, 0.0), (0.0, 7.0),
-               cp.SurvivorSet((6.0, 6.0))]
+               np.array([6.0, 6.0])]
     for batch, one in (
         (est.wt_probabilities_at(s, corners), est.wt_probability_at),
         (est.lt_probabilities(s, corners), est.lt_probability),
@@ -519,6 +521,7 @@ def test_lt_probability_inside_support_is_empirical():
     p = est.lt_probability(s, target)
     emp = np.mean((s.x > target[0]) & (s.y > target[1]))
     assert p.value == emp
+    assert p.log_value == math.log(emp)
     assert p.meta["v"] == 0.0
 
 
@@ -545,7 +548,8 @@ def test_lt_probability_zero_outcome_recorded():
 
 
 def test_an_estimate_that_underflows_is_a_recorded_zero():
-    # each base set is non-empty; the extrapolation factor underflows
+    # each base set is non-empty; the extrapolation factor underflows, so
+    # the value is 0.0 but its log is finite, and the estimate is no zero
     s = cp.BivariateNormal(0.5).sample(3000, 1)
     fit = est.fit_ht(s)
     for p in (
@@ -553,10 +557,14 @@ def test_an_estimate_that_underflows_is_a_recorded_zero():
         est.lt_probability(s, (700.0, 700.0)),
         est.ht_probability(fit, 0.0, 800.0, r=2000),
     ):
-        assert p.value == 0.0 and p.is_zero
-        assert list(p.as_dict())[:3] == ["value", "method", "is_zero"]
-        assert p.as_dict()["is_zero"] is True
-    assert est.wt_probability_at(s, (700.0, 700.0)).meta["k"] > 0
+        assert p.value == 0.0 and not p.is_zero
+        assert -math.inf < p.log_value < -745.0
+        assert list(p.as_dict())[:4] == ["value", "method", "is_zero", "log_value"]
+        assert p.as_dict()["log_value"] == p.log_value
+    # lambda_hat v > 745; at the fit threshold the base count is k
+    p = est.wt_probability_at(s, (700.0, 700.0))
+    assert p.meta["lambda_hat"] * p.meta["v"] > 745.0 and p.meta["k"] > 0
+    assert p.log_value == -p.meta["lambda_hat"] * p.meta["v"] + math.log(p.meta["k"] / s.n)
 
 
 def test_a_corner_whose_radius_overflows_is_rejected():
@@ -589,7 +597,9 @@ def test_lt_equals_wt_on_diagonal_with_matching_base():
 
 def _ref_ht_profile(betas, x, y, logy, logy_stats):
     # the profile in its np.mean form, every feasible beta in one block:
-    # the reference of the one block kernel, on the grid and on one row
+    # the reference of the one block kernel, on the grid and on one row. It
+    # keeps the earlier guard, which for beta < 0 checked the wrong ends of
+    # log y; on these samples the fits are bitwise the same under both
     logy_max, logy_min, logy_sum = logy_stats
     nll = np.full(betas.size, np.inf)
     alpha = np.full(betas.size, np.nan)
@@ -804,7 +814,10 @@ def test_ht_feasible_boundary_is_inclusive():
     assert not est._ht_feasible(past, (2.0, 0.5, 0.0))
     assert not est._ht_feasible(-past, (0.5, 2.0, 0.0))
     # both sides at once on logy in [-2, 2]
-    assert est._ht_feasible(np.array([300.0, past]), (2.0, -2.0, 0.0)).tolist() == [True, False]
+    betas = np.array([300.0, past, -300.0, -past])
+    assert est._ht_feasible(betas, (2.0, -2.0, 0.0)).tolist() == [True, False, True, False]
+    # a negative beta is bounded at the largest log y too: -500 * 3 = -1500
+    assert not est._ht_feasible(-500.0, (3.0, 1.0, 0.0))
 
 
 def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
@@ -871,6 +884,7 @@ def test_ht_probability_marginal_boundary():
     )
     p = est.ht_probability(fit, 0.0, 7.0, r=2000, seed=0)
     assert p.value == math.exp(-7.0)
+    assert p.log_value == -7.0
 
 
 def test_ht_probability_below_fit_threshold_raises():
