@@ -221,58 +221,39 @@ class BenchmarkReport:
         return rows
 
 
-def _ht_draw_seed(seed_rep, omega_index):
-    # distinct deterministic stream per (replication, ray); independent of
-    # execution order
-    return (int(seed_rep), 7919, int(omega_index))
-
-
 def _slots(batch, get):
     # NaN where a slot of a batch estimate holds the typed error of a failed ray
     return np.array([math.nan if isinstance(r, RaytailError) else get(r) for r in batch])
 
 
-def _run_single_rep(config: BenchmarkConfig, rep: int) -> dict:
-    """One replication; returns per-method arrays of log estimates and
-    lambdas (NaN on failure) so aggregation stays order-independent."""
-    seed = config.seed_base + rep
+def _sample(config: BenchmarkConfig, seed: int):
     sample = config.model.sample(config.m, seed)
-    if config.rank_transform:
-        sample = margins.rank_transform(sample.points)
+    return margins.rank_transform(sample.points) if config.rank_transform else sample
+
+
+def _run_single_rep(config: BenchmarkConfig, rep: int) -> np.ndarray:
+    """One replication: a (2, methods, rays) array of log estimates and of
+    fitted lambdas, NaN where an estimate failed and for ht's lambda, so
+    aggregation stays order-independent."""
+    seed = config.seed_base + rep
+    sample = _sample(config, seed)
     targets = config.targets()
-    out = {}
-
-    if "wt" in config.methods:
-        ests = est.wt_probabilities_at(sample, targets, frac=config.frac)
-        out["wt"] = {
-            "log_values": _slots(ests, lambda p: p.log_value),
-            "lambda": _slots(ests, lambda p: p.meta["lambda_hat"]),
-        }
-
-    if "lt" in config.methods:
-        ests = est.lt_probabilities(sample, targets, frac=config.frac)
-        out["lt"] = {
-            "log_values": _slots(ests, lambda p: p.log_value),
-            "lambda": _slots(ests, lambda p: p.meta["lambda_half"]),
-        }
-
-    if "ht" in config.methods:
-        log_values = np.full(len(config.omegas), np.nan)
-        # every ray's event threshold is y_corner, so a ray that cannot be
-        # extrapolated means none can: one failure ends the sample's rays
-        try:
-            fit_h = est.fit_ht(sample, quantile=config.ht_quantile)
-            for i, w in enumerate(config.omegas):
-                log_values[i] = est.ht_probability(
-                    fit_h,
-                    w,
-                    config.y_corner / (1.0 - w),
-                    r=config.r_draws,
-                    seed=_ht_draw_seed(seed, i),
-                ).log_value
-        except RaytailError:
-            pass
-        out["ht"] = {"log_values": log_values}
+    out = np.full((2, len(config.methods), len(targets)), np.nan)
+    for j, mth in enumerate(config.methods):
+        if mth == "wt":
+            ests, lam = est.wt_probabilities_at(sample, targets, frac=config.frac), "lambda_hat"
+        elif mth == "lt":
+            ests, lam = est.lt_probabilities(sample, targets, frac=config.frac), "lambda_half"
+        else:
+            # a distinct draw stream per (replication, ray), whatever the
+            # order of execution
+            seeds = [(int(seed), 7919, i) for i in range(len(targets))]
+            ests, lam = est.ht_probabilities(
+                sample, targets, quantile=config.ht_quantile, r=config.r_draws, seeds=seeds
+            ), None
+        out[0, j] = _slots(ests, lambda p: p.log_value)
+        if lam:
+            out[1, j] = _slots(ests, lambda p: p.meta[lam])
     return out
 
 
@@ -333,7 +314,6 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     replication runs.
     """
     t_start = time.perf_counter()
-    n_omegas = len(config.omegas)
     order = list(range(config.reps)) if rep_order is None else list(rep_order)
     if sorted(order) != list(range(config.reps)):
         raise DomainError("rep_order must be a permutation of range(reps)")
@@ -350,26 +330,12 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
                 f"the log truth at corner {tuple(t.tolist())} is {lp!r}, not a log probability"
             )
 
-    log_values = {
-        mth: np.full((config.reps, n_omegas), np.nan) for mth in config.methods
-    }
-    lambdas = {
-        mth: np.full((config.reps, n_omegas), np.nan)
-        for mth in config.methods
-        if mth in ("wt", "lt")
-    }
-
     results = _map_reps(_run_single_rep, config, order)
-    for rep, res in results.items():
-        for mth in config.methods:
-            log_values[mth][rep] = res[mth]["log_values"]
-            if mth in lambdas:
-                lambdas[mth][rep] = res[mth]["lambda"]
+    log_values, lambdas = np.stack([results[rep] for rep in range(config.reps)], axis=2)
 
     cells = []
     failures = {}
-    for mth in config.methods:
-        vals = log_values[mth]
+    for mth, vals, lams in zip(config.methods, log_values, lambdas):
         failures[mth] = int(np.sum(np.all(np.isnan(vals), axis=1)))
         for i, w in enumerate(config.omegas):
             col = vals[:, i]
@@ -382,14 +348,12 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
                 rmse = math.nan
             prop_exceed = float(np.mean(used > log_truths[i])) if n_used else math.nan
             prop_zero = float(np.mean(used == -np.inf)) if n_used else math.nan
+            lcol = lams[:, i][~np.isnan(lams[:, i])]
             mean_lam = lo = hi = math.nan
-            if mth in lambdas:
-                lcol = lambdas[mth][:, i]
-                lcol = lcol[~np.isnan(lcol)]
-                if lcol.size:
-                    mean_lam = float(np.mean(lcol))
-                    lo = float(est._quantile(lcol, 0.025))
-                    hi = float(est._quantile(lcol, 0.975))
+            if lcol.size:
+                mean_lam = float(np.mean(lcol))
+                lo = float(est._quantile(lcol, 0.025))
+                hi = float(est._quantile(lcol, 0.975))
             cells.append(
                 BenchmarkCell(
                     method=mth,
@@ -431,10 +395,8 @@ class LambdaRecovery:
 
 def _recover_rep(config: BenchmarkConfig, rep: int, grid) -> np.ndarray:
     """One replication's angular-index fits over ``grid``; NaN on failure."""
-    sample = config.model.sample(config.m, config.seed_base + rep)
-    if config.rank_transform:
-        sample = margins.rank_transform(sample.points)
-    return _slots(est.fit_lambda_rays(sample, grid, frac=config.frac), lambda f: f.lambda_hat)
+    fits = est.fit_lambda_rays(_sample(config, config.seed_base + rep), grid, frac=config.frac)
+    return _slots(fits, lambda f: f.lambda_hat)
 
 
 def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:

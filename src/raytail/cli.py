@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import bench, estimators, kappa, margins
-from .copulas import FAMILIES, _corners, make_model
+from .copulas import FAMILIES, make_model
 from .errors import (
     ConfigError,
     DomainError,
@@ -184,14 +184,8 @@ def _cmd_estimate_prob(args):
     elif args.method == "lt":
         estimate = estimators.lt_probability(sample, (args.x, args.y), frac=args.frac)
     else:
-        ((x, y),) = _corners([(args.x, args.y)], 2).tolist()
-        s_radial = x + y
-        if s_radial == 0.0:
-            raise DomainError("target corner must not be the origin")
-        fit = estimators.fit_ht(sample, quantile=args.ht_quantile)
-        omega = x / s_radial
         estimate = estimators.ht_probability(
-            fit, omega, s_radial, r=args.r, seed=args.seed
+            sample, (args.x, args.y), quantile=args.ht_quantile, r=args.r, seed=args.seed
         )
     resolved = {
         "subcommand": "estimate prob",

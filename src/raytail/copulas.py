@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
@@ -39,6 +40,7 @@ from .margins import ExponentialSample
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EXP_GUARD = 700.0  # beyond this, plain exp/exp-inverse arithmetic degenerates
+_TINY = sys.float_info.min  # the least positive normal float
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,9 @@ class BivariateNormal(CopulaModel):
 
     def kappa(self, growth):
         b, g = self._check_growth(growth)
+        if b + g == math.inf:
+            # homogeneous of degree one: halve a growth whose sum overflows
+            return 2.0 * self.kappa((b / 2.0, g / 2.0))
         rho = self.rho
         if min(b, g) == 0.0:
             # exact marginal behaviour; for rho < 0 the interior form does
@@ -258,7 +263,10 @@ class BivariateNormal(CopulaModel):
             # (b + g) / (1 - rho^2)
             return b + g if rho < 0.0 else max(b, g)
         if rho < 0.0 or rho * rho < min(b / g, g / b):
-            return (b + g - 2.0 * rho * math.sqrt(b * g)) / (1.0 - rho * rho)
+            # the root of each factor where their product leaves the normal range
+            bg = b * g
+            root = math.sqrt(bg) if _TINY <= bg < math.inf else math.sqrt(b) * math.sqrt(g)
+            return (b + g - 2.0 * rho * root) / (1.0 - rho * rho)
         return max(b, g)
 
     def lambda_deriv(self, omega):
@@ -336,8 +344,11 @@ class InvertedLogistic(CopulaModel):
         lb, lg = math.log(b) / a, math.log(g) / a
         m = max(lb, lg)
         if m > _EXP_GUARD:
-            # logsumexp form of the power-norm
-            return math.exp(a * (m + math.log(math.exp(lb - m) + math.exp(lg - m))))
+            # logsumexp form of the power-norm, inf beyond the float range
+            try:
+                return math.exp(a * (m + math.log(math.exp(lb - m) + math.exp(lg - m))))
+            except OverflowError:
+                return math.inf
         return (b ** (1.0 / a) + g ** (1.0 / a)) ** a
 
     def kappa(self, growth):
@@ -545,7 +556,12 @@ class ClaytonLowerTail(CopulaModel):
     def log_survivor(self, s):
         x, y = self._corner(s)
         a = self.alpha
-        m = max(x, y) / a
+        top = max(x, y)
+        m = top / a
+        if m == math.inf:
+            # top / alpha overflows (alpha < 1): add top outside the scaling,
+            # where exp(-top / alpha) is 0.0
+            return -(top + a * math.log(math.exp((x - top) / a) + math.exp((y - top) / a)))
         inner = math.exp(x / a - m) + math.exp(y / a - m) - math.exp(-m)
         return -a * (m + math.log(inner))
 

@@ -25,12 +25,12 @@ the joint tail, all operating on standard exponential margins:
     exceedance term and a Monte Carlo estimate over resampled residuals.
 
 Every angular fit runs through ``fit_lambda_rays``, which fits all the
-rays of a sample from one (rays x m) structure matrix, and the ``wt`` and
-``lt`` estimates through ``wt_probabilities_at`` and ``lt_probabilities``,
-which take a sequence of corners. They return one slot per ray or corner:
-the result of the one-item call (``fit_lambda``, ``wt_probability_at``,
-``lt_probability``) or the typed error it raises, so a failed ray does not
-stop the others.
+rays of a sample from one (rays x m) structure matrix, and the estimates
+through ``wt_probabilities_at``, ``lt_probabilities`` and
+``ht_probabilities``, which take a sequence of corners. They return one slot
+per ray or corner: the result of the one-item call (``fit_lambda``,
+``wt_probability_at``, ``lt_probability``, ``ht_probability``) or the typed
+error it raises, so a failed ray does not stop the others.
 
 The structure matrix of a large batch covers only candidate points.
 T = min(x/w, y/(1-w)) is non-decreasing in both coordinates, so on every
@@ -579,30 +579,18 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     )
 
 
-def ht_probability(fit: HTFit, omega, u_n, r=10_000, seed=0) -> ProbEstimate:
-    """Conditional-simulation estimate of P(X_E > w u_n, Y_E > (1-w) u_n).
+def _ht_estimate(fit: HTFit, x0, y0, r, seed) -> ProbEstimate:
+    """Conditional-simulation estimate of P(X_E > x0, Y_E > y0) for
+    y0 >= fit.u_y.
 
-    The marginal factor P(Y_E > (1-w)u_n) is the exact exponential
-    survivor; the conditional factor is a Monte Carlo average over r
-    conditioning draws Y* (exponential beyond the event threshold, by
-    memorylessness) paired with residuals resampled from the fit.
-    Deterministic for a fixed seed.
+    The marginal factor P(Y_E > y0) is the exact exponential survivor; the
+    conditional factor is a Monte Carlo average over r conditioning draws Y*
+    (exponential beyond y0, by memorylessness) paired with residuals
+    resampled from the fit. Deterministic for a fixed seed.
     """
-    if not 0.0 <= omega < 1.0:
-        raise DomainError(f"omega must lie in [0, 1), got {omega}")
-    if r < 1:
-        raise DomainError(f"draw count must be >= 1, got {r}")
-    if not math.isfinite(u_n):
-        raise DomainError(f"u_n must be finite, got {u_n}")
-    y_thresh = (1.0 - omega) * u_n
-    if y_thresh < fit.u_y:
-        raise ExtrapolationError(
-            f"event threshold {y_thresh:.4f} lies below the fit threshold "
-            f"{fit.u_y:.4f}"
-        )
     rng = np.random.default_rng(seed)
     ystar = rng.standard_exponential(r)
-    ystar += y_thresh
+    ystar += y0
     z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
     # alpha * Y* + exp(beta * log Y*) * z, in one buffer beside Y*
     xs = np.log(ystar)
@@ -611,20 +599,45 @@ def ht_probability(fit: HTFit, omega, u_n, r=10_000, seed=0) -> ProbEstimate:
     xs *= z
     ystar *= fit.alpha
     xs += ystar
-    count = int(np.count_nonzero(xs > omega * u_n))
+    count = int(np.count_nonzero(xs > x0))
     return ProbEstimate(
-        value=math.exp(-y_thresh) * (count / r),
-        log_value=_log_prob(-y_thresh, count, r),
+        value=math.exp(-y0) * (count / r),
+        log_value=_log_prob(-y0, count, r),
         method="ht",
-        meta={
-            "omega": omega,
-            "u_n": u_n,
-            "r": r,
-            "seed": seed,
-            "alpha": fit.alpha,
-            "beta": fit.beta,
-        },
+        meta={"r": r, "seed": seed, "alpha": fit.alpha, "beta": fit.beta},
     )
+
+
+def ht_probabilities(sample, targets, quantile=0.90, r=10_000, seeds=None) -> list:
+    """Conditional-simulation estimates at a sequence of corners from one
+    ``fit_ht``; the Monte Carlo of corner i runs r draws seeded by
+    ``seeds[i]`` (default 0). One slot per corner: a ProbEstimate, or the
+    ExtrapolationError of a corner whose y0 lies below the fit's
+    conditioning threshold. A failed fit fills every slot.
+    """
+    corners = _corners(targets, 2).tolist()
+    if r < 1:
+        raise DomainError(f"draw count must be >= 1, got {r}")
+    seeds = [0] * len(corners) if seeds is None else list(seeds)
+    if len(seeds) != len(corners):
+        raise DomainError(f"need one seed per corner, got {len(seeds)} for {len(corners)}")
+    try:
+        fit = fit_ht(sample, quantile=quantile)
+    except RaytailError as exc:
+        return [exc] * len(corners)
+    return [
+        _ht_estimate(fit, x0, y0, r, seed) if y0 >= fit.u_y
+        else ExtrapolationError(
+            f"event threshold {y0:.4f} lies below the fit threshold {fit.u_y:.4f}"
+        )
+        for (x0, y0), seed in zip(corners, seeds)
+    ]
+
+
+def ht_probability(sample, target, quantile=0.90, r=10_000, seed=0) -> ProbEstimate:
+    """Conditional-simulation estimate of the corner probability; see
+    :func:`ht_probabilities`."""
+    return _one(ht_probabilities(sample, [target], quantile=quantile, r=r, seeds=[seed]))
 
 
 def diagnose_linearity(sample, omega, c_grid) -> dict:

@@ -204,6 +204,18 @@ def test_ht_failures_recorded_not_raised():
     assert rep.cell("wt", 0.5).n_reps_used == 3
 
 
+def test_a_failed_ht_fit_fills_every_slot():
+    # 30 conditioning exceedances < 50 in every replication
+    cfg = bench.BenchmarkConfig(cp.InvertedLogistic(0.5), reps=2, m=300)
+    slots = est.ht_probabilities(bench._sample(cfg, cfg.seed_base), cfg.targets())
+    assert len(slots) == len(cfg.omegas)
+    assert isinstance(slots[0], InsufficientExceedancesError)
+    assert all(p is slots[0] for p in slots)
+    rep = bench.run_benchmark(cfg)
+    assert rep.n_failures["ht"] == 2
+    assert all(rep.cell("ht", w).n_reps_used == 0 for w in cfg.omegas)
+
+
 def test_underflowing_estimates_are_recorded_zeros():
     # on the diagonal ray at y_corner=520 the wt factor exp(-lambda_hat v)
     # underflows to 0.0 over a non-empty base set; the study scores the log

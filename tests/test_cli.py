@@ -105,6 +105,15 @@ def test_kappa_value(capsys):
     assert doc["config"]["model"]["family"] == "trivariate"
 
 
+def test_kappa_at_a_huge_growth_is_strict_json(capsys):
+    code, stdout, _ = run_cli(
+        ["kappa", "--model", "bvn", "--rho", "0.5", "--growth", "1e200,1e200"], capsys
+    )
+    assert code == 0
+    kappa = strict_json(stdout)["result"]["kappa"]
+    assert abs(kappa - 4.0 / 3.0 * 1e200) <= 1e-15 * kappa
+
+
 def test_kappa_lambda_value(capsys):
     code, stdout, _ = run_cli(
         ["kappa", "--model", "logistic", "--alpha", "0.5", "--omega", "0.3"],
@@ -192,33 +201,49 @@ def test_estimate_prob_methods(tmp_path, capsys, method):
     assert 0.0 <= doc["result"]["value"] < 1.0
 
 
-def _rejected_corner(tmp_path, capsys, method, x, y):
+def _estimate_at(tmp_path, capsys, method, x, y):
     sample_path = tmp_path / "s.csv"
     run_cli(
         ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "2000",
          "--seed", "2", "--out", str(sample_path)],
         capsys,
     )
-    code, stdout, err = run_cli(
+    return run_cli(
         ["estimate", "prob", "--method", method, "--input", str(sample_path),
          "--x", x, "--y", y],
         capsys,
     )
-    assert code == 2
+
+
+def _rejected_corner(tmp_path, capsys, method, x, y, code=2):
+    got, stdout, err = _estimate_at(tmp_path, capsys, method, x, y)
+    assert got == code
     assert stdout == ""
     return err
 
 
 @pytest.mark.parametrize("method", ["wt", "ht"])
 def test_estimate_prob_rejects_the_origin(tmp_path, capsys, method):
-    err = _rejected_corner(tmp_path, capsys, method, "0", "0")
-    assert "target corner must not be the origin" in err
+    if method == "wt":
+        err = _rejected_corner(tmp_path, capsys, method, "0", "0")
+        assert "target corner must not be the origin" in err
+    else:
+        # ht conditions on Y_E > y0, and y0 = 0 lies below its threshold
+        err = _rejected_corner(tmp_path, capsys, method, "0", "0", code=3)
+        assert "numeric failure" in err and "below the fit threshold" in err
 
 
 @pytest.mark.parametrize("method", ["wt", "ht"])
 def test_estimate_prob_rejects_a_radius_that_overflows(tmp_path, capsys, method):
-    err = _rejected_corner(tmp_path, capsys, method, "1e308", "1e308")
-    assert "inf" in err
+    if method == "wt":
+        err = _rejected_corner(tmp_path, capsys, method, "1e308", "1e308")
+        assert "inf" in err
+    else:
+        # ht has no radius: the corner is far, and its estimate a zero
+        code, stdout, _ = _estimate_at(tmp_path, capsys, method, "1e308", "1e308")
+        assert code == 0
+        result = strict_json(stdout)["result"]
+        assert result["value"] == 0.0 and result["is_zero"] is True
 
 
 BIVARIATE_MODELS = [
@@ -239,6 +264,8 @@ def test_a_bad_corner_raises_a_domain_error(tmp_path, capsys, corner):
         lambda: estimators.wt_probabilities_at(s, [(1.0, 2.0), corner]),
         lambda: estimators.lt_probability(s, corner),
         lambda: estimators.lt_probabilities(s, [(1.0, 2.0), corner]),
+        lambda: estimators.ht_probability(s, corner),
+        lambda: estimators.ht_probabilities(s, [(1.0, 2.0), corner]),
     ]
     calls += [lambda m=m: m.log_survivor(corner) for m in BIVARIATE_MODELS]
     # the trivariate corner: the bad coordinate and a third one, or two
@@ -375,6 +402,17 @@ def test_benchmark_report_is_valid_json_when_a_method_always_fails(tmp_path, cap
     ht = [c for c in doc["cells"] if c["method"] == "ht"]
     assert ht and all(c["n_reps_used"] == 0 for c in ht)
     assert all(c["prop_exceed"] is None and c["prop_zero"] is None for c in ht)
+
+
+def test_benchmark_at_a_corner_beyond_the_float_range_exits_3(tmp_path, capsys):
+    # the invlog log truth at the diagonal corner (1e308, 1e308) is -inf
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"model": {"family": "invlog", "alpha": 1.0}, "y_corner": 1e308, "reps": 1, "m": 100}
+    ))
+    code, out, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
+    assert code == 3 and out == ""
+    assert "numeric failure" in err and "is -inf" in err
 
 
 def test_readme_benchmark_config_example_loads():

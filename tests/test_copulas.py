@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from raytail import copulas as cp
-from raytail.errors import DomainError
+from raytail.errors import DomainError, RaytailError
 
 ETA_075_ALPHA = -math.log(0.75) / math.log(2.0)  # diagonal decay 0.75
 
@@ -106,6 +106,23 @@ def test_deep_corner_log_survivor_stays_finite():
     )
 
 
+@pytest.mark.parametrize(
+    "model",
+    [cp.BivariateNormal(0.5), cp.InvertedLogistic(1.0), cp.InvertedLogistic(0.5),
+     cp.Morgenstern(0.5), cp.LogisticBEV(0.6), cp.ClaytonLowerTail(0.5)],
+    ids=["bvn", "invlog1", "invlog0.5", "morgenstern", "logistic", "clayton0.5"],
+)
+@pytest.mark.parametrize("corner", [(1e308, 1e308), (1.7e308, 1.7e308), (0.0, 1e308)])
+def test_a_huge_corner_gives_a_log_probability_or_a_typed_error(model, corner):
+    try:
+        lp = model.log_survivor(corner)
+    except RaytailError:
+        return
+    assert isinstance(lp, float) and not math.isnan(lp) and lp <= 0.0
+    if corner[0] == 0.0:
+        assert lp == -corner[1]  # the exact margin
+
+
 def logistic_exponent(alpha, x, y):
     """Max-stable logistic exponent V(x, y) = (x**(-1/a) + y**(-1/a))**a."""
     return (x ** (-1.0 / alpha) + y ** (-1.0 / alpha)) ** alpha
@@ -170,6 +187,19 @@ def test_bvn_kappa_regimes():
     mneg = cp.BivariateNormal(-0.5)
     assert math.isclose(mneg.kappa((1.0, 1.0)), 4.0, rel_tol=1e-15)
     assert mneg.kappa((1.0, 0.0)) == 1.0
+
+
+def test_bvn_kappa_at_huge_growth():
+    t = 1e200
+    for rho, want in ((0.5, 4.0 / 3.0), (-0.5, 4.0)):
+        m = cp.BivariateNormal(rho)
+        assert math.isclose(m.kappa((t, t)), want * t, rel_tol=1e-15)
+        for g in ((1.0, 1.0), (1.0, 2.0), (0.3, 0.7), (1.0, 0.2)):
+            assert math.isclose(m.kappa((t * g[0], t * g[1])), t * m.kappa(g), rel_tol=1e-15)
+            assert math.isclose(m.kappa((g[0] / t, g[1] / t)), m.kappa(g) / t, rel_tol=1e-15)
+    # the sum b + g overflows, the decay index does not
+    assert math.isclose(cp.BivariateNormal(0.5).kappa((1e308, 1e308)), 4.0 / 3.0 * 1e308,
+                        rel_tol=1e-15)
 
 
 def test_bvn_eta_link():

@@ -96,7 +96,7 @@ def test_ht_indicator_fraction(arrays):
         nll=0.0,
     )
     omega, u_n, r = 0.4, 5.0, 1000
-    p = est.ht_probability(fit, omega, u_n, r=r, seed=7)
+    p = est._ht_estimate(fit, omega * u_n, (1.0 - omega) * u_n, r, 7)
     rng = np.random.default_rng(7)
     y_thresh = (1.0 - omega) * u_n
     ystar = y_thresh + rng.standard_exponential(r)
@@ -465,20 +465,32 @@ def test_corner_sequence_forms_match_one_corner_calls():
     s = cp.InvertedLogistic(0.5).sample(5000, 123)
     corners = [(4.0, 12.0), (0.25, 0.75), (0.0, 0.0), (9.0, 0.0), (0.0, 7.0),
                np.array([6.0, 6.0])]
+    seeds = [3, 1, 4, (1, 5), 9, 2]
     for batch, one in (
-        (est.wt_probabilities_at(s, corners), est.wt_probability_at),
-        (est.lt_probabilities(s, corners), est.lt_probability),
+        (est.wt_probabilities_at(s, corners), lambda c, i: est.wt_probability_at(s, c)),
+        (est.lt_probabilities(s, corners), lambda c, i: est.lt_probability(s, c)),
         (est.lt_probabilities(s, corners, baseline=(1.0, 2.0)),
-         lambda s, c: est.lt_probability(s, c, baseline=(1.0, 2.0))),
+         lambda c, i: est.lt_probability(s, c, baseline=(1.0, 2.0))),
+        (est.ht_probabilities(s, corners, r=2000, seeds=seeds),
+         lambda c, i: est.ht_probability(s, c, r=2000, seed=seeds[i])),
     ):
         assert len(batch) == len(corners)
-        for c, got in zip(corners, batch):
+        for i, (c, got) in enumerate(zip(corners, batch)):
             if isinstance(got, est.ProbEstimate):
-                assert got == one(s, c)
+                want = one(c, i)
+                assert got == want
+                _same_bits([got.value, got.log_value], [want.value, want.log_value])
             else:
                 with pytest.raises(type(got)):
-                    one(s, c)
+                    one(c, i)
     assert isinstance(est.wt_probabilities_at(s, corners)[2], DomainError)
+    # ht conditions on Y_E > y0: the corners with y0 below its threshold
+    # fail, and each of the others carries its own seed
+    ht = est.ht_probabilities(s, corners, r=2000, seeds=seeds)
+    assert [isinstance(p, ExtrapolationError) for p in ht] == [
+        False, True, True, True, False, False
+    ]
+    assert ht[0].meta["seed"] == 3 and ht[5].meta["seed"] == 2
     # a failed diagonal fit fills every lt slot with its error
     tied = _tied_diagonal_sample()
     assert all(
@@ -487,6 +499,15 @@ def test_corner_sequence_forms_match_one_corner_calls():
     )
     with pytest.raises(InsufficientExceedancesError):
         est.lt_probability(tied, corners[0])
+
+
+def test_ht_seeds_must_match_the_corners():
+    s = cp.InvertedLogistic(0.5).sample(2000, 4)
+    corners = [(4.0, 12.0), (6.0, 6.0)]
+    for seeds in ([1], [1, 2, 3], []):
+        with pytest.raises(DomainError, match="one seed per corner"):
+            est.ht_probabilities(s, corners, seeds=seeds)
+    assert len(est.ht_probabilities(s, corners, seeds=[1, 2])) == 2
 
 
 def test_wt_axis_corners_match_marginal_reference():
@@ -551,11 +572,10 @@ def test_an_estimate_that_underflows_is_a_recorded_zero():
     # each base set is non-empty; the extrapolation factor underflows, so
     # the value is 0.0 but its log is finite, and the estimate is no zero
     s = cp.BivariateNormal(0.5).sample(3000, 1)
-    fit = est.fit_ht(s)
     for p in (
         est.wt_probability_at(s, (700.0, 700.0)),
         est.lt_probability(s, (700.0, 700.0)),
-        est.ht_probability(fit, 0.0, 800.0, r=2000),
+        est.ht_probability(s, (0.0, 800.0), r=2000),
     ):
         assert p.value == 0.0 and not p.is_zero
         assert -math.inf < p.log_value < -745.0
@@ -572,10 +592,9 @@ def test_a_corner_whose_radius_overflows_is_rejected():
     far, near = est.wt_probabilities_at(s, [(1e308, 1e308), (1.0, 2.0)])
     assert isinstance(far, DomainError)
     assert near == est.wt_probability_at(s, (1.0, 2.0))
-    fit = est.fit_ht(s)
-    for u_n in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            est.ht_probability(fit, 0.5, u_n)
+    # ht has no radius: its estimate at that corner is a zero
+    p = est.ht_probability(s, (1e308, 1e308))
+    assert p.value == 0.0 and p.is_zero
 
 
 def test_lt_equals_wt_on_diagonal_with_matching_base():
@@ -678,7 +697,7 @@ def test_ht_path_bitwise_equals_reference(model, m):
             _same_bits(getattr(fit, name), want)
         for omega in (0.0, 0.3, 0.6):
             u_n = fit.u_y / (1.0 - omega) + 2.0
-            p = est.ht_probability(fit, omega, u_n, r=2000, seed=seed)
+            p = est._ht_estimate(fit, omega * u_n, (1.0 - omega) * u_n, 2000, seed)
             _same_bits(p.value, _ref_ht_value(fit, omega, u_n, 2000, seed))
 
 
@@ -855,9 +874,9 @@ def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
 
 def test_ht_probability_deterministic_and_seed_sensitive():
     fit = est.fit_ht(cp.BivariateNormal(0.5).sample(5000, 17))
-    a = est.ht_probability(fit, 0.3, 15.0, r=5000, seed=42)
-    b = est.ht_probability(fit, 0.3, 15.0, r=5000, seed=42)
-    c = est.ht_probability(fit, 0.3, 15.0, r=5000, seed=43)
+    a = est._ht_estimate(fit, 0.3 * 15.0, (1.0 - 0.3) * 15.0, 5000, 42)
+    b = est._ht_estimate(fit, 0.3 * 15.0, (1.0 - 0.3) * 15.0, 5000, 42)
+    c = est._ht_estimate(fit, 0.3 * 15.0, (1.0 - 0.3) * 15.0, 5000, 43)
     assert a.value == b.value
     assert a.value != c.value
     # the estimate is the exact marginal factor times the indicator mean
@@ -882,15 +901,16 @@ def test_ht_probability_marginal_boundary():
         sigma=0.6,
         nll=0.0,
     )
-    p = est.ht_probability(fit, 0.0, 7.0, r=2000, seed=0)
+    p = est._ht_estimate(fit, 0.0, 7.0, 2000, 0)
     assert p.value == math.exp(-7.0)
     assert p.log_value == -7.0
 
 
 def test_ht_probability_below_fit_threshold_raises():
-    fit = est.fit_ht(cp.BivariateNormal(0.5).sample(5000, 17))
+    s = cp.BivariateNormal(0.5).sample(5000, 17)
+    fit = est.fit_ht(s)
     with pytest.raises(ExtrapolationError):
-        est.ht_probability(fit, 0.5, 2.0 * fit.u_y * 0.5)
+        est.ht_probability(s, (0.5 * fit.u_y, 0.5 * fit.u_y))
 
 
 def test_ht_probability_monte_carlo_convergence():
@@ -905,7 +925,7 @@ def test_ht_probability_monte_carlo_convergence():
     )
     # x threshold 0.5 sits between the two residual atoms, so the indicator
     # hits exactly when z = +1, with probability 3/4 independent of y
-    p = est.ht_probability(fit, 0.05, 10.0, r=200_000, seed=3)
+    p = est._ht_estimate(fit, 0.05 * 10.0, (1.0 - 0.05) * 10.0, 200_000, 3)
     cond = p.value / math.exp(-9.5)
     assert abs(cond - 0.75) < 0.005
 
