@@ -10,27 +10,24 @@ diagonal methods the mean fitted angular index with its 95% envelope.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
-execution order of replications is irrelevant. Replications run in one
-process pool, forked once per process and reused by every later study, with
-as many workers as the environment variable RAYTAIL_THREADS says (default:
-the usable cores); RAYTAIL_THREADS=1 runs them serially in the caller.
+execution order of replications is irrelevant. Replications run in the
+package's one process pool (``_pool``), forked once per process and shared
+with the CSV reader, with as many workers as the environment variable
+RAYTAIL_THREADS says (default: the usable cores); RAYTAIL_THREADS=1 runs
+them serially in the caller.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import numbers
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
+from . import _pool, margins
 from . import estimators as est
-from . import margins
 from .copulas import CopulaModel, _corners
 from .errors import ConfigError, DomainError, NumericError, RaytailError
 
@@ -257,52 +254,12 @@ def _run_single_rep(config: BenchmarkConfig, rep: int) -> np.ndarray:
     return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RAYTAIL_THREADS")
-    if raw is None:
-        # the usable cores; all cores where the platform cannot say
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-_pool = None  # (workers, executor) of _map_reps, created on first use
-
-
 def _map_reps(fn, config, order, *args):
-    """``{rep: fn(config, rep, *args)}`` for every rep of ``order``.
-
-    The calls run in one module-level pool of forked workers, created on
-    the first parallel call and reused by every later one; a different
-    worker count replaces it. Each worker takes one contiguous chunk of
-    ``order``. Results are keyed by replication, so they are bitwise the
-    serial ones. Serial when one worker would do, or where the platform
-    cannot fork.
-    """
-    global _pool
-    workers = _worker_count()
+    """``{rep: fn(config, rep, *args)}`` for every rep of ``order``, run on the
+    package's process pool. Results are keyed by replication, so they are
+    bitwise the serial ones."""
     n = len(order)
-    if min(workers, n) == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return {rep: fn(config, rep, *args) for rep in order}
-    if _pool is None or _pool[0] != workers:
-        if _pool is not None:
-            _pool[1].shutdown()
-        ctx = multiprocessing.get_context("fork")
-        _pool = (workers, ProcessPoolExecutor(workers, mp_context=ctx))
-    chunk = -(-n // min(workers, n))
-    try:
-        results = _pool[1].map(
-            fn, [config] * n, order, *([a] * n for a in args), chunksize=chunk
-        )
-        return dict(zip(order, results))
-    except BrokenProcessPool:
-        # a worker died; the next call forks a fresh pool
-        _pool = None
-        raise
+    return dict(zip(order, _pool.map(fn, [config] * n, order, *([a] * n for a in args))))
 
 
 def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:

@@ -487,8 +487,10 @@ class LogisticBEV(CopulaModel):
             x, y = y, x  # exchangeable; keep the first survivor the larger
         if x == 0.0:
             return -y
+        if y > _EXP_GUARD:
+            return self._log_survivor_far(x, y)
         a = math.exp(-x)
-        b = math.exp(-y) if y < _EXP_GUARD else 0.0
+        b = math.exp(-y)
         if b == 0.0:
             raise NumericError(f"survivor underflow at corner {(x, y)}")
         ap = -math.log1p(-a)
@@ -499,6 +501,31 @@ class LogisticBEV(CopulaModel):
         if surv <= 0.0:
             raise NumericError(f"survivor underflow at corner {(x, y)}")
         return math.log(surv)
+
+    def _log_survivor_far(self, x, y):
+        # 0 < x <= y, y beyond the guard. With a = e^-x, A = -log(1 - a),
+        # b = e^-y and t = (b/A)^(1/alpha), the survivor is
+        # b - (1 - a)(1 - e^-q), q = A((1 + t)^alpha - 1) <= b. Here
+        # -log(1 - b) = b and 1 - e^-q = q to double precision, so
+        # log S = -y + log1p(-r) with r = (1 - a) q / b, taken in logs
+        alpha = self.alpha
+        if alpha == 1.0:
+            return -x - y  # independence: exactly e^-x e^-y
+        if x > _EXP_GUARD:
+            ap, log_ap = 0.0, -x  # A = a and log(1 - a) = 0 to double precision
+        else:
+            # the two stable forms of -log(1 - e^-x), split at x = log 2
+            ap = -math.log1p(-math.exp(-x)) if x > 0.6931471805599453 else -math.log(-math.expm1(-x))
+            log_ap = math.log(ap)
+        d = log_ap + y  # log(A/b) >= 0
+        if d / alpha < 600.0:
+            log_q_over_ap = math.log(math.expm1(alpha * math.log1p(math.exp(-d / alpha))))
+        else:
+            log_q_over_ap = math.log(alpha) - d / alpha  # (1 + t)^alpha - 1 = alpha t
+        r = math.exp(-ap + log_q_over_ap + d)
+        if r >= 1.0:
+            raise NumericError(f"survivor underflow at corner {(x, y)}")
+        return -y + math.log1p(-r)
 
     def kappa(self, growth):
         b, g = self._check_growth(growth)

@@ -277,6 +277,14 @@ def test_truth_underflow_raises_before_any_replication(monkeypatch):
         bench.run_benchmark(replace(cfg, y_corner=6.0))
 
 
+def test_a_logistic_study_beyond_the_exp_guard_runs():
+    # every log truth of the corners (w/(1-w)*750, 750) is finite
+    cfg = bench.BenchmarkConfig(cp.LogisticBEV(0.6), reps=2, m=500, y_corner=750.0, methods=("wt",))
+    rep = bench.run_benchmark(cfg)
+    assert rep.n_failures == {"wt": 0}
+    assert all(c.true_prob == 0.0 and c.n_reps_used == 2 for c in rep.cells)
+
+
 def _reports_with_threads(monkeypatch, threads):
     if threads is None:
         monkeypatch.delenv("RAYTAIL_THREADS", raising=False)

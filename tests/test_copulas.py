@@ -140,6 +140,18 @@ def test_logistic_bev_survivor_against_direct_formula():
         assert math.isclose(m.survivor(c), direct, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize("t", [700.1, 800.0, 1e4])
+def test_logistic_bev_log_survivor_beyond_the_exp_guard(t):
+    # beyond the exp guard the log survivor is taken in logs: on the
+    # diagonal it is log(2 - 2^alpha) - t, off it -max(x, y)
+    m = cp.LogisticBEV(0.6)
+    assert math.isclose(m.log_survivor((t, t)), -t + math.log(2.0 - 2.0**0.6), rel_tol=1e-12)
+    assert math.isclose(m.log_survivor((5.0, t)), -t, rel_tol=1e-12)
+    assert math.isclose(m.log_survivor((t, 5.0)), -t, rel_tol=1e-12)
+    # alpha = 1 is independence
+    assert math.isclose(cp.LogisticBEV(1.0).log_survivor((5.0, 800.0)), -805.0, rel_tol=1e-12)
+
+
 # frozen 30-digit references: mpmath.quad of the corner integral
 # erfc((s - rho*y)/sqrt(2(1-rho^2)))/2 * npdf(y) over [t, t+45] with
 # (s, t) the normal upper quantiles of exp(-x), exp(-y)

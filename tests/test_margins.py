@@ -1,11 +1,14 @@
 import csv
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raytail import margins
 from raytail.errors import DomainError
 from raytail.margins import (
     ExponentialSample,
@@ -220,3 +223,143 @@ def test_read_raw_csv_reports_non_finite_value_by_file_line(tmp_path, token):
     with pytest.raises(DomainError) as excinfo:
         read_raw_csv(path)
     assert str(excinfo.value) == f"{path}:5: non-finite value in column 1"
+
+
+def _read_outcome(read, path):
+    # the value a reader returns, or the class and message of what it raises
+    try:
+        raw = read(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return raw.names, raw.data.shape, raw.data.tobytes()
+
+
+_HEADERS = [
+    ("x,y", 2), ("a,b,c", 3), ('"x","y"', 2), ("\u00e9,\u00fc", 2),
+    ('x,"y\nz"', 2), ('x,"y\rz"', 2), ('x,"y\r\nz"', 2),
+]
+_CLEAN_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_TOKENS = st.sampled_from(
+    ["1_0", " 2.5", "3 ", "", "abc", "1e400", "nan", "-inf", "\u0661", "\u00e91",
+     '"4"', "+.5", "\x0c", "1,2"]
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    header, ncols = draw(st.sampled_from(_HEADERS))
+    tokens = st.one_of(_CLEAN_TOKENS, _ODD_TOKENS) if draw(st.booleans()) else _CLEAN_TOKENS
+    row = st.lists(tokens, min_size=ncols, max_size=ncols).map(",".join)
+    lines = [header] + draw(st.lists(st.one_of(row, row, st.just("")), max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@settings(max_examples=60, deadline=None)
+@given(text=_csv_texts(), part_bytes=st.integers(1, 64))
+def test_read_raw_csv_in_ranges_matches_the_row_loop(tmp_path_factory, threads, text, part_bytes):
+    # small parts cut the body into one range per worker, at every kind of
+    # line ending and blank line; the reader must give the row loop's value
+    # or raise its exact message
+    path = tmp_path_factory.mktemp("ranges") / "in.csv"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("RAYTAIL_THREADS", threads)
+        mp.setattr(margins, "_PART_BYTES", part_bytes)
+        got = _read_outcome(read_raw_csv, path)
+    assert got == _read_outcome(margins._read_raw_csv_rows, path)
+
+
+def _record_ranges(monkeypatch):
+    # the byte ranges read_raw_csv hands to the pool, passed through
+    seen = []
+    pool_map = margins._pool.map
+
+    def recording_map(fn, *iterables):
+        seen.append(list(zip(*iterables)))
+        return pool_map(fn, *iterables)
+
+    monkeypatch.setattr(margins._pool, "map", recording_map)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_header_with_a_quoted_carriage_return_keeps_the_first_row(tmp_path, monkeypatch, threads):
+    # csv counts two lines for this header, the binary view one: the reader
+    # must not skip a row by mixing the two
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b'x,"y\rz"\n1,2\n3,4\n')
+    monkeypatch.setenv("RAYTAIL_THREADS", str(threads))
+    monkeypatch.setattr(margins, "_PART_BYTES", 1)
+    raw = read_raw_csv(path)
+    assert raw.names == ("x", "y\rz")
+    assert raw.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_bad_row_in_the_last_range_names_its_file_line(tmp_path, monkeypatch, threads):
+    path = tmp_path / "bad_end.csv"
+    rows = [f"{i}.5,{-i}" for i in range(40)]
+    rows[20:20] = ["", "\r"]  # blank lines move file lines away from rows
+    path.write_bytes(("x,y\r\n" + "\n".join(rows) + "\n7,abc\n").encode())
+    monkeypatch.setenv("RAYTAIL_THREADS", str(threads))
+    monkeypatch.setattr(margins, "_PART_BYTES", 16)
+    seen = _record_ranges(monkeypatch)
+    with pytest.raises(DomainError) as excinfo:
+        read_raw_csv(path)
+    assert str(excinfo.value) == f"{path}:44: could not convert string to float: 'abc'"
+    # one range per worker, end to end, each starting just after a newline
+    data = path.read_bytes()
+    _, starts, stops, _ = zip(*seen[0])
+    assert len(starts) == threads
+    assert list(stops) == [*starts[1:], len(data)]
+    assert all(data[start - 1:start] == b"\n" for start in starts)
+
+    # the same file without the bad row parses in the same ranges, without
+    # the row loop
+    path.write_bytes(("x,y\r\n" + "\n".join(rows) + "\n").encode())
+    expected = margins._read_raw_csv_rows(path).data.tobytes()
+    monkeypatch.setattr(margins, "_read_raw_csv_rows", None)
+    raw = read_raw_csv(path)
+    assert raw.data.tobytes() == expected
+    assert raw.data.shape == (40, 2)
+    assert len(seen[1]) == threads
+
+
+def test_read_raw_csv_from_a_pipe(tmp_path):
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("x,y\n1.5,2\n3,4\n",))
+    writer.start()
+    try:
+        raw = read_raw_csv(fifo)
+    finally:
+        writer.join()
+    assert raw.names == ("x", "y")
+    assert raw.data.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+
+def test_write_csv_bytes(tmp_path):
+    pts = np.array([
+        [-0.0, 5e-324],
+        [2.2250738585072014e-308, 1e308],
+        [1.7976931348623157e308, -2.5e-310],
+        [0.1, -1.0 / 3.0],
+        [1.0, 123456789.0],
+    ])
+    path = tmp_path / "out.csv"
+    write_csv(path, pts, ("x", "y"))
+    # reference: the csv writer fed repr() of every value as a Python float
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("x", "y"))
+        for row in pts:
+            writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().startswith(b"x,y\r\n-0.0,5e-324\r\n")
