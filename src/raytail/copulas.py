@@ -23,6 +23,13 @@ Samplers are exact constructions, not generic numerical inversions:
 
 Survivor formulas are evaluated in forms that avoid catastrophic
 cancellation, and in log space once exponents grow large.
+
+``ht_limit()`` is the pair (a, b) that the conditional (``ht``) fit
+estimates as (alpha, beta): given Y_E = u large, (X_E - a*u) / u**b
+converges in law (Heffernan & Tawn, 2004). It is (rho**2, 1/2) for bvn
+with rho > 0, (0, 1 - alpha) for invlog, (0, 0) for morgenstern and
+(1, 0) for logistic and clayton; bvn with rho <= 0 and trivariate raise
+``DomainError``.
 """
 
 from __future__ import annotations
@@ -41,17 +48,7 @@ from .margins import ExponentialSample
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EXP_GUARD = 700.0  # beyond this, plain exp/exp-inverse arithmetic degenerates
 _TINY = sys.float_info.min  # the least positive normal float
-
-
-@dataclass(frozen=True)
-class HTNormalization:
-    """Location/scale normalization and limit survivor for the conditional
-    tail of X_E given Y_E large: (X_E - location(u)) / scale(u) converges,
-    with the limiting survivor function ``limit_survivor``."""
-
-    location: object
-    scale: object
-    limit_survivor: object
+_LOG_2 = math.log(2.0)
 
 
 def _corners(targets, dim):
@@ -68,6 +65,11 @@ def _corners(targets, dim):
     if not ok.all():
         raise DomainError(f"corner coordinates must be finite and >= 0: {c[~ok][0].tolist()}")
     return c
+
+
+def _neg_log1mexp(v):
+    """-log(1 - e^-v) for v > 0, in its two stable forms split at log 2."""
+    return -math.log1p(-math.exp(-v)) if v > _LOG_2 else -math.log(-math.expm1(-v))
 
 
 def _positive_stable(alpha, n, rng):
@@ -118,10 +120,10 @@ class CopulaModel(ABC):
             raise DomainError(f"omega must lie in [0, 1], got {omega}")
         return self.kappa((omega, 1.0 - omega))
 
-    def ht_normalization(self) -> HTNormalization:
-        raise DomainError(
-            f"no conditional-tail normalization available for {self.family}"
-        )
+    def ht_limit(self) -> tuple:
+        """(a, b) such that, given Y_E = u large, (X_E - a*u) / u**b
+        converges in law."""
+        raise DomainError(f"no conditional-tail limit available for {self.family}")
 
     @property
     def params(self) -> dict:
@@ -244,10 +246,15 @@ class BivariateNormal(CopulaModel):
             return -y
         if y == 0.0:
             return -x
+        ux, uy = math.exp(-x), math.exp(-y)
+        if ux == 1.0 and uy == 1.0:
+            # both margins round to 1: S lies within x + y of 1, and
+            # -max(x, y) is its log to double precision
+            return -max(x, y)
         from scipy.special import ndtri
 
-        sx = -ndtri(math.exp(-x))  # normal upper quantile of the margin
-        sy = -ndtri(math.exp(-y))
+        sx = -ndtri(ux)  # normal upper quantile of the margin
+        sy = -ndtri(uy)
         logp, _ = self._joint_upper_normal(sx, sy)
         return logp
 
@@ -285,21 +292,12 @@ class BivariateNormal(CopulaModel):
             / (math.sqrt(omega * (1.0 - omega)) * (1.0 - rho * rho))
         )
 
-    def ht_normalization(self):
-        rho = self.rho
-        if rho <= 0.0:
+    def ht_limit(self):
+        if self.rho <= 0.0:
             raise DomainError(
-                "conditional-tail normalization requires rho > 0, got "
-                f"rho = {rho}"
+                f"the conditional-tail limit requires rho > 0, got rho = {self.rho}"
             )
-        from scipy.special import ndtr
-
-        sig = math.sqrt(1.0 - rho * rho)
-        return HTNormalization(
-            location=lambda u: rho * rho * u,
-            scale=lambda u: math.sqrt(2.0 * rho * rho * u),
-            limit_survivor=lambda w: float(ndtr(-w / sig)),
-        )
+        return self.rho * self.rho, 0.5
 
 
 @dataclass(frozen=True)
@@ -365,13 +363,8 @@ class InvertedLogistic(CopulaModel):
             a - 1.0
         )
 
-    def ht_normalization(self):
-        a = self.alpha
-        return HTNormalization(
-            location=lambda u: 0.0,
-            scale=lambda u: u ** (1.0 - a),
-            limit_survivor=lambda w: math.exp(-a * max(w, 0.0) ** (1.0 / a)),
-        )
+    def ht_limit(self):
+        return 0.0, 1.0 - self.alpha
 
 
 @dataclass(frozen=True)
@@ -438,15 +431,8 @@ class Morgenstern(CopulaModel):
             raise DomainError(f"omega must lie in (0, 1), got {omega}")
         return 0.0
 
-    def ht_normalization(self):
-        al = self.alpha
-        return HTNormalization(
-            location=lambda u: 0.0,
-            scale=lambda u: 1.0,
-            limit_survivor=lambda w: math.exp(-w) * (1.0 + al * (1.0 - math.exp(-w)))
-            if w >= 0.0
-            else 1.0,
-        )
+    def ht_limit(self):
+        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -493,8 +479,8 @@ class LogisticBEV(CopulaModel):
         b = math.exp(-y)
         if b == 0.0:
             raise NumericError(f"survivor underflow at corner {(x, y)}")
-        ap = -math.log1p(-a)
-        bp = -math.log1p(-b)
+        ap = _neg_log1mexp(x)
+        bp = _neg_log1mexp(y)
         t = (bp / ap) ** (1.0 / self.alpha)  # <= 1 by the ordering above
         v_minus_ap = ap * math.expm1(self.alpha * math.log1p(t))
         surv = b + (1.0 - a) * math.expm1(-v_minus_ap)
@@ -514,8 +500,7 @@ class LogisticBEV(CopulaModel):
         if x > _EXP_GUARD:
             ap, log_ap = 0.0, -x  # A = a and log(1 - a) = 0 to double precision
         else:
-            # the two stable forms of -log(1 - e^-x), split at x = log 2
-            ap = -math.log1p(-math.exp(-x)) if x > 0.6931471805599453 else -math.log(-math.expm1(-x))
+            ap = _neg_log1mexp(x)
             log_ap = math.log(ap)
         d = log_ap + y  # log(A/b) >= 0
         if d / alpha < 600.0:
@@ -531,23 +516,8 @@ class LogisticBEV(CopulaModel):
         b, g = self._check_growth(growth)
         return max(b, g)
 
-    def ht_normalization(self):
-        a = self.alpha
-
-        def limit_survivor(w):
-            # e^{-w}[1 + e^w - (1 + e^{w/a})^a], factored so neither tail
-            # overflows: pull e^w out of the power when w > 0
-            if w > 0.0:
-                val = math.exp(-w) - math.expm1(a * math.log1p(math.exp(-w / a)))
-            else:
-                val = 1.0 - math.exp(-w) * math.expm1(a * math.log1p(math.exp(w / a)))
-            return min(max(val, 0.0), 1.0)
-
-        return HTNormalization(
-            location=lambda u: u,
-            scale=lambda u: 1.0,
-            limit_survivor=limit_survivor,
-        )
+    def ht_limit(self):
+        return 1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -596,15 +566,8 @@ class ClaytonLowerTail(CopulaModel):
         b, g = self._check_growth(growth)
         return max(b, g)
 
-    def ht_normalization(self):
-        a = self.alpha
-        return HTNormalization(
-            location=lambda u: u,
-            scale=lambda u: 1.0,
-            limit_survivor=lambda w: math.exp(-a * math.log1p(math.exp(w / a)))
-            if w / a < _EXP_GUARD
-            else 0.0,
-        )
+    def ht_limit(self):
+        return 1.0, 0.0
 
 
 @dataclass(frozen=True)

@@ -120,11 +120,7 @@ def kappa_oracle(model: CopulaModel, growth, n=1_000_000) -> float:
     survivor; converges to the closed-form kappa as n grows."""
     if n < 1_000:
         raise DomainError(f"oracle scale n must be >= 1000, got {n}")
-    g = tuple(float(v) for v in growth)
-    if len(g) != model.dim:
-        raise DomainError(f"growth vector must have length {model.dim}")
-    if any(v < 0.0 for v in g) or all(v == 0.0 for v in g):
-        raise DomainError(f"growth must be non-negative and not all zero: {g}")
+    g = model._check_growth(growth)
     ln = math.log(n)
     logp = model.log_survivor(tuple(v * ln for v in g))
     if not math.isfinite(logp):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -150,6 +151,72 @@ def test_logistic_bev_log_survivor_beyond_the_exp_guard(t):
     assert math.isclose(m.log_survivor((t, 5.0)), -t, rel_tol=1e-12)
     # alpha = 1 is independence
     assert math.isclose(cp.LogisticBEV(1.0).log_survivor((5.0, 800.0)), -805.0, rel_tol=1e-12)
+
+
+# frozen 1000-digit mpmath references: log(e^-x + e^-y - 1 + C) with C the
+# logistic copula at (1 - e^-x, 1 - e^-y), at corners where e^-x or e^-y
+# rounds to 1.0
+LOGISTIC_TINY_REFERENCE = [
+    (0.05, 1e-20, 5.0, -5.0),
+    (0.05, 5.0, 1e-20, -5.0),
+    (0.05, 1e-17, 1e-17, -1.7485241442453668092e-17),
+    (0.05, 5e-324, 0.5, -0.5),
+    (0.05, 1e-300, 1e-12, -9.9999999999999997989e-13),
+    (0.05, 1e-17, 700.0, -700.0),
+    (0.6, 1e-20, 5.0, -5.0),
+    (0.6, 5.0, 1e-20, -5.0),
+    (0.6, 1e-17, 1e-17, -1.9999999982906998512e-17),
+    (0.6, 5e-324, 0.5, -0.5),
+    (0.6, 1e-300, 1e-12, -9.9999999999999997989e-13),
+    (0.6, 1e-17, 700.0, -700.0),
+    (1.0, 1e-20, 5.0, -5.0),
+    (1.0, 5.0, 1e-20, -5.0),
+    (1.0, 1e-17, 1e-17, -2.0000000000000001431e-17),
+    (1.0, 5e-324, 0.5, -0.5),
+    (1.0, 1e-300, 1e-12, -9.9999999999999997989e-13),
+    (1.0, 1e-17, 700.0, -700.00000000000000001),
+]
+
+
+@pytest.mark.parametrize("alpha,x,y,ref", LOGISTIC_TINY_REFERENCE)
+def test_logistic_bev_log_survivor_where_a_margin_rounds_to_one(alpha, x, y, ref):
+    # an absolute error in log S is the relative error of S
+    lp = cp.LogisticBEV(alpha).log_survivor((x, y))
+    assert abs(lp - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.5, 0.99])
+def test_bvn_log_survivor_where_both_margins_round_to_one(rho):
+    assert cp.BivariateNormal(rho).log_survivor((1e-17, 5e-324)) == -1e-17
+
+
+SURVIVOR_GRID = [
+    0.0, 5e-324, 1e-300, 1e-17, 1.1e-16, 1e-12, 1e-3, 0.5, math.log(2.0), 1.0,
+    5.0, 50.0, 699.0, 700.0, 700.5, 745.0, 800.0, 1e4, 1e300,
+]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [cp.BivariateNormal(r) for r in (0.5, -0.5, 0.99)]
+    + [cp.LogisticBEV(a) for a in (0.05, 0.6, 1.0)]
+    + [cp.InvertedLogistic(a) for a in (0.05, 0.4, 1.0)]
+    + [cp.Morgenstern(a) for a in (-1.0, 0.3, 1.0)]
+    + [cp.ClaytonLowerTail(a) for a in (0.05, 1.0, 5.0)]
+    + [cp.TrivariateMaxPareto()],
+    ids=repr,
+)
+def test_log_survivor_on_the_corner_grid(model):
+    # S <= e^-max(x, y) (each margin is standard exponential): every corner
+    # gives a finite log S within rounding of that bound, or a typed error;
+    # numeric and quadrature warnings are errors here
+    for corner in itertools.product(SURVIVOR_GRID, repeat=model.dim):
+        try:
+            lp = model.log_survivor(corner)
+        except RaytailError:
+            continue
+        top = max(corner)
+        assert math.isfinite(lp) and lp <= -top + 1e-13 * max(1.0, top), (corner, lp)
 
 
 # frozen 30-digit references: mpmath.quad of the corner integral
@@ -395,85 +462,25 @@ def test_trivariate_pairwise_tail_dependence_structure():
 
 
 # ---------------------------------------------------------------------------
-# conditional-tail normalizations
+# conditional-tail limits
 # ---------------------------------------------------------------------------
 
-def test_ht_normalization_forms():
-    bvn = cp.BivariateNormal(0.5)
-    norm = bvn.ht_normalization()
-    u = 10.0
-    assert math.isclose(norm.location(u), 0.25 * u, rel_tol=1e-15)
-    assert math.isclose(norm.scale(u), math.sqrt(2.0 * 0.25 * u), rel_tol=1e-15)
-    from scipy.stats import norm as normal_dist
-
-    assert math.isclose(
-        norm.limit_survivor(0.5),
-        float(normal_dist.sf(0.5 / math.sqrt(0.75))),
-        rel_tol=1e-12,
-    )
-
-    mg = cp.Morgenstern(0.3).ht_normalization()
-    assert mg.location(7.0) == 0.0
-    assert mg.scale(7.0) == 1.0
-    w = 1.3
-    assert math.isclose(
-        mg.limit_survivor(w),
-        math.exp(-w) * (1.0 + 0.3 * (1.0 - math.exp(-w))),
-        rel_tol=1e-12,
-    )
-
-    il = cp.InvertedLogistic(0.4).ht_normalization()
-    assert il.location(9.0) == 0.0
-    assert math.isclose(il.scale(9.0), 9.0**0.6, rel_tol=1e-15)
-    assert math.isclose(
-        il.limit_survivor(1.0), math.exp(-0.4), rel_tol=1e-12
-    )
-
-    cl = cp.ClaytonLowerTail(2.0).ht_normalization()
-    assert math.isclose(
-        cl.limit_survivor(1.0), (math.exp(0.5) + 1.0) ** -2.0, rel_tol=1e-12
-    )
-
-    lb = cp.LogisticBEV(0.5).ht_normalization()
-    w = 0.0
-    assert math.isclose(lb.limit_survivor(0.0), 2.0 - 2.0**0.5, rel_tol=1e-12)
-
-
-def test_ht_normalization_limit_survivors_are_valid():
-    for model in [
-        cp.BivariateNormal(0.7),
-        cp.InvertedLogistic(0.4),
-        cp.Morgenstern(0.9),
-        cp.LogisticBEV(0.5),
-        cp.ClaytonLowerTail(1.5),
-    ]:
-        surv = model.ht_normalization().limit_survivor
-        grid = np.linspace(-8.0, 30.0, 200)
-        vals = np.array([surv(w) for w in grid])
-        assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        assert np.all(np.diff(vals) <= 1e-12)  # non-increasing
-        assert vals[-1] < 1e-3
-
-
-def test_ht_normalization_unsupported_cases():
-    with pytest.raises(DomainError, match="rho > 0"):
-        cp.BivariateNormal(-0.3).ht_normalization()
-    with pytest.raises(DomainError):
-        cp.TrivariateMaxPareto().ht_normalization()
-
-
-def test_morgenstern_conditional_limit_matches_empirical():
-    # location 0, scale 1: the conditional exceedance law needs no
-    # normalization, so a finite-threshold empirical check is meaningful
-    model = cp.Morgenstern(1.0)
-    surv = model.ht_normalization().limit_survivor
-    n = 400_000
-    s = model.sample(n, 33)
-    thr = -math.log(0.01)  # y beyond its 99% level
-    mask = s.y > thr
-    xs = s.x[mask]
-    for w in (0.5, 1.0, 2.0):
-        emp = float(np.mean(xs > w))
-        p = surv(w)
-        se = math.sqrt(p * (1.0 - p) / mask.sum())
-        assert abs(emp - p) <= 5.0 * se
+@pytest.mark.parametrize(
+    "model,limit",
+    [
+        pytest.param(cp.BivariateNormal(0.5), (0.25, 0.5), id="bvn0.5"),
+        pytest.param(cp.InvertedLogistic(0.4), (0.0, 0.6), id="invlog0.4"),
+        pytest.param(cp.InvertedLogistic(1.0), (0.0, 0.0), id="invlog1"),
+        pytest.param(cp.Morgenstern(0.3), (0.0, 0.0), id="morgenstern"),
+        pytest.param(cp.LogisticBEV(0.5), (1.0, 0.0), id="logistic"),
+        pytest.param(cp.ClaytonLowerTail(2.0), (1.0, 0.0), id="clayton"),
+        pytest.param(cp.BivariateNormal(-0.3), "rho > 0", id="bvn-0.3"),
+        pytest.param(cp.TrivariateMaxPareto(), "trivariate", id="trivariate"),
+    ],
+)
+def test_ht_limit(model, limit):
+    if isinstance(limit, str):
+        with pytest.raises(DomainError, match=limit):
+            model.ht_limit()
+    else:
+        assert model.ht_limit() == limit
