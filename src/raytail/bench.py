@@ -10,11 +10,12 @@ diagonal methods the mean fitted angular index with its 95% envelope.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
-execution order of replications is irrelevant. Replications run in the
-package's one process pool (``_pool``), forked once per process and shared
-with the CSV reader, with as many workers as the environment variable
-RAYTAIL_THREADS says (default: the usable cores); RAYTAIL_THREADS=1 runs
-them serially in the caller.
+execution order of replications is irrelevant. The ``ht`` draws of seed s
+are one set, seeded by (s, 7919) and shared by its rays. Replications run
+in the package's one process pool (``_pool``), forked once per process and
+shared with the CSV reader, with as many workers as the environment
+variable RAYTAIL_THREADS says (default: the usable cores);
+RAYTAIL_THREADS=1 runs them serially in the caller.
 """
 
 from __future__ import annotations
@@ -242,11 +243,8 @@ def _run_single_rep(config: BenchmarkConfig, rep: int) -> np.ndarray:
         elif mth == "lt":
             ests, lam = est.lt_probabilities(sample, targets, frac=config.frac), "lambda_half"
         else:
-            # a distinct draw stream per (replication, ray), whatever the
-            # order of execution
-            seeds = [(int(seed), 7919, i) for i in range(len(targets))]
             ests, lam = est.ht_probabilities(
-                sample, targets, quantile=config.ht_quantile, r=config.r_draws, seeds=seeds
+                sample, targets, config.ht_quantile, config.r_draws, seed=(int(seed), 7919)
             ), None
         out[0, j] = _slots(ests, lambda p: p.log_value)
         if lam:

@@ -214,7 +214,10 @@ def _cmd_diagnose(args):
         )
     if step <= 0.0 or stop < start:
         raise DomainError("--c-grid needs step > 0 and stop >= start")
-    n_steps = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not all(map(math.isfinite, (start, stop, step, span))):
+        raise DomainError(f"--c-grid needs finite values and step count, got {args.c_grid!r}")
+    n_steps = int(math.floor(span + 1e-9)) + 1
     grid = [start + i * step for i in range(n_steps)]
     result = estimators.diagnose_linearity(sample, args.omega, grid)
     resolved = {

@@ -579,65 +579,64 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     )
 
 
-def _ht_estimate(fit: HTFit, x0, y0, r, seed) -> ProbEstimate:
-    """Conditional-simulation estimate of P(X_E > x0, Y_E > y0) for
-    y0 >= fit.u_y.
-
-    The marginal factor P(Y_E > y0) is the exact exponential survivor; the
-    conditional factor is a Monte Carlo average over r conditioning draws Y*
-    (exponential beyond y0, by memorylessness) paired with residuals
-    resampled from the fit. Deterministic for a fixed seed.
+def _ht_estimates(fit: HTFit, corners, r, seed) -> list:
+    """Estimates of P(X_E > x0, Y_E > y0) at corners with y0 >= fit.u_y (an
+    ExtrapolationError below it): the exact survivor P(Y_E > y0) times the
+    share of r draws Y* = y0 + E (memorylessness) and resampled residuals z
+    with X* > x0. E and then the residual indices are drawn once from
+    default_rng(seed), shared by every corner (common random numbers).
+    Corners run in y0 order, so each distinct y0 builds X* once.
     """
     rng = np.random.default_rng(seed)
-    ystar = rng.standard_exponential(r)
-    ystar += y0
+    e = rng.standard_exponential(r)
     z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
-    # alpha * Y* + exp(beta * log Y*) * z, in one buffer beside Y*
-    xs = np.log(ystar)
-    xs *= fit.beta
-    np.exp(xs, out=xs)
-    xs *= z
-    ystar *= fit.alpha
-    xs += ystar
-    count = int(np.count_nonzero(xs > x0))
-    return ProbEstimate(
-        value=math.exp(-y0) * (count / r),
-        log_value=_log_prob(-y0, count, r),
-        method="ht",
-        meta={"r": r, "seed": seed, "alpha": fit.alpha, "beta": fit.beta},
-    )
+    out, last = [None] * len(corners), None
+    for i, (x0, y0) in sorted(enumerate(corners), key=lambda c: c[1][1]):
+        if y0 < fit.u_y:
+            out[i] = ExtrapolationError(
+                f"event threshold {y0:.4f} lies below the fit threshold {fit.u_y:.4f}"
+            )
+            continue
+        if y0 != last:
+            # X* = alpha * Y* + exp(beta * log Y*) * z, in one buffer beside Y*
+            ystar = e + y0
+            xs = np.log(ystar)
+            xs *= fit.beta
+            np.exp(xs, out=xs)
+            xs *= z
+            ystar *= fit.alpha
+            xs += ystar
+            last = y0
+        count = int(np.count_nonzero(xs > x0))
+        out[i] = ProbEstimate(
+            value=math.exp(-y0) * (count / r),
+            log_value=_log_prob(-y0, count, r),
+            method="ht",
+            meta={"r": r, "seed": seed, "alpha": fit.alpha, "beta": fit.beta},
+        )
+    return out
 
 
-def ht_probabilities(sample, targets, quantile=0.90, r=10_000, seeds=None) -> list:
+def ht_probabilities(sample, targets, quantile=0.90, r=10_000, seed=0) -> list:
     """Conditional-simulation estimates at a sequence of corners from one
-    ``fit_ht``; the Monte Carlo of corner i runs r draws seeded by
-    ``seeds[i]`` (default 0). One slot per corner: a ProbEstimate, or the
-    ExtrapolationError of a corner whose y0 lies below the fit's
-    conditioning threshold. A failed fit fills every slot.
-    """
+    ``fit_ht`` and one set of r draws seeded by ``seed``, which every corner
+    shares. One slot per corner: a ProbEstimate, or the ExtrapolationError
+    of a corner whose y0 lies below the fit's conditioning threshold. A
+    failed fit fills every slot."""
     corners = _corners(targets, 2).tolist()
     if r < 1:
         raise DomainError(f"draw count must be >= 1, got {r}")
-    seeds = [0] * len(corners) if seeds is None else list(seeds)
-    if len(seeds) != len(corners):
-        raise DomainError(f"need one seed per corner, got {len(seeds)} for {len(corners)}")
     try:
         fit = fit_ht(sample, quantile=quantile)
     except RaytailError as exc:
         return [exc] * len(corners)
-    return [
-        _ht_estimate(fit, x0, y0, r, seed) if y0 >= fit.u_y
-        else ExtrapolationError(
-            f"event threshold {y0:.4f} lies below the fit threshold {fit.u_y:.4f}"
-        )
-        for (x0, y0), seed in zip(corners, seeds)
-    ]
+    return _ht_estimates(fit, corners, r, seed)
 
 
 def ht_probability(sample, target, quantile=0.90, r=10_000, seed=0) -> ProbEstimate:
     """Conditional-simulation estimate of the corner probability; see
     :func:`ht_probabilities`."""
-    return _one(ht_probabilities(sample, [target], quantile=quantile, r=r, seeds=[seed]))
+    return _one(ht_probabilities(sample, [target], quantile=quantile, r=r, seed=seed))
 
 
 def diagnose_linearity(sample, omega, c_grid) -> dict:

@@ -216,6 +216,21 @@ def test_a_failed_ht_fit_fills_every_slot():
     assert all(rep.cell("ht", w).n_reps_used == 0 for w in cfg.omegas)
 
 
+def test_the_study_calls_the_ht_estimator_with_one_seed_per_replication():
+    cfg = bench.BenchmarkConfig(cp.InvertedLogistic(0.5), reps=4, m=2000, seed_base=11)
+    rep = 3
+    row = bench._run_single_rep(cfg, rep)[0, cfg.methods.index("ht")]
+    sample = bench._sample(cfg, cfg.seed_base + rep)
+    want = [
+        est.ht_probability(
+            sample, c, cfg.ht_quantile, cfg.r_draws, seed=(cfg.seed_base + rep, 7919)
+        ).log_value
+        for c in cfg.targets()
+    ]
+    assert not np.any(np.isnan(row))  # every ht estimate ran
+    assert row.tobytes() == np.array(want).tobytes()
+
+
 def test_underflowing_estimates_are_recorded_zeros():
     # on the diagonal ray at y_corner=520 the wt factor exp(-lambda_hat v)
     # underflows to 0.0 over a non-empty base set; the study scores the log

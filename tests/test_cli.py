@@ -320,6 +320,25 @@ def test_diagnose_grid(tmp_path, capsys):
     assert "r_squared" in res
 
 
+@pytest.mark.parametrize(
+    "grid", ["nan:1:0.1", "0:1:nan", "0:inf:1", "0:1e300:1e-300"],
+    ids=["nan-start", "nan-step", "inf-stop", "inf-step-count"],
+)
+def test_diagnose_rejects_a_grid_that_is_not_finite(tmp_path, capsys, grid):
+    sample_path = tmp_path / "s.csv"
+    run_cli(
+        ["simulate", "--model", "invlog", "--alpha", "0.5", "--n", "500",
+         "--seed", "9", "--out", str(sample_path)],
+        capsys,
+    )
+    code, _, err = run_cli(
+        ["diagnose", "--input", str(sample_path), "--omega", "0.5", "--c-grid", grid],
+        capsys,
+    )
+    assert code == 2
+    assert "finite" in err and repr(grid) in err
+
+
 def test_benchmark_end_to_end(tmp_path, capsys):
     cfg = {
         "model": {"family": "invlog", "alpha": 0.4150374992788438},

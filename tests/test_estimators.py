@@ -96,7 +96,7 @@ def test_ht_indicator_fraction(arrays):
         nll=0.0,
     )
     omega, u_n, r = 0.4, 5.0, 1000
-    p = est._ht_estimate(fit, omega * u_n, (1.0 - omega) * u_n, r, 7)
+    (p,) = est._ht_estimates(fit, [(omega * u_n, (1.0 - omega) * u_n)], r, 7)
     rng = np.random.default_rng(7)
     y_thresh = (1.0 - omega) * u_n
     ystar = y_thresh + rng.standard_exponential(r)
@@ -464,33 +464,35 @@ def test_wt_probability_at_inside_threshold_is_empirical():
 def test_corner_sequence_forms_match_one_corner_calls():
     s = cp.InvertedLogistic(0.5).sample(5000, 123)
     corners = [(4.0, 12.0), (0.25, 0.75), (0.0, 0.0), (9.0, 0.0), (0.0, 7.0),
-               np.array([6.0, 6.0])]
-    seeds = [3, 1, 4, (1, 5), 9, 2]
+               np.array([6.0, 6.0]), (9.0, 12.0)]
+    seed = (1, 5)
     for batch, one in (
-        (est.wt_probabilities_at(s, corners), lambda c, i: est.wt_probability_at(s, c)),
-        (est.lt_probabilities(s, corners), lambda c, i: est.lt_probability(s, c)),
+        (est.wt_probabilities_at(s, corners), lambda c: est.wt_probability_at(s, c)),
+        (est.lt_probabilities(s, corners), lambda c: est.lt_probability(s, c)),
         (est.lt_probabilities(s, corners, baseline=(1.0, 2.0)),
-         lambda c, i: est.lt_probability(s, c, baseline=(1.0, 2.0))),
-        (est.ht_probabilities(s, corners, r=2000, seeds=seeds),
-         lambda c, i: est.ht_probability(s, c, r=2000, seed=seeds[i])),
+         lambda c: est.lt_probability(s, c, baseline=(1.0, 2.0))),
+        (est.ht_probabilities(s, corners, r=2000, seed=seed),
+         lambda c: est.ht_probability(s, c, r=2000, seed=seed)),
     ):
         assert len(batch) == len(corners)
-        for i, (c, got) in enumerate(zip(corners, batch)):
+        for c, got in zip(corners, batch):
             if isinstance(got, est.ProbEstimate):
-                want = one(c, i)
+                want = one(c)
                 assert got == want
                 _same_bits([got.value, got.log_value], [want.value, want.log_value])
             else:
                 with pytest.raises(type(got)):
-                    one(c, i)
+                    one(c)
     assert isinstance(est.wt_probabilities_at(s, corners)[2], DomainError)
     # ht conditions on Y_E > y0: the corners with y0 below its threshold
-    # fail, and each of the others carries its own seed
-    ht = est.ht_probabilities(s, corners, r=2000, seeds=seeds)
+    # fail; the others share one draw set, so at the shared y0 = 12 the
+    # farther corner counts a subset of the nearer one's draws
+    ht = est.ht_probabilities(s, corners, r=2000, seed=seed)
     assert [isinstance(p, ExtrapolationError) for p in ht] == [
-        False, True, True, True, False, False
+        False, True, True, True, False, False, False
     ]
-    assert ht[0].meta["seed"] == 3 and ht[5].meta["seed"] == 2
+    assert all(p.meta["seed"] == seed for p in ht if isinstance(p, est.ProbEstimate))
+    assert 0.0 < ht[6].value < ht[0].value
     # a failed diagonal fit fills every lt slot with its error
     tied = _tied_diagonal_sample()
     assert all(
@@ -499,15 +501,6 @@ def test_corner_sequence_forms_match_one_corner_calls():
     )
     with pytest.raises(InsufficientExceedancesError):
         est.lt_probability(tied, corners[0])
-
-
-def test_ht_seeds_must_match_the_corners():
-    s = cp.InvertedLogistic(0.5).sample(2000, 4)
-    corners = [(4.0, 12.0), (6.0, 6.0)]
-    for seeds in ([1], [1, 2, 3], []):
-        with pytest.raises(DomainError, match="one seed per corner"):
-            est.ht_probabilities(s, corners, seeds=seeds)
-    assert len(est.ht_probabilities(s, corners, seeds=[1, 2])) == 2
 
 
 def test_wt_axis_corners_match_marginal_reference():
@@ -697,7 +690,7 @@ def test_ht_path_bitwise_equals_reference(model, m):
             _same_bits(getattr(fit, name), want)
         for omega in (0.0, 0.3, 0.6):
             u_n = fit.u_y / (1.0 - omega) + 2.0
-            p = est._ht_estimate(fit, omega * u_n, (1.0 - omega) * u_n, 2000, seed)
+            (p,) = est._ht_estimates(fit, [(omega * u_n, (1.0 - omega) * u_n)], 2000, seed)
             _same_bits(p.value, _ref_ht_value(fit, omega, u_n, 2000, seed))
 
 
@@ -874,9 +867,9 @@ def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
 
 def test_ht_probability_deterministic_and_seed_sensitive():
     fit = est.fit_ht(cp.BivariateNormal(0.5).sample(5000, 17))
-    a = est._ht_estimate(fit, 0.3 * 15.0, (1.0 - 0.3) * 15.0, 5000, 42)
-    b = est._ht_estimate(fit, 0.3 * 15.0, (1.0 - 0.3) * 15.0, 5000, 42)
-    c = est._ht_estimate(fit, 0.3 * 15.0, (1.0 - 0.3) * 15.0, 5000, 43)
+    (a,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 42)
+    (b,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 42)
+    (c,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 43)
     assert a.value == b.value
     assert a.value != c.value
     # the estimate is the exact marginal factor times the indicator mean
@@ -901,7 +894,7 @@ def test_ht_probability_marginal_boundary():
         sigma=0.6,
         nll=0.0,
     )
-    p = est._ht_estimate(fit, 0.0, 7.0, 2000, 0)
+    (p,) = est._ht_estimates(fit, [(0.0, 7.0)], 2000, 0)
     assert p.value == math.exp(-7.0)
     assert p.log_value == -7.0
 
@@ -925,7 +918,7 @@ def test_ht_probability_monte_carlo_convergence():
     )
     # x threshold 0.5 sits between the two residual atoms, so the indicator
     # hits exactly when z = +1, with probability 3/4 independent of y
-    p = est._ht_estimate(fit, 0.05 * 10.0, (1.0 - 0.05) * 10.0, 200_000, 3)
+    (p,) = est._ht_estimates(fit, [(0.05 * 10.0, (1.0 - 0.05) * 10.0)], 200_000, 3)
     cond = p.value / math.exp(-9.5)
     assert abs(cond - 0.75) < 0.005
 
