@@ -31,6 +31,8 @@ from .errors import (
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+# diagnose fits one count per --c-grid value and echoes the grid in its JSON
+MAX_C_GRID = 10_000
 
 
 def _model_from_args(args):
@@ -54,8 +56,20 @@ def _add_model_flags(parser):
     parser.add_argument(
         "--alpha",
         type=float,
-        help="dependence parameter (invlog/logistic: (0,1]; morgenstern: [-1,1]; clayton: > 0)",
+        help="dependence parameter (invlog/logistic: (0,1]; morgenstern: [-1,1]; "
+        "clayton: finite, > 0)",
     )
+
+
+def _seed(text):
+    """Type of the seed flags: numpy's generators take integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _emit(document, out_path):
@@ -85,8 +99,6 @@ def _load_sample(args) -> margins.ExponentialSample:
 
 def _cmd_simulate(args):
     model = _model_from_args(args)
-    if args.n < 1:
-        raise DomainError(f"--n must be >= 1, got {args.n}")
     sample = model.sample(args.n, args.seed)
     names = ("x", "y", "z")[: sample.dim]
     resolved = {
@@ -218,6 +230,8 @@ def _cmd_diagnose(args):
     if not all(map(math.isfinite, (start, stop, step, span))):
         raise DomainError(f"--c-grid needs finite values and step count, got {args.c_grid!r}")
     n_steps = int(math.floor(span + 1e-9)) + 1
+    if n_steps > MAX_C_GRID:
+        raise DomainError(f"--c-grid allows at most {MAX_C_GRID} values, got {args.c_grid!r}")
     grid = [start + i * step for i in range(n_steps)]
     result = estimators.diagnose_linearity(sample, args.omega, grid)
     resolved = {
@@ -285,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="draw a sample and write CSV")
     _add_model_flags(p_sim)
     p_sim.add_argument("--n", type=int, required=True, help="number of rows")
-    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_sim.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p_sim.add_argument("--out", help="output CSV path (default: stdout)")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -299,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", action="store_true", help="run the structural property suite"
     )
     p_kap.add_argument("--grid-size", type=int, default=200)
-    p_kap.add_argument("--grid-seed", type=int, default=0)
+    p_kap.add_argument("--grid-seed", type=_seed, default=0)
     p_kap.add_argument("--out")
     p_kap.set_defaults(func=_cmd_kappa)
 
@@ -324,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--y", type=float, required=True)
     p_prob.add_argument("--frac", type=float, default=0.10)
     p_prob.add_argument("--r", type=int, default=10_000, help="MC draws (ht)")
-    p_prob.add_argument("--seed", type=int, default=0, help="MC seed (ht, default 0)")
+    p_prob.add_argument("--seed", type=_seed, default=0, help="MC seed (ht, default 0)")
     p_prob.add_argument("--ht-quantile", type=float, default=0.90)
     p_prob.add_argument("--rank-transform", action="store_true")
     p_prob.add_argument("--out")

@@ -24,6 +24,12 @@ Samplers are exact constructions, not generic numerical inversions:
 Survivor formulas are evaluated in forms that avoid catastrophic
 cancellation, and in log space once exponents grow large.
 
+``CopulaModel`` checks every input once: ``sample(n, seed)`` checks n,
+seeds the generator and wraps the (n, dim) points of ``_draw(n, rng)``;
+``log_survivor`` and ``kappa`` check the corner or growth vector and pass
+its floats to ``_log_survivor`` or ``_kappa``. A family writes only these
+three, its parameters, ``ht_limit`` and, where it has one, ``lambda_deriv``.
+
 ``ht_limit()`` is the pair (a, b) that the conditional (``ht``) fit
 estimates as (alpha, beta): given Y_E = u large, (X_E - a*u) / u**b
 converges in law (Heffernan & Tawn, 2004). It is (rho**2, 1/2) for bvn
@@ -97,20 +103,35 @@ class CopulaModel(ABC):
     convex = True
     family = ""
 
-    @abstractmethod
     def sample(self, n, seed) -> ExponentialSample:
         """Draw n i.i.d. points with exact standard exponential margins."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
+        pts = self._draw(n, np.random.default_rng(seed))
+        return ExponentialSample(pts, provenance="simulated")
 
-    @abstractmethod
     def log_survivor(self, s) -> float:
         """log P(X_E > x, Y_E > y) at the corner ``s``."""
+        return self._log_survivor(*self._corner(s))
 
     def survivor(self, s) -> float:
         return math.exp(self.log_survivor(s))
 
-    @abstractmethod
     def kappa(self, growth) -> float:
         """Closed-form joint tail decay index for a growth vector."""
+        return self._kappa(*self._check_growth(growth))
+
+    @abstractmethod
+    def _draw(self, n, rng):
+        """(n, dim) array of exact standard exponential coordinates."""
+
+    @abstractmethod
+    def _log_survivor(self, *corner) -> float:
+        """log survivor at a checked corner of Python floats."""
+
+    @abstractmethod
+    def _kappa(self, *growth) -> float:
+        """Decay index at a checked growth vector of Python floats."""
 
     def lam(self, omega) -> float:
         """Angular dependence function, kappa restricted to the simplex."""
@@ -177,19 +198,15 @@ class BivariateNormal(CopulaModel):
         # negative dependence makes the angular function concave
         return self.rho >= 0.0
 
-    def sample(self, n, seed):
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
+    def _draw(self, n, rng):
         # scipy.special is imported here and in the other methods that use
         # it: it is slow to import, and reading and fitting a CSV never needs it
         from scipy.special import log_ndtr
 
-        rng = np.random.default_rng(seed)
         z1 = rng.standard_normal(n)
         z2 = self.rho * z1 + math.sqrt(1.0 - self.rho**2) * rng.standard_normal(n)
         # -log of the normal survivor function = exact exponential margin
-        pts = np.column_stack((-log_ndtr(-z1), -log_ndtr(-z2)))
-        return ExponentialSample(pts, provenance="simulated")
+        return np.column_stack((-log_ndtr(-z1), -log_ndtr(-z2)))
 
     def _joint_upper_normal(self, s, t):
         """(log P(Z1 > s, Z2 > t), quad error estimate) for standard
@@ -236,8 +253,7 @@ class BivariateNormal(CopulaModel):
             raise QuadratureError("bivariate normal quadrature did not converge", err)
         return log_phi_t + math.log(val), err
 
-    def log_survivor(self, s):
-        x, y = self._corner(s)
+    def _log_survivor(self, x, y):
         if max(x, y) > _EXP_GUARD:
             raise NumericError(
                 f"corner {x, y} exceeds the quadrature range of the normal model"
@@ -258,11 +274,10 @@ class BivariateNormal(CopulaModel):
         logp, _ = self._joint_upper_normal(sx, sy)
         return logp
 
-    def kappa(self, growth):
-        b, g = self._check_growth(growth)
+    def _kappa(self, b, g):
         if b + g == math.inf:
             # homogeneous of degree one: halve a growth whose sum overflows
-            return 2.0 * self.kappa((b / 2.0, g / 2.0))
+            return 2.0 * self._kappa(b / 2.0, g / 2.0)
         rho = self.rho
         if min(b, g) == 0.0:
             # exact marginal behaviour; for rho < 0 the interior form does
@@ -318,22 +333,17 @@ class InvertedLogistic(CopulaModel):
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("/alpha", f"alpha must lie in (0, 1], got {self.alpha}")
 
-    def sample(self, n, seed):
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        rng = np.random.default_rng(seed)
+    def _draw(self, n, rng):
         s = _positive_stable(self.alpha, n, rng)
         e1 = rng.standard_exponential(n)
         e2 = rng.standard_exponential(n)
         # reflecting the frailty-mixture uniforms gives (E/S)**alpha exactly
-        pts = np.column_stack(((e1 / s) ** self.alpha, (e2 / s) ** self.alpha))
-        return ExponentialSample(pts, provenance="simulated")
+        return np.column_stack(((e1 / s) ** self.alpha, (e2 / s) ** self.alpha))
 
-    def log_survivor(self, s):
-        x, y = self._corner(s)
-        return -self.kappa_unchecked(x, y)
+    def _log_survivor(self, x, y):
+        return -self._kappa(x, y)
 
-    def kappa_unchecked(self, b, g):
+    def _kappa(self, b, g):
         a = self.alpha
         if b == 0.0:
             return g
@@ -348,10 +358,6 @@ class InvertedLogistic(CopulaModel):
             except OverflowError:
                 return math.inf
         return (b ** (1.0 / a) + g ** (1.0 / a)) ** a
-
-    def kappa(self, growth):
-        b, g = self._check_growth(growth)
-        return self.kappa_unchecked(b, g)
 
     def lambda_deriv(self, omega):
         """Analytic derivative of the angular dependence function."""
@@ -387,10 +393,7 @@ class Morgenstern(CopulaModel):
     def pqd(self):
         return self.alpha >= 0.0
 
-    def sample(self, n, seed):
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        rng = np.random.default_rng(seed)
+    def _draw(self, n, rng):
         u = rng.random(n)
         p = rng.random(n)
         a = self.alpha * (1.0 - 2.0 * u)
@@ -404,11 +407,9 @@ class Morgenstern(CopulaModel):
             p,
             ((1.0 + a) - np.sqrt((1.0 + a) ** 2 - 4.0 * a * p)) / (2.0 * a_safe),
         )
-        pts = np.column_stack((-np.log1p(-u), -np.log1p(-v)))
-        return ExponentialSample(pts, provenance="simulated")
+        return np.column_stack((-np.log1p(-u), -np.log1p(-v)))
 
-    def log_survivor(self, s):
-        x, y = self._corner(s)
+    def _log_survivor(self, x, y):
         al = self.alpha
         if x + y > _EXP_GUARD:
             a = math.exp(-x) if x < _EXP_GUARD else 0.0
@@ -422,8 +423,7 @@ class Morgenstern(CopulaModel):
             raise NumericError(f"survivor underflow at corner {(x, y)}")
         return -(x + y) + math.log(c)
 
-    def kappa(self, growth):
-        b, g = self._check_growth(growth)
+    def _kappa(self, b, g):
         return b + g
 
     def lambda_deriv(self, omega):
@@ -451,10 +451,7 @@ class LogisticBEV(CopulaModel):
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("/alpha", f"alpha must lie in (0, 1], got {self.alpha}")
 
-    def sample(self, n, seed):
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        rng = np.random.default_rng(seed)
+    def _draw(self, n, rng):
         s = _positive_stable(self.alpha, n, rng)
         e1 = rng.standard_exponential(n)
         e2 = rng.standard_exponential(n)
@@ -462,13 +459,9 @@ class LogisticBEV(CopulaModel):
         w2 = (e2 / s) ** self.alpha
         # U = exp(-w) is the copula uniform; the exponential coordinate is
         # -log(1 - U), computed through expm1 for tail accuracy
-        pts = np.column_stack(
-            (-np.log(-np.expm1(-w1)), -np.log(-np.expm1(-w2)))
-        )
-        return ExponentialSample(pts, provenance="simulated")
+        return np.column_stack((-np.log(-np.expm1(-w1)), -np.log(-np.expm1(-w2))))
 
-    def log_survivor(self, s):
-        x, y = self._corner(s)
+    def _log_survivor(self, x, y):
         if x > y:
             x, y = y, x  # exchangeable; keep the first survivor the larger
         if x == 0.0:
@@ -512,8 +505,7 @@ class LogisticBEV(CopulaModel):
             raise NumericError(f"survivor underflow at corner {(x, y)}")
         return -y + math.log1p(-r)
 
-    def kappa(self, growth):
-        b, g = self._check_growth(growth)
+    def _kappa(self, b, g):
         return max(b, g)
 
     def ht_limit(self):
@@ -533,25 +525,18 @@ class ClaytonLowerTail(CopulaModel):
     family = "clayton"
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ConfigError("/alpha", f"alpha must be > 0, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError("/alpha", f"alpha must be finite and > 0, got {self.alpha}")
 
-    def sample(self, n, seed):
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        rng = np.random.default_rng(seed)
+    def _draw(self, n, rng):
         s = rng.gamma(self.alpha, 1.0, n)
         e1 = rng.standard_exponential(n)
         e2 = rng.standard_exponential(n)
         # gamma-frailty Clayton uniforms (1 + E/S)^{-alpha}; reflection
         # makes the exponential coordinate alpha*log1p(E/S) exactly
-        pts = np.column_stack(
-            (self.alpha * np.log1p(e1 / s), self.alpha * np.log1p(e2 / s))
-        )
-        return ExponentialSample(pts, provenance="simulated")
+        return np.column_stack((self.alpha * np.log1p(e1 / s), self.alpha * np.log1p(e2 / s)))
 
-    def log_survivor(self, s):
-        x, y = self._corner(s)
+    def _log_survivor(self, x, y):
         a = self.alpha
         top = max(x, y)
         m = top / a
@@ -562,8 +547,7 @@ class ClaytonLowerTail(CopulaModel):
         inner = math.exp(x / a - m) + math.exp(y / a - m) - math.exp(-m)
         return -a * (m + math.log(inner))
 
-    def kappa(self, growth):
-        b, g = self._check_growth(growth)
+    def _kappa(self, b, g):
         return max(b, g)
 
     def ht_limit(self):
@@ -586,10 +570,7 @@ class TrivariateMaxPareto(CopulaModel):
     # construction is not subadditive, so no convexity is claimed
     convex = False
 
-    def sample(self, n, seed):
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        rng = np.random.default_rng(seed)
+    def _draw(self, n, rng):
         t = 1.0 / (1.0 - rng.random(n))
         u = 1.0 / (1.0 - rng.random(n))
         v = 1.0 / (1.0 - rng.random(n))
@@ -598,7 +579,7 @@ class TrivariateMaxPareto(CopulaModel):
         for m in (np.maximum(t, u), np.maximum(u, v), np.maximum(v, w)):
             # 1 - G(m) = 2/m - 1/m^2, so -log(1-G) = log(m^2/(2m-1))
             cols.append(2.0 * np.log(m) - np.log(2.0 * m - 1.0))
-        return ExponentialSample(np.column_stack(cols), provenance="simulated")
+        return np.column_stack(cols)
 
     @staticmethod
     def _pareto_threshold(x):
@@ -608,7 +589,9 @@ class TrivariateMaxPareto(CopulaModel):
         return (1.0 + math.sqrt(1.0 - q)) / q
 
     def survivor(self, s):
-        c = self._corner(s)
+        return self._survivor(*self._corner(s))
+
+    def _survivor(self, *c):
         if max(c) > _EXP_GUARD:
             raise NumericError(f"corner {c} exceeds the exp range")
         tx, ty, tz = (self._pareto_threshold(v) for v in c)
@@ -669,14 +652,13 @@ class TrivariateMaxPareto(CopulaModel):
                 total += pu[iu] * pv[iv] * t_factor * w_factor
         return total
 
-    def log_survivor(self, s):
-        val = self.survivor(s)
+    def _log_survivor(self, x, y, z):
+        val = self._survivor(x, y, z)
         if val <= 0.0:
             raise NumericError("trivariate survivor underflow")
         return math.log(val)
 
-    def kappa(self, growth):
-        b, g, d = self._check_growth(growth)
+    def _kappa(self, b, g, d):
         if g >= b and g >= d:
             return g + min(b, g, d)
         return b + d

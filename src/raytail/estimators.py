@@ -81,8 +81,7 @@ _HT_BETA_HI = 1.0 - 1e-8
 # faults and one 99-ray fit 510-584 with the earlier blocks of 2^20 and 2^16
 # elements, and both take 0 at 2^14. Rows are independent, so the block
 # size changes no result.
-_HT_BLOCK_ELEMS = 1 << 14
-_RAY_BLOCK_ELEMS = 1 << 14
+_BLOCK_ELEMS = 1 << 14
 # a ray batch whose full structure matrix holds fewer elements skips the
 # candidate pruning of fit_lambda_rays
 _PRUNE_MIN_ELEMS = 1 << 15
@@ -294,7 +293,7 @@ def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
     if m == 0:
         return [InsufficientExceedancesError(0, _MIN_EXCEEDANCES)] * w.size
     fits = []
-    step = max(1, _RAY_BLOCK_ELEMS // x.size)
+    step = max(1, _BLOCK_ELEMS // x.size)
     for start in range(0, w.size, step):
         block = slice(start, start + step)
         t = _structure(x, y, w[block])
@@ -482,7 +481,7 @@ def _ht_profile(betas, x, y, logy, logy_stats):
     nll = np.full(betas.size, np.inf)
     alpha = np.full(betas.size, np.nan)
     feasible = np.flatnonzero(_ht_feasible(betas, logy_stats))
-    step = max(1, _HT_BLOCK_ELEMS // x.size)
+    step = max(1, _BLOCK_ELEMS // x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, feasible.size, step):
             rows = feasible[start:start + step]

@@ -95,6 +95,49 @@ def test_simulate_trivariate_header(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "x,y,z"
 
 
+def _usage_exit(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_simulate_rejects_a_seed_numpy_cannot_take(capsys, seed):
+    code, err = _usage_exit(
+        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "3", "--seed", seed], capsys
+    )
+    assert code == 2
+    assert "usage:" in err and "--seed" in err
+
+
+def test_kappa_suite_rejects_a_negative_grid_seed(capsys):
+    code, err = _usage_exit(
+        ["kappa", "--model", "invlog", "--alpha", "0.5", "--suite", "--grid-seed", "-1"],
+        capsys,
+    )
+    assert code == 2
+    assert "usage:" in err and "--grid-seed" in err and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("method", ["ht", "wt"])
+def test_estimate_prob_rejects_a_negative_seed(tmp_path, capsys, method):
+    sample_path = tmp_path / "s.csv"
+    run_cli(
+        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "2000",
+         "--seed", "2", "--out", str(sample_path)],
+        capsys,
+    )
+    code, err = _usage_exit(
+        ["estimate", "prob", "--method", method, "--input", str(sample_path),
+         "--x", "6.0", "--y", "9.0", "--seed", "-1"],
+        capsys,
+    )
+    assert code == 2
+    assert "usage:" in err and "--seed" in err and "must be >= 0" in err
+
+
 def test_kappa_value(capsys):
     code, stdout, _ = run_cli(
         ["kappa", "--model", "trivariate", "--growth", "1,2,1"], capsys
@@ -337,6 +380,24 @@ def test_diagnose_rejects_a_grid_that_is_not_finite(tmp_path, capsys, grid):
     )
     assert code == 2
     assert "finite" in err and repr(grid) in err
+
+
+def test_diagnose_caps_the_grid(tmp_path, capsys):
+    sample_path = tmp_path / "s.csv"
+    run_cli(
+        ["simulate", "--model", "invlog", "--alpha", "0.5", "--n", "500",
+         "--seed", "9", "--out", str(sample_path)],
+        capsys,
+    )
+    args = ["diagnose", "--input", str(sample_path), "--omega", "0.5", "--c-grid"]
+    code, stdout, err = run_cli(args + ["0:20000:1"], capsys)
+    assert (code, stdout) == (2, "")
+    assert f"at most {cli.MAX_C_GRID} values" in err and "'0:20000:1'" in err
+    # the largest grid allowed, with a step and stop exact in binary
+    step = 2.0**-14
+    code, stdout, _ = run_cli(args + [f"0:{(cli.MAX_C_GRID - 1) * step}:{step}"], capsys)
+    assert code == 0
+    assert len(json.loads(stdout)["config"]["c_grid"]) == cli.MAX_C_GRID
 
 
 def test_benchmark_end_to_end(tmp_path, capsys):

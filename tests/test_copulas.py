@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -38,6 +39,7 @@ def bivariate_models():
         ("morgenstern", {"alpha": -1.01}, r"\[-1, 1\]"),
         ("logistic", {"alpha": 2.0}, r"\(0, 1\]"),
         ("clayton", {"alpha": 0.0}, "> 0"),
+        ("clayton", {"alpha": math.inf}, "finite"),
     ],
 )
 def test_parameter_bounds_rejected(family, params, msg):
@@ -48,6 +50,72 @@ def test_parameter_bounds_rejected(family, params, msg):
 def test_unknown_family_rejected():
     with pytest.raises(DomainError, match="unknown family"):
         cp.make_model("gauss")
+
+
+# ---------------------------------------------------------------------------
+# the checks CopulaModel makes for every family
+# ---------------------------------------------------------------------------
+
+def family_model(family):
+    cls = cp.FAMILIES[family]
+    return cls(**{f.name: 0.5 for f in dataclasses.fields(cls)})
+
+
+def with_last(values, last):
+    """``values`` with its last entry replaced by ``last``, or made one
+    entry longer ("wider") or shorter ("narrower")."""
+    if last == "wider":
+        return (*values, values[-1])
+    if last == "narrower":
+        return tuple(values[:-1])
+    return (*values[:-1], last)
+
+
+@pytest.mark.parametrize("family", sorted(cp.FAMILIES))
+def test_a_family_writes_only_the_private_contract(family):
+    cls = cp.FAMILIES[family]
+    assert not {"sample", "log_survivor", "kappa"} & set(vars(cls))
+    assert {"_draw", "_log_survivor", "_kappa"} <= set(vars(cls))
+
+
+@pytest.mark.parametrize("family", sorted(cp.FAMILIES))
+@pytest.mark.parametrize("n", [0, -3, 2.5, True, "5"])
+def test_sample_rejects_a_size_that_is_not_a_positive_integer(family, n):
+    with pytest.raises(DomainError, match="sample size must be an integer >= 1"):
+        family_model(family).sample(n, 1)
+
+
+@pytest.mark.parametrize("family", sorted(cp.FAMILIES))
+def test_sample_takes_a_numpy_integer_size(family):
+    m = family_model(family)
+    s = m.sample(np.int64(7), 3)
+    assert s.provenance == "simulated" and s.points.shape == (7, m.dim)
+    assert np.array_equal(s.points, m.sample(7, 3).points)
+
+
+@pytest.mark.parametrize("family", sorted(cp.FAMILIES))
+@pytest.mark.parametrize(
+    "last", [-1.0, math.nan, math.inf, "wider", "narrower"],
+    ids=["negative", "nan", "inf", "wider", "narrower"],
+)
+def test_every_family_rejects_a_bad_corner(family, last):
+    m = family_model(family)
+    for method in (m.log_survivor, m.survivor):
+        with pytest.raises(DomainError, match="corner"):
+            method(with_last((1.0,) * m.dim, last))
+
+
+@pytest.mark.parametrize("family", sorted(cp.FAMILIES))
+@pytest.mark.parametrize(
+    "last,msg",
+    [(0.0, "identically zero"), (-1.0, "finite and >= 0"), (math.nan, "finite and >= 0"),
+     (math.inf, "finite and >= 0"), ("wider", "length"), ("narrower", "length")],
+    ids=["zero", "negative", "nan", "inf", "wider", "narrower"],
+)
+def test_every_family_rejects_a_bad_growth_vector(family, last, msg):
+    m = family_model(family)
+    with pytest.raises(DomainError, match=msg):
+        m.kappa(with_last((0.0,) * m.dim, last))
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,7 @@ def test_block_size_changes_no_result(monkeypatch, elems):
         )
 
     (nll, alpha), fits, fits_u, ht = run()
-    monkeypatch.setattr(est, "_HT_BLOCK_ELEMS", elems)
-    monkeypatch.setattr(est, "_RAY_BLOCK_ELEMS", elems)
+    monkeypatch.setattr(est, "_BLOCK_ELEMS", elems)
     (nll_b, alpha_b), fits_b, fits_u_b, ht_b = run()
     _same_bits(nll_b, nll)
     _same_bits(alpha_b, alpha)
