@@ -273,10 +273,8 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     if sorted(order) != list(range(config.reps)):
         raise DomainError("rep_order must be a permutation of range(reps)")
 
-    # truths first, and the optimizer fit_ht imports on first use: what they
-    # load before the pool forks, every worker inherits instead of importing
-    if "ht" in config.methods:
-        import scipy.optimize  # noqa: F401
+    # truths first: what they import before the pool forks, every worker
+    # inherits instead of importing
     targets = config.targets()
     log_truths = [config.model.log_survivor(t) for t in targets]
     for t, lp in zip(targets, log_truths):

@@ -40,6 +40,7 @@ with rho > 0, (0, 1 - alpha) for invlog, (0, 0) for morgenstern and
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -55,6 +56,15 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EXP_GUARD = 700.0  # beyond this, plain exp/exp-inverse arithmetic degenerates
 _TINY = sys.float_info.min  # the least positive normal float
 _LOG_2 = math.log(2.0)
+_EPS = sys.float_info.epsilon
+# the bvn quadrature, _log_quad: a 10-point Gauss-Legendre rule checked
+# against the 21-point one, the relative accuracy and interval limit that
+# scipy's quad was given, and the initial partition's steps away from the
+# breakpoint, in units of 1/|t|
+_GAUSS_LO = 10
+_QUAD_RTOL = 1e-11
+_QUAD_LIMIT = 300
+_QUAD_STEPS = 2.0 ** np.arange(12)
 
 
 def _corners(targets, dim):
@@ -71,6 +81,17 @@ def _corners(targets, dim):
     if not ok.all():
         raise DomainError(f"corner coordinates must be finite and >= 0: {c[~ok][0].tolist()}")
     return c
+
+
+def _rng(seed):
+    """np.random.default_rng(seed), and a seed it rejects (a negative
+    integer, a float, a string) as a DomainError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"seed must be an integer >= 0 or a sequence of them, got {seed!r}"
+        ) from exc
 
 
 def _neg_log1mexp(v):
@@ -91,6 +112,61 @@ def _positive_stable(alpha, n, rng):
     ) ** ((1.0 - alpha) / alpha)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_pair():
+    # nodes of the 10- and 21-point Gauss-Legendre rules on [-1, 1], side by
+    # side, and the weights of each; built on first use, since the CLI's
+    # wt/lt path never loads numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    (x1, w1), (x2, w2) = leggauss(_GAUSS_LO), leggauss(2 * _GAUSS_LO + 1)
+    return np.concatenate((x1, x2)), w1, w2
+
+
+def _log_quad(log_f, edges):
+    """log of the integral of exp(log_f(z)) over [edges[0], edges[-1]].
+
+    Globally adaptive over the intervals between ``edges``: each pass
+    evaluates the log integrand at the nodes of a 10- and a 21-point
+    Gauss-Legendre rule on every open interval at once, shifts by the largest
+    value before exp, so nothing underflows that matters, and accepts an
+    interval whose two rules agree to _QUAD_RTOL of the whole integral.
+    Only the others are bisected. The allowance grows with |shift|: exp of
+    a log integrand rounded to about |log_f| eps carries that relative
+    error, which no subdivision removes. ``log_f`` maps an (intervals,
+    nodes) array elementwise.
+    """
+    nodes, w_lo, w_hi = _gauss_pair()
+    a, b = edges[:-1], edges[1:]
+    acc, shift, count = 0.0, -math.inf, a.size
+    while True:
+        half = 0.5 * (b - a)
+        mid = a + half
+        g = log_f(mid[:, None] + half[:, None] * nodes)
+        top = float(g.max())
+        if not math.isfinite(top):
+            raise QuadratureError("bivariate normal quadrature degenerated", math.nan)
+        if top > shift:
+            acc *= math.exp(shift - top)  # rescale what was accepted
+            shift = top
+        f = np.exp(g - shift)
+        lo = f[:, :_GAUSS_LO] @ w_lo * half
+        hi = f[:, _GAUSS_LO:] @ w_hi * half
+        err = np.abs(hi - lo)
+        total = acc + float(hi.sum())
+        ok = err <= (_QUAD_RTOL + 16.0 * _EPS * abs(shift)) * total
+        acc += float(hi[ok].sum())
+        if ok.all():
+            return shift + math.log(acc)
+        bad = ~ok
+        count += int(np.count_nonzero(bad))
+        if count > _QUAD_LIMIT:
+            raise QuadratureError(
+                "bivariate normal quadrature did not converge", float(err.max()) / total
+            )
+        a, b = np.concatenate((a[bad], mid[bad])), np.concatenate((mid[bad], b[bad]))
+
+
 class CopulaModel(ABC):
     """Common interface of the example dependence structures."""
 
@@ -107,7 +183,7 @@ class CopulaModel(ABC):
         """Draw n i.i.d. points with exact standard exponential margins."""
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
-        pts = self._draw(n, np.random.default_rng(seed))
+        pts = self._draw(n, _rng(seed))
         return ExponentialSample(pts, provenance="simulated")
 
     def log_survivor(self, s) -> float:
@@ -176,10 +252,12 @@ class CopulaModel(ABC):
 class BivariateNormal(CopulaModel):
     """Gaussian copula with correlation rho in (-1, 1).
 
-    The joint survivor has no elementary form; it is computed by adaptive
-    1-d quadrature of the conditional-normal integral, with the density of
-    the integration variable factored out so that tiny probabilities retain
-    relative accuracy.
+    The joint survivor has no elementary form; it is a 1-d integral of the
+    conditional-normal survivor, computed in logs by ``_log_quad``: a
+    Gauss-Legendre pair, adaptive over intervals, on numpy and
+    scipy.special alone. The density of the integration variable is
+    factored out and the integrand shifted by its largest value, so tiny
+    probabilities retain relative accuracy and far corners do not underflow.
     """
 
     rho: float
@@ -209,49 +287,25 @@ class BivariateNormal(CopulaModel):
         return np.column_stack((-log_ndtr(-z1), -log_ndtr(-z2)))
 
     def _joint_upper_normal(self, s, t):
-        """(log P(Z1 > s, Z2 > t), quad error estimate) for standard
-        bivariate normal Z with correlation rho."""
-        # imported here: only this quadrature needs scipy.integrate
-        from scipy.integrate import quad
+        """log P(Z1 > s, Z2 > t) for standard bivariate normal Z with
+        correlation rho: log phi(t) plus the log of the integral over z in
+        [0, 40] of exp(g(z)), g(z) = log Phi((rho (t + z) - s) / sig)
+        - t z - z^2 / 2, with t the larger threshold (see ``_log_quad``)."""
+        from scipy.special import log_ndtr
 
         rho = self.rho
         sig = math.sqrt(1.0 - rho * rho)
         if t < s:
             s, t = t, s  # exchangeable; integrate over the larger threshold
-        log_phi_t = -0.5 * t * t - _LOG_SQRT_2PI
-
-        def integrand(z):
-            y = t + z
-            return 0.5 * math.erfc((s - rho * y) / (sig * math.sqrt(2.0))) * math.exp(
-                -t * z - 0.5 * z * z
-            )
-
-        val, err = quad(
-            integrand,
-            0.0,
-            40.0,
-            epsabs=1e-13,
-            epsrel=1e-11,
-            limit=300,
-            points=[max(0.0, -t)],
+        # integrand and breakpoint as quad took them; the partition is graded
+        # away from the breakpoint on the scale 1/|t| of exp(-t z)
+        c = max(0.0, -t)
+        steps = _QUAD_STEPS / max(1.0, abs(t))
+        edges = np.unique(np.concatenate(([0.0, c, 40.0], c + steps, c - steps)).clip(0.0, 40.0))
+        log_integral = _log_quad(
+            lambda z: log_ndtr((rho * (t + z) - s) / sig) - z * (t + 0.5 * z), edges
         )
-        if 0.0 < val < 1e-10:
-            # the absolute floor dominated; rerun with the floor scaled to
-            # the magnitude just found so the result is relatively accurate
-            val, err = quad(
-                integrand,
-                0.0,
-                40.0,
-                epsabs=val * 1e-11,
-                epsrel=1e-11,
-                limit=300,
-                points=[max(0.0, -t)],
-            )
-        if val <= 0.0 or not math.isfinite(val):
-            raise QuadratureError("bivariate normal quadrature degenerated", err)
-        if err > max(1e-12, 1e-7 * val):
-            raise QuadratureError("bivariate normal quadrature did not converge", err)
-        return log_phi_t + math.log(val), err
+        return -0.5 * t * t - _LOG_SQRT_2PI + log_integral
 
     def _log_survivor(self, x, y):
         if max(x, y) > _EXP_GUARD:
@@ -269,10 +323,8 @@ class BivariateNormal(CopulaModel):
             return -max(x, y)
         from scipy.special import ndtri
 
-        sx = -ndtri(ux)  # normal upper quantile of the margin
-        sy = -ndtri(uy)
-        logp, _ = self._joint_upper_normal(sx, sy)
-        return logp
+        # the normal upper quantiles of the margins
+        return self._joint_upper_normal(-float(ndtri(ux)), -float(ndtri(uy)))
 
     def _kappa(self, b, g):
         if b + g == math.inf:

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copulas import _corners
+from .copulas import _corners, _rng
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -492,6 +492,80 @@ def _ht_profile(betas, x, y, logy, logy_stats):
     return nll, alpha
 
 
+def _fminbound(f, a, b, xatol, maxfun=500):
+    """Minimise f on [a, b] by Brent's bounded search: golden-section steps,
+    parabolic steps where the last three points allow one, and no point
+    nearer than tol1 to the last (Brent 1973, ch. 5; the ``fmin`` of
+    Forsythe, Malcolm & Moler 1977). Returns (x, f(x), converged, number of
+    evaluations); converged is False when maxfun evaluations are spent first
+    or x or f turns NaN.
+
+    Step for step scipy.optimize.minimize_scalar(method="bounded") with
+    maxiter=maxfun, on Python floats: the same points in the same order,
+    so the same result bit for bit.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf is the best point so far, nfc the second best, fulc the previous nfc
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = f(xf)
+    fu = math.inf
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        # a step of at least tol1 (rat is finite: f's NaN never reaches it)
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            return xf, fx, False, num
+    return xf, fx, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu)), num
+
+
 def fit_ht(sample, quantile=0.90) -> HTFit:
     """Fit the conditional-tail model X_E | Y_E = y ~ Normal(alpha*y +
     mu*y**beta, (sigma*y**beta)**2) above the conditioning threshold.
@@ -500,12 +574,12 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     sigma are profiled out of the likelihood, and alpha in closed form for
     each beta, leaving a 1-D profile in beta. It is evaluated on a
     121-point grid ending at 1 - 1e-8, which widens downward while its
-    minimum sits on the lower edge, then refined by bounded Brent search
-    on the bracket around the best grid point. The grid and each Brent
-    evaluation run the one profile kernel ``_ht_block``, a block of rows or
-    a single row, inside one np.errstate held for the whole profile. Raises
-    OptimizerError when the likelihood is nowhere finite on the grid, the
-    refinement fails, or the residual scale is degenerate.
+    minimum sits on the lower edge, then refined by a bounded Brent search,
+    ``_fminbound``, on the bracket around the best grid point. The grid and
+    each Brent evaluation run the one profile kernel ``_ht_block``, a block
+    of rows or a single row, inside one np.errstate held for the whole
+    profile. Raises OptimizerError when the likelihood is nowhere finite on
+    the grid, the refinement fails, or the residual scale is degenerate.
     """
     _require_bivariate(sample)
     if not 0.0 < quantile < 1.0:
@@ -545,20 +619,15 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
             lo, hi = lo - 2.0 * (hi - lo), betas[1]
         if not np.isfinite(nll[i]):
             raise OptimizerError("conditional-tail likelihood never finite", None)
-        # imported here: the CLI's wt/lt paths never fit ht and skip its
-        # load time
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
+        beta, _, converged, _ = _fminbound(
             lambda b: one(b)[0],
-            bounds=(betas[max(i - 1, 0)], betas[min(i + 1, betas.size - 1)]),
-            method="bounded",
-            options={"xatol": 1e-10},
+            float(betas[max(i - 1, 0)]),
+            float(betas[min(i + 1, betas.size - 1)]),
+            1e-10,
         )
-        if not res.success:
+        if not converged:
             best = (float(alphas[i]), float(betas[i]))
             raise OptimizerError("conditional-tail fit did not converge", best)
-        beta = float(res.x)
         fbest, alpha = one(beta)
     alpha = float(alpha)
     z = (x - alpha * y) / np.exp(beta * logy)
@@ -578,15 +647,16 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     )
 
 
-def _ht_estimates(fit: HTFit, corners, r, seed) -> list:
+def _ht_estimates(fit: HTFit, corners, r, seed, rng=None) -> list:
     """Estimates of P(X_E > x0, Y_E > y0) at corners with y0 >= fit.u_y (an
     ExtrapolationError below it): the exact survivor P(Y_E > y0) times the
     share of r draws Y* = y0 + E (memorylessness) and resampled residuals z
     with X* > x0. E and then the residual indices are drawn once from
-    default_rng(seed), shared by every corner (common random numbers).
-    Corners run in y0 order, so each distinct y0 builds X* once.
+    default_rng(seed), or from ``rng`` where the caller built that generator
+    already, shared by every corner (common random numbers). Corners run in
+    y0 order, so each distinct y0 builds X* once.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed) if rng is None else rng
     e = rng.standard_exponential(r)
     z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
     out, last = [None] * len(corners), None
@@ -625,11 +695,12 @@ def ht_probabilities(sample, targets, quantile=0.90, r=10_000, seed=0) -> list:
     corners = _corners(targets, 2).tolist()
     if r < 1:
         raise DomainError(f"draw count must be >= 1, got {r}")
+    rng = _rng(seed)  # a bad seed fails before the fit
     try:
         fit = fit_ht(sample, quantile=quantile)
     except RaytailError as exc:
         return [exc] * len(corners)
-    return _ht_estimates(fit, corners, r, seed)
+    return _ht_estimates(fit, corners, r, seed, rng)
 
 
 def ht_probability(sample, target, quantile=0.90, r=10_000, seed=0) -> ProbEstimate:

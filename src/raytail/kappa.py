@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import CopulaModel
+from .copulas import CopulaModel, _rng
 from .errors import DomainError, NonDifferentiableError, NumericError
 
 #: relative disagreement of one-sided slopes beyond which a ray is
@@ -198,7 +198,7 @@ def property_suite(
     """
     if grid_size < 100:
         raise DomainError(f"grid must have at least 100 points, got {grid_size}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     grid = _growth_grid(rng, grid_size, kfun.dim)
     kvals = np.array([kfun(g) for g in grid])
     checks = []
@@ -259,7 +259,7 @@ def property_suite(
 def convexity_check(kfun: KappaFunction, grid_size=200, seed=0, tol=1e-9):
     """Sample subadditivity kappa(a+b) <= kappa(a) + kappa(b) over random
     pairs; returns (violation_count, worst_magnitude, worst_pair)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     a = _growth_grid(rng, grid_size, kfun.dim)
     b = _growth_grid(rng, grid_size, kfun.dim)
     count = 0

@@ -540,7 +540,7 @@ def test_estimate_numeric_failure_exit_code(tmp_path, capsys):
 
 
 def test_cli_import_leaves_optimize_and_integrate_unloaded():
-    # only ht fits and the bvn model need them; they are imported where used
+    # only the bvn model needs scipy.special, and imports it where used
     src = os.path.dirname(os.path.dirname(raytail.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -550,3 +550,39 @@ def test_cli_import_leaves_optimize_and_integrate_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_study_and_ht_estimate_leave_optimize_and_integrate_unloaded(tmp_path, capsys):
+    # the ht refinement and the bvn truth run on numpy and scipy.special
+    # alone; each run is a fresh interpreter, so nothing loaded here counts
+    src = os.path.dirname(os.path.dirname(raytail.__file__))
+    env = dict(os.environ, RAYTAIL_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    path = tmp_path / "s.csv"
+    code, _, _ = run_cli(
+        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "3000", "--out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    loaded = "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    study = (
+        "import sys\n"
+        "from raytail import bench, copulas\n"
+        "cfg = bench.BenchmarkConfig(copulas.BivariateNormal(0.5), reps=2, m=2000,"
+        " methods=('wt', 'lt', 'ht'))\n"
+        "report = bench.run_benchmark(cfg)\n"
+        "assert all(n == 0 for n in report.n_failures.values()), report.n_failures\n"
+    )
+    estimate = (
+        "import sys\n"
+        "from raytail import cli\n"
+        f"code = cli.main(['estimate', 'prob', '--method', 'ht', '--input', {str(path)!r},"
+        " '--x', '3', '--y', '7'])\n"
+        "assert code == 0, code\n"
+    )
+    for code in (study, estimate):
+        out = subprocess.run(
+            [sys.executable, "-c", code + loaded],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]", out.stdout

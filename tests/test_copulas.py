@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import kstest
 
 from raytail import copulas as cp
-from raytail.errors import DomainError, RaytailError
+from raytail.errors import DomainError, QuadratureError, RaytailError
 
 ETA_075_ALPHA = -math.log(0.75) / math.log(2.0)  # diagonal decay 0.75
 
@@ -83,6 +83,23 @@ def test_a_family_writes_only_the_private_contract(family):
 def test_sample_rejects_a_size_that_is_not_a_positive_integer(family, n):
     with pytest.raises(DomainError, match="sample size must be an integer >= 1"):
         family_model(family).sample(n, 1)
+
+
+@pytest.mark.parametrize("family", sorted(cp.FAMILIES))
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", [3, -1]], ids=["negative", "float", "str", "seq"])
+def test_sample_rejects_a_seed_that_numpy_rejects(family, seed):
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        family_model(family).sample(5, seed)
+
+
+@pytest.mark.parametrize("family", sorted(cp.FAMILIES))
+def test_sample_draws_from_the_generator_of_its_seed(family):
+    # an integer or a tuple seed, as the study passes (seed, 7919), seeds
+    # numpy's default generator itself
+    m = family_model(family)
+    for seed in (0, 11, (11, 7919), np.uint32(5)):
+        want = m._draw(9, np.random.default_rng(seed))
+        assert np.array_equal(m.sample(9, seed).points, want)
 
 
 @pytest.mark.parametrize("family", sorted(cp.FAMILIES))
@@ -308,6 +325,86 @@ def test_bvn_quadrature_against_high_precision_reference():
     for rho, x, y, ref in BVN_REFERENCE:
         got = cp.BivariateNormal(rho).survivor((x, y))
         assert math.isclose(got, ref, rel_tol=1e-10), (rho, x, y, got, ref)
+
+
+# frozen mpmath references (40 digits, printed to 20) at corners where the
+# log survivor is far below exp's range: log phi(t) plus the log of the
+# integral over z in [0, 45] of exp(-t z - z^2/2) ncdf((rho (t + z) - s) /
+# sqrt(1 - rho^2)), with (s, t) the normal upper quantiles of the margins
+# solved in mpmath and the integrand scaled by its value at the breakpoint
+# max(0, -t). scipy's quad found no value at the rho < 0 corners; (0.5, *,
+# 600) are the corners of the CI benchmark with y_corner 600 at w = 0.5 and
+# w = 0.05.
+BVN_FAR_REFERENCE = [
+    (-0.9, 1.0, 300.0, -1607.1268612380362128),
+    (-0.9, 300.0, 300.0, -5929.7523658008945013),
+    (-0.9, 1.0, 699.0, -3726.4181661794049703),
+    (-0.9, 699.0, 699.0, -13902.093082831207678),
+    (-0.9, 13.8, 100.0, -889.57454845548818614),
+    (-0.5, 300.0, 600.0, -1758.1128703349174706),
+    (-0.3, 600.0, 600.0, -1711.1274859859398065),
+    (0.5, 600.0, 600.0, -802.02136558104255414),
+    (0.5, 31.578947368421055, 600.0, -600.0),
+]
+
+
+@pytest.mark.parametrize("rho, x, y, ref", BVN_FAR_REFERENCE)
+def test_bvn_far_tail_log_survivor_against_high_precision_reference(rho, x, y, ref):
+    # RuntimeWarnings are errors here: nothing may over- or underflow loudly
+    model = cp.BivariateNormal(rho)
+    for corner in ((x, y), (y, x)):
+        got = model.log_survivor(corner)
+        assert math.isclose(got, ref, rel_tol=1e-12), (rho, corner, got, ref)
+
+
+def test_log_quad_closed_forms_and_failures():
+    edges = np.array([0.0, 0.5, 3.0])
+    # the integral of e^(c - z) over [0, 3] is e^c (1 - e^-3), at any shift c
+    for c in (0.0, -1000.0, 700.0):
+        got = cp._log_quad(lambda z: c - z, edges)
+        assert math.isclose(got, c + math.log(-math.expm1(-3.0)), rel_tol=1e-15, abs_tol=1e-15)
+    with pytest.raises(QuadratureError, match="degenerated"):
+        cp._log_quad(lambda z: np.full(z.shape, np.nan), edges)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        cp._log_quad(lambda z: np.log(2.0 + np.sin(1e5 * z)), edges)
+
+
+def _quad_log_survivor(rho, x, y):
+    # the earlier scipy.integrate.quad form of the bvn survivor; None where it
+    # found no value
+    from scipy.integrate import quad
+    from scipy.special import ndtri
+
+    sig = math.sqrt(1.0 - rho * rho)
+    s, t = sorted((-float(ndtri(math.exp(-x))), -float(ndtri(math.exp(-y)))))
+
+    def integrand(z):
+        return 0.5 * math.erfc((s - rho * (t + z)) / (sig * math.sqrt(2.0))) * math.exp(
+            -t * z - 0.5 * z * z
+        )
+
+    opts = {"epsrel": 1e-11, "limit": 300, "points": [max(0.0, -t)]}
+    val, err = quad(integrand, 0.0, 40.0, epsabs=1e-13, **opts)
+    if 0.0 < val < 1e-10:
+        val, err = quad(integrand, 0.0, 40.0, epsabs=val * 1e-11, **opts)
+    if not (0.0 < val < math.inf and err <= max(1e-12, 1e-7 * val)):
+        return None
+    return -0.5 * t * t - 0.5 * math.log(2.0 * math.pi) + math.log(val)
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.3, 0.1, 0.5, 0.9, 0.99])
+def test_bvn_log_survivor_agrees_with_scipy_quad(rho):
+    model = cp.BivariateNormal(rho)
+    grid = [0.05, 0.5, 1.0, 3.0, 6.0, 12.8, 30.0, 100.0, 300.0, 699.0]
+    compared = 0
+    for x, y in itertools.combinations_with_replacement(grid, 2):
+        want = _quad_log_survivor(rho, x, y)
+        if want is None:
+            continue
+        got = model.log_survivor((x, y))
+        assert math.isclose(got, want, rel_tol=1e-12), (rho, x, y, got, want)
+        compared += 1
+    assert compared >= 30
 
 
 def test_bvn_quadrature_matches_monte_carlo():

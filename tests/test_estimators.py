@@ -836,8 +836,6 @@ def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
     # bounded Brent evaluates in the bracket around the grid minimum: there
     # the residual variance is exactly 0 and the kernel's nll is -inf, which
     # the refinement must read as +inf, as the grid does
-    import scipy.optimize
-
     rng = np.random.default_rng(3)
     y = rng.standard_exponential(1000)
     mask = y > est._quantile(y, 0.9)
@@ -851,17 +849,129 @@ def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
         (raw,), _ = est._ht_block(np.array([[b0]]), x[mask], y[mask], logy, logy.sum())
     assert raw == -np.inf
 
-    seen, brent = [], scipy.optimize.minimize_scalar
+    seen, brent = [], est._fminbound
 
-    def spy(fun, **kwargs):
-        assert kwargs["bounds"] == (lo, hi)
-        return brent(lambda b: seen.append((b, fun(b))) or seen[-1][1], **kwargs)
+    def spy(fun, a, b, xatol):
+        assert (a, b) == (lo, hi)
+        return brent(lambda v: seen.append((v, fun(v))) or seen[-1][1], a, b, xatol)
 
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
+    monkeypatch.setattr(est, "_fminbound", spy)
     with pytest.raises(OptimizerError, match="degenerate"):
         est.fit_ht(make_sample(np.column_stack((x, y))))
     assert seen[0] == (b0, np.inf)
     assert all(math.isfinite(v) or v == np.inf for _, v in seen)
+
+
+def _scipy_bounded(f, a, b, xatol, maxfun=500):
+    from scipy.optimize import minimize_scalar
+
+    # scipy computes on numpy scalars, which warn on inf - inf
+    with np.errstate(invalid="ignore"):
+        res = minimize_scalar(
+            f, bounds=(a, b), method="bounded", options={"xatol": xatol, "maxiter": maxfun}
+        )
+    return float(res.x), float(res.fun), bool(res.success), int(res.nfev)
+
+
+def _same_search(f, a, b, xatol, maxfun=500):
+    got = est._fminbound(f, a, b, xatol, maxfun)
+    want = _scipy_bounded(f, a, b, xatol, maxfun)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w or (g != g and w != w), (got, want)
+        assert type(g) is type(w)
+    return got
+
+
+@pytest.mark.parametrize(
+    "model",
+    [cp.BivariateNormal(0.5), cp.BivariateNormal(-0.3), cp.InvertedLogistic(0.415),
+     cp.LogisticBEV(0.5), cp.ClaytonLowerTail(2.0)],
+    ids=["bvn0.5", "bvn-0.3", "invlog0.415", "logistic0.5", "clayton2"],
+)
+def test_fminbound_equals_scipy_bounded_on_the_ht_profile(model):
+    # the bracket and profile that fit_ht refines, evaluated as its grid does
+    for seed in range(6):
+        s = model.sample(2000, seed)
+        mask = s.y > est._quantile(s.y, 0.9)
+        x, y = s.x[mask], s.y[mask]
+        logy = np.log(y)
+        stats = (np.max(logy), np.min(logy), np.sum(logy))
+        betas = np.linspace(est._HT_BETA_LO, est._HT_BETA_HI, est._HT_GRID_POINTS)
+        nll, _ = est._ht_profile(betas, x, y, logy, stats)
+        i = int(np.argmin(nll))
+        a, b = float(betas[max(i - 1, 0)]), float(betas[min(i + 1, betas.size - 1)])
+        x_min, _, ok, _ = _same_search(
+            lambda v: float(est._ht_profile(np.array([v]), x, y, logy, stats)[0][0]),
+            a, b, 1e-10,
+        )
+        assert ok and a <= x_min <= b
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda v: 1.0, -2.0, 3.0),  # flat
+        (lambda v: math.inf if v < 0.3 else (v - 0.5) ** 2, 0.0, 1.0),  # inf on the left
+        (lambda v: (v + 0.2) ** 2 if v < 0.1 else math.inf, -1.0, 1.0),  # inf on the right
+        (lambda v: math.inf if 0.2 < v < 0.6 else abs(v - 0.7), 0.0, 1.0),  # inf inside
+        (lambda v: v, 0.0, 1.0),  # minimum at the lower bound
+        (lambda v: -math.exp(v), -3.0, 2.0),  # minimum at the upper bound
+        (lambda v: math.cos(7.0 * v) + 0.1 * v, -2.0, 2.0),  # several local minima
+        (lambda v: (v - 1e-3) ** 4, -1.0, 1.0),  # flat bottom
+    ],
+    ids=["flat", "inf-left", "inf-right", "inf-inside", "at-lower", "at-upper",
+         "multimodal", "quartic"],
+)
+@pytest.mark.parametrize("xatol", [1e-10, 1e-5])
+def test_fminbound_equals_scipy_bounded(f, a, b, xatol):
+    _, _, ok, nfev = _same_search(f, a, b, xatol)
+    assert ok and nfev < 500
+
+
+def test_fminbound_reports_the_evaluation_cap_and_nan():
+    # a cusp defeats the parabolic steps, so the search runs long
+    for maxfun in (2, 5, 12, 20):
+        _, _, ok, nfev = _same_search(
+            lambda v: math.sqrt(abs(v - 0.3)), 0.0, 1.0, 1e-10, maxfun
+        )
+        assert not ok and nfev == maxfun
+    # a NaN at the best or the last point fails the search; one elsewhere is
+    # just never chosen
+    _, _, ok, _ = _same_search(lambda v: math.nan, 0.0, 1.0, 1e-8)
+    assert not ok
+    _, _, ok, _ = _same_search(lambda v: math.nan if v > 0.5 else -v, 0.0, 1.0, 1e-8)
+    assert ok
+
+
+def test_fit_ht_raises_optimizer_error_at_the_evaluation_cap(monkeypatch):
+    # a refinement that stops at the cap leaves the grid's best point
+    s = cp.BivariateNormal(0.5).sample(2000, 5)
+    brent = est._fminbound
+    monkeypatch.setattr(est, "_fminbound", lambda f, a, b, xatol: brent(f, a, b, xatol, 4))
+    with pytest.raises(OptimizerError, match="did not converge"):
+        est.fit_ht(s)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", (3, -1)], ids=["negative", "float", "str", "seq"])
+def test_ht_rejects_a_seed_that_numpy_rejects(seed):
+    s = cp.BivariateNormal(0.5).sample(2000, 4)
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        est.ht_probability(s, (3.0, 7.0), seed=seed)
+    # checked before the fit: a sample too small to fit still rejects it
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        est.ht_probabilities(make_sample(s.points[:20]), [(3.0, 7.0)], seed=seed)
+
+
+def test_ht_tuple_seed_draws_from_its_generator():
+    # the study's (seed, 7919): the same draws as _ht_estimates seeded alike
+    s = cp.BivariateNormal(0.5).sample(2000, 4)
+    targets = [(3.0, 7.0), (1.0, 9.0)]
+    fit = est.fit_ht(s)
+    got = est.ht_probabilities(s, targets, seed=(4, 7919))
+    want = est._ht_estimates(fit, targets, 10_000, (4, 7919))
+    assert [p.log_value for p in got] == [p.log_value for p in want]
+    assert got[0].meta["seed"] == (4, 7919)
 
 
 def test_ht_probability_deterministic_and_seed_sensitive():

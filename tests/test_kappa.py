@@ -233,6 +233,15 @@ def test_angular_bounds_on_grid_for_pqd_families():
             assert max(w, 1.0 - w) - 1e-12 <= lam <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "7"], ids=["negative", "float", "str"])
+def test_grid_seeds_that_numpy_rejects_are_domain_errors(seed):
+    k = kf(cp.InvertedLogistic(0.5))
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        kp.property_suite(k, pqd=True, seed=seed)
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        kp.convexity_check(k, seed=seed)
+
+
 def test_convexity_check_results():
     count, worst, _ = kp.convexity_check(kf(cp.InvertedLogistic(0.5)), seed=3)
     assert count == 0
