@@ -276,7 +276,7 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     # truths first: what they import before the pool forks, every worker
     # inherits instead of importing
     targets = config.targets()
-    log_truths = [config.model.log_survivor(t) for t in targets]
+    log_truths = config.model.log_survivors(targets).tolist()
     for t, lp in zip(targets, log_truths):
         if not -math.inf < lp <= 0.0:
             raise NumericError(

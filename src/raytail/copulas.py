@@ -29,6 +29,9 @@ seeds the generator and wraps the (n, dim) points of ``_draw(n, rng)``;
 ``log_survivor`` and ``kappa`` check the corner or growth vector and pass
 its floats to ``_log_survivor`` or ``_kappa``. A family writes only these
 three, its parameters, ``ht_limit`` and, where it has one, ``lambda_deriv``.
+``log_survivors`` checks an array of corners for ``_log_survivors``, which
+calls ``_log_survivor`` on each unless the family shares work across
+corners, as bvn does.
 
 ``ht_limit()`` is the pair (a, b) that the conditional (``ht``) fit
 estimates as (alpha, beta): given Y_E = u large, (X_E - a*u) / u**b
@@ -49,6 +52,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._normal import log_ndtr, ndtri
 from .errors import ConfigError, DomainError, NumericError, QuadratureError
 from .margins import ExponentialSample
 
@@ -58,8 +62,8 @@ _TINY = sys.float_info.min  # the least positive normal float
 _LOG_2 = math.log(2.0)
 _EPS = sys.float_info.epsilon
 # the bvn quadrature, _log_quad: a 10-point Gauss-Legendre rule checked
-# against the 21-point one, the relative accuracy and interval limit that
-# scipy's quad was given, and the initial partition's steps away from the
+# against the 21-point one, the relative accuracy and interval limit of the
+# earlier quad form, and the initial partition's steps away from the
 # breakpoint, in units of 1/|t|
 _GAUSS_LO = 10
 _QUAD_RTOL = 1e-11
@@ -124,47 +128,57 @@ def _gauss_pair():
 
 
 def _log_quad(log_f, edges):
-    """log of the integral of exp(log_f(z)) over [edges[0], edges[-1]].
+    """Logs of the integrals of exp(log_f(z)) over [edges[k, 0], edges[k, -1]],
+    one for each row k of the row-sorted (integrals, points) array ``edges``.
 
-    Globally adaptive over the intervals between ``edges``: each pass
-    evaluates the log integrand at the nodes of a 10- and a 21-point
-    Gauss-Legendre rule on every open interval at once, shifts by the largest
-    value before exp, so nothing underflows that matters, and accepts an
-    interval whose two rules agree to _QUAD_RTOL of the whole integral.
-    Only the others are bisected. The allowance grows with |shift|: exp of
-    a log integrand rounded to about |log_f| eps carries that relative
-    error, which no subdivision removes. ``log_f`` maps an (intervals,
-    nodes) array elementwise.
+    Globally adaptive over the intervals between each row's distinct edges:
+    each pass evaluates the log integrand at the nodes of a 10- and a
+    21-point Gauss-Legendre rule on every open interval of every integral at
+    once, shifts each integral by its largest value before exp, so nothing
+    underflows that matters, and accepts an interval whose two rules agree
+    to _QUAD_RTOL of its whole integral. Only the others are bisected. The
+    allowance grows with |shift|: exp of a log integrand rounded to about
+    |log_f| eps carries that relative error, which no subdivision removes.
+    ``log_f(z, k)`` maps an (intervals, nodes) array elementwise, given the
+    row ``k`` of each interval.
     """
     nodes, w_lo, w_hi = _gauss_pair()
-    a, b = edges[:-1], edges[1:]
-    acc, shift, count = 0.0, -math.inf, a.size
+    n = edges.shape[0]
+    is_open = edges[:, 1:] > edges[:, :-1]
+    k = np.nonzero(is_open)[0]
+    a, b = edges[:, :-1][is_open], edges[:, 1:][is_open]
+    acc, shift = np.zeros(n), np.full(n, -np.inf)
+    count = np.bincount(k, minlength=n)
     while True:
         half = 0.5 * (b - a)
         mid = a + half
-        g = log_f(mid[:, None] + half[:, None] * nodes)
-        top = float(g.max())
-        if not math.isfinite(top):
+        g = log_f(mid[:, None] + half[:, None] * nodes, k)
+        row_max = g.max(axis=1)
+        top = np.full(n, -np.inf)
+        np.fmax.at(top, k, row_max)
+        if np.isnan(row_max).any() or not np.isfinite(top[k]).all():
             raise QuadratureError("bivariate normal quadrature degenerated", math.nan)
-        if top > shift:
-            acc *= math.exp(shift - top)  # rescale what was accepted
-            shift = top
-        f = np.exp(g - shift)
+        # rows whose largest value rose rescale what they accepted
+        new = np.maximum(shift, top)
+        acc *= np.exp(shift - new)
+        shift = new
+        f = np.exp(g - shift[k, None])
         lo = f[:, :_GAUSS_LO] @ w_lo * half
         hi = f[:, _GAUSS_LO:] @ w_hi * half
         err = np.abs(hi - lo)
-        total = acc + float(hi.sum())
-        ok = err <= (_QUAD_RTOL + 16.0 * _EPS * abs(shift)) * total
-        acc += float(hi[ok].sum())
+        total = acc + np.bincount(k, hi, n)
+        ok = err <= ((_QUAD_RTOL + 16.0 * _EPS * np.abs(shift)) * total)[k]
+        acc += np.bincount(k[ok], hi[ok], n)
         if ok.all():
-            return shift + math.log(acc)
+            return shift + np.log(acc)
         bad = ~ok
-        count += int(np.count_nonzero(bad))
-        if count > _QUAD_LIMIT:
+        count += np.bincount(k[bad], minlength=n)
+        if count.max() > _QUAD_LIMIT:
             raise QuadratureError(
-                "bivariate normal quadrature did not converge", float(err.max()) / total
+                "bivariate normal quadrature did not converge", float((err / total[k]).max())
             )
         a, b = np.concatenate((a[bad], mid[bad])), np.concatenate((mid[bad], b[bad]))
+        k = np.concatenate((k[bad], k[bad]))
 
 
 class CopulaModel(ABC):
@@ -190,6 +204,11 @@ class CopulaModel(ABC):
         """log P(X_E > x, Y_E > y) at the corner ``s``."""
         return self._log_survivor(*self._corner(s))
 
+    def log_survivors(self, corners) -> np.ndarray:
+        """``log_survivor`` at each of a sequence of corners or an (n, dim)
+        array of them."""
+        return self._log_survivors(_corners(corners, self.dim))
+
     def survivor(self, s) -> float:
         return math.exp(self.log_survivor(s))
 
@@ -204,6 +223,10 @@ class CopulaModel(ABC):
     @abstractmethod
     def _log_survivor(self, *corner) -> float:
         """log survivor at a checked corner of Python floats."""
+
+    def _log_survivors(self, c):
+        # a family that shares work across corners overrides this
+        return np.array([self._log_survivor(*p) for p in c.tolist()], dtype=np.float64)
 
     @abstractmethod
     def _kappa(self, *growth) -> float:
@@ -254,10 +277,11 @@ class BivariateNormal(CopulaModel):
 
     The joint survivor has no elementary form; it is a 1-d integral of the
     conditional-normal survivor, computed in logs by ``_log_quad``: a
-    Gauss-Legendre pair, adaptive over intervals, on numpy and
-    scipy.special alone. The density of the integration variable is
-    factored out and the integrand shifted by its largest value, so tiny
+    Gauss-Legendre pair, adaptive over intervals, on the package's own
+    normal functions (``_normal``). The density of the integration variable
+    is factored out and the integrand shifted by its largest value, so tiny
     probabilities retain relative accuracy and far corners do not underflow.
+    ``log_survivors`` integrates all its corners in one adaptive pass.
     """
 
     rho: float
@@ -277,54 +301,71 @@ class BivariateNormal(CopulaModel):
         return self.rho >= 0.0
 
     def _draw(self, n, rng):
-        # scipy.special is imported here and in the other methods that use
-        # it: it is slow to import, and reading and fitting a CSV never needs it
-        from scipy.special import log_ndtr
-
         z1 = rng.standard_normal(n)
         z2 = self.rho * z1 + math.sqrt(1.0 - self.rho**2) * rng.standard_normal(n)
-        # -log of the normal survivor function = exact exponential margin
+        # -log of the normal survivor function = exact exponential margin;
+        # one call a column: on both columns at once, log_ndtr's temporaries
+        # were large enough that freeing them returned memory to the system,
+        # about 85 page faults a sample of 5000
         return np.column_stack((-log_ndtr(-z1), -log_ndtr(-z2)))
 
     def _joint_upper_normal(self, s, t):
-        """log P(Z1 > s, Z2 > t) for standard bivariate normal Z with
-        correlation rho: log phi(t) plus the log of the integral over z in
-        [0, 40] of exp(g(z)), g(z) = log Phi((rho (t + z) - s) / sig)
-        - t z - z^2 / 2, with t the larger threshold (see ``_log_quad``)."""
-        from scipy.special import log_ndtr
-
+        """log P(Z1 > s, Z2 > t) at each pair of thresholds, for standard
+        bivariate normal Z with correlation rho: log phi(t) plus the log of
+        the integral over z in [0, 40] of exp(g(z)), g(z) = log Phi((rho (t
+        + z) - s) / sig) - t z - z^2 / 2, with t the larger threshold of the
+        pair (see ``_log_quad``)."""
         rho = self.rho
         sig = math.sqrt(1.0 - rho * rho)
-        if t < s:
-            s, t = t, s  # exchangeable; integrate over the larger threshold
-        # integrand and breakpoint as quad took them; the partition is graded
-        # away from the breakpoint on the scale 1/|t| of exp(-t z)
-        c = max(0.0, -t)
-        steps = _QUAD_STEPS / max(1.0, abs(t))
-        edges = np.unique(np.concatenate(([0.0, c, 40.0], c + steps, c - steps)).clip(0.0, 40.0))
-        log_integral = _log_quad(
-            lambda z: log_ndtr((rho * (t + z) - s) / sig) - z * (t + 0.5 * z), edges
-        )
-        return -0.5 * t * t - _LOG_SQRT_2PI + log_integral
+        # exchangeable; integrate over the larger threshold
+        s, t = np.minimum(s, t), np.maximum(s, t)
+        # the breakpoint max(0, -t); the partition is graded away from it on
+        # the scale 1/|t| of exp(-t z)
+        c = np.maximum(0.0, -t)[:, None]
+        steps = _QUAD_STEPS / np.maximum(1.0, np.abs(t))[:, None]
+        ends = np.broadcast_to([0.0, 40.0], (t.size, 2))
+        edges = np.sort(np.hstack((ends, c, c + steps, c - steps)).clip(0.0, 40.0), axis=1)
+
+        def log_f(z, k):
+            tk = t[k, None]
+            return log_ndtr((rho * (tk + z) - s[k, None]) / sig) - z * (tk + 0.5 * z)
+
+        return -0.5 * t * t - _LOG_SQRT_2PI + _log_quad(log_f, edges)
 
     def _log_survivor(self, x, y):
-        if max(x, y) > _EXP_GUARD:
-            raise NumericError(
-                f"corner {x, y} exceeds the quadrature range of the normal model"
-            )
-        if x == 0.0:
-            return -y
-        if y == 0.0:
-            return -x
-        ux, uy = math.exp(-x), math.exp(-y)
-        if ux == 1.0 and uy == 1.0:
-            # both margins round to 1: S lies within x + y of 1, and
-            # -max(x, y) is its log to double precision
-            return -max(x, y)
-        from scipy.special import ndtri
+        return float(self._log_survivors(np.array([[x, y]]))[0])
 
-        # the normal upper quantiles of the margins
-        return self._joint_upper_normal(-float(ndtri(ux)), -float(ndtri(uy)))
+    def _log_survivors(self, c):
+        top = c.max(axis=1)
+        far = np.flatnonzero(top > _EXP_GUARD)
+        if far.size:
+            raise NumericError(
+                f"corner {tuple(c[far[0]].tolist())} exceeds the quadrature range"
+                " of the normal model"
+            )
+        out = -top  # exact where a margin is 0
+        # one integral per other corner, all in one quadrature: where
+        # S >= 1 - px - py > 1/2 (px = 1 - e^-x, py likewise) it is
+        # L = P(Z1 <= s, Z2 <= t) at the normal quantiles (s, t) of (px, py),
+        # and log S = log1p(-(px + py - L)); elsewhere it runs at the normal
+        # upper quantiles of the margins and gives log S itself
+        rows, probs, near = [], [], []
+        for i, (x, y) in enumerate(c.tolist()):
+            if x > 0.0 and y > 0.0:
+                px, py = -math.expm1(-x), -math.expm1(-y)
+                rows.append(i)
+                if px + py < 0.5:
+                    probs.append((px, py))
+                    near.append(px + py)
+                else:
+                    probs.append((math.exp(-x), math.exp(-y)))
+                    near.append(None)
+        if rows:
+            q = -np.array([[ndtri(p) for p in pair] for pair in probs])
+            logs = self._joint_upper_normal(q[:, 0], q[:, 1]).tolist()
+            for i, lp, p in zip(rows, logs, near):
+                out[i] = lp if p is None else math.log1p(-(p - math.exp(lp)))
+        return out
 
     def _kappa(self, b, g):
         if b + g == math.inf:

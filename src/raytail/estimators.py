@@ -79,9 +79,11 @@ _HT_BETA_HI = 1.0 - 1e-8
 # default mmap threshold) is fresh memory from the kernel and page-faults on
 # every allocation. At m=5000 on 2 cores, one fit_ht call took 558 minor
 # faults and one 99-ray fit 510-584 with the earlier blocks of 2^20 and 2^16
-# elements, and both take 0 at 2^14. Rows are independent, so the block
-# size changes no result.
-_BLOCK_ELEMS = 1 << 14
+# elements. Blocks of 2^14 (128 KiB) took 0 only while an import had raised
+# glibc's adaptive threshold; without one, a replication request of the
+# study took about 1700 faults, and at 2^13 it takes 2. Rows are
+# independent, so the block size changes no result.
+_BLOCK_ELEMS = 1 << 13
 # a ray batch whose full structure matrix holds fewer elements skips the
 # candidate pruning of fit_lambda_rays
 _PRUNE_MIN_ELEMS = 1 << 15

@@ -287,7 +287,9 @@ def test_truth_underflow_raises_before_any_replication(monkeypatch):
     cfg = bench.BenchmarkConfig(cp.BivariateNormal(0.5), reps=3, m=2000, y_corner=800.0)
     with pytest.raises(NumericError, match=r"corner \(800.0, 800.0\)"):
         bench.run_benchmark(cfg)
-    monkeypatch.setattr(cp.BivariateNormal, "log_survivor", lambda self, s: -math.inf)
+    monkeypatch.setattr(
+        cp.BivariateNormal, "log_survivors", lambda self, c: np.full(len(c), -math.inf)
+    )
     with pytest.raises(NumericError, match=r"log truth at corner \(6.0, 6.0\) is -inf"):
         bench.run_benchmark(replace(cfg, y_corner=6.0))
 

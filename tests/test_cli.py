@@ -539,50 +539,53 @@ def test_estimate_numeric_failure_exit_code(tmp_path, capsys):
     assert "exceedances" in err
 
 
-def test_cli_import_leaves_optimize_and_integrate_unloaded():
-    # only the bvn model needs scipy.special, and imports it where used
+def _scipy_modules_after(code, **env_vars):
+    """The scipy modules in sys.modules after ``code`` runs in a fresh
+    interpreter that imports raytail from this checkout."""
     src = os.path.dirname(os.path.dirname(raytail.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    mods = ("scipy.optimize", "scipy.integrate", "scipy.special")
-    code = f"import sys, raytail.cli; print(sorted(m for m in {mods!r} if m in sys.modules))"
+    report = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code + report], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
 
 
-def test_study_and_ht_estimate_leave_optimize_and_integrate_unloaded(tmp_path, capsys):
-    # the ht refinement and the bvn truth run on numpy and scipy.special
+def test_cli_import_leaves_optimize_and_integrate_unloaded():
+    # no path of the package loads scipy, so importing the CLI cannot
+    assert _scipy_modules_after("import raytail.cli") == "[]"
+
+
+def test_study_and_ht_estimate_leave_optimize_and_integrate_unloaded(tmp_path):
+    # the ht refinement, the bvn sampler and the bvn truth run on numpy
     # alone; each run is a fresh interpreter, so nothing loaded here counts
-    src = os.path.dirname(os.path.dirname(raytail.__file__))
-    env = dict(os.environ, RAYTAIL_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     path = tmp_path / "s.csv"
-    code, _, _ = run_cli(
-        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "3000", "--out", str(path)],
-        capsys,
+    simulate = (
+        "from raytail import cli\n"
+        "code = cli.main(['simulate', '--model', 'bvn', '--rho', '0.5', '--n', '3000',"
+        f" '--out', {str(path)!r}])\n"
+        "assert code == 0, code\n"
     )
-    assert code == 0
-    loaded = "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    assert _scipy_modules_after(simulate) == "[]"
     study = (
-        "import sys\n"
         "from raytail import bench, copulas\n"
         "cfg = bench.BenchmarkConfig(copulas.BivariateNormal(0.5), reps=2, m=2000,"
         " methods=('wt', 'lt', 'ht'))\n"
         "report = bench.run_benchmark(cfg)\n"
         "assert all(n == 0 for n in report.n_failures.values()), report.n_failures\n"
     )
+    survivor = (
+        "from raytail import copulas\n"
+        "assert copulas.BivariateNormal(0.5).log_survivor((1e-6, 3.0)) < 0.0\n"
+    )
     estimate = (
-        "import sys\n"
         "from raytail import cli\n"
         f"code = cli.main(['estimate', 'prob', '--method', 'ht', '--input', {str(path)!r},"
         " '--x', '3', '--y', '7'])\n"
         "assert code == 0, code\n"
     )
-    for code in (study, estimate):
-        out = subprocess.run(
-            [sys.executable, "-c", code + loaded],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip().splitlines()[-1] == "[]", out.stdout
+    for code in (study, survivor, estimate):
+        assert _scipy_modules_after(code, RAYTAIL_THREADS="1") == "[]"
+    # the study again on a pool of two workers
+    assert _scipy_modules_after(study, RAYTAIL_THREADS="2") == "[]"

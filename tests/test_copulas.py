@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from raytail import copulas as cp
-from raytail.errors import DomainError, QuadratureError, RaytailError
+from raytail.errors import DomainError, NumericError, QuadratureError, RaytailError
 
 ETA_075_ALPHA = -math.log(0.75) / math.log(2.0)  # diagonal decay 0.75
 
@@ -357,22 +358,81 @@ def test_bvn_far_tail_log_survivor_against_high_precision_reference(rho, x, y, r
         assert math.isclose(got, ref, rel_tol=1e-12), (rho, corner, got, ref)
 
 
+# frozen mpmath references (40 digits, printed to 20) near the origin, where
+# S > 1/2: log(1 - px - py + L), px = 1 - e^-x, py = 1 - e^-y, and L the
+# integral over z < s of npdf(z) ncdf((t - rho z) / sqrt(1 - rho^2)), with
+# (s, t) the normal quantiles of (px, py) solved in mpmath
+BVN_NEAR_REFERENCE = [
+    (0.5, 1e-6, 1e-6, -1.9955252141929682070e-6),
+    (0.5, 1e-3, 1e-6, -1.0007611650328656584e-3),
+    (0.5, 1e-9, 0.5, -0.50000000000101629603),
+    (-0.3, 1e-6, 1e-6, -2.0000009999680661547e-6),
+    (-0.3, 1e-3, 1e-6, -1.0010009996598955382e-3),
+    (-0.3, 1e-9, 0.5, -0.50000000162677001261),
+]
+
+
+@pytest.mark.parametrize("rho, x, y, ref", BVN_NEAR_REFERENCE)
+def test_bvn_near_origin_log_survivor_against_high_precision_reference(rho, x, y, ref):
+    model = cp.BivariateNormal(rho)
+    for corner in ((x, y), (y, x)):
+        got = model.log_survivor(corner)
+        assert math.isclose(got, ref, rel_tol=1e-13), (rho, corner, got, ref)
+
+
+@pytest.mark.parametrize("m", [2000, 5000])
+def test_bvn_study_corners_integrate_at_the_upper_quantiles(m):
+    # the study's corners (y_corner = 1.5 log m) keep the survivor's own
+    # integral; only corners with S > 1/2 take the complement
+    from raytail import _normal
+    from raytail.bench import BenchmarkConfig
+
+    model = cp.BivariateNormal(0.5)
+    corners = BenchmarkConfig(model, m=m).targets()
+    q = -np.array([[_normal.ndtri(math.exp(-v)) for v in c] for c in corners.tolist()])
+    assert model.log_survivors(corners).tolist() == model._joint_upper_normal(
+        q[:, 0], q[:, 1]
+    ).tolist()
+
+
+def test_log_survivors_equals_log_survivor_at_each_corner():
+    grid = [0.0, 1e-9, 1e-3, 0.5, 3.0, 12.8, 300.0]
+    corners = list(itertools.product(grid, repeat=2))
+    for model in (cp.BivariateNormal(0.5), cp.BivariateNormal(-0.9), cp.InvertedLogistic(0.5)):
+        got = model.log_survivors(corners)
+        assert got.dtype == np.float64 and got.shape == (len(corners),)
+        assert got.tolist() == [model.log_survivor(c) for c in corners]
+    assert cp.BivariateNormal(0.5).log_survivors(np.empty((0, 2))).shape == (0,)
+    with pytest.raises(NumericError, match=r"\(701.0, 1.0\)"):
+        cp.BivariateNormal(0.5).log_survivors([(1.0, 1.0), (701.0, 1.0)])
+    with pytest.raises(DomainError):
+        cp.BivariateNormal(0.5).log_survivors([(1.0, -1.0)])
+
+
 def test_log_quad_closed_forms_and_failures():
-    edges = np.array([0.0, 0.5, 3.0])
-    # the integral of e^(c - z) over [0, 3] is e^c (1 - e^-3), at any shift c
-    for c in (0.0, -1000.0, 700.0):
-        got = cp._log_quad(lambda z: c - z, edges)
-        assert math.isclose(got, c + math.log(-math.expm1(-3.0)), rel_tol=1e-15, abs_tol=1e-15)
+    edges = np.array([[0.0, 0.5, 3.0]])
+    # the integral of e^(c - z) over [0, 3] is e^c (1 - e^-3), at any shift c,
+    # one integral a call or all in one, where a repeated edge adds nothing
+    shifts = np.array([0.0, -1000.0, 700.0])
+    want = shifts + math.log(-math.expm1(-3.0))
+    for c, w in zip(shifts, want):
+        got = cp._log_quad(lambda z, k: c - z, edges)
+        assert got.shape == (1,)
+        assert math.isclose(got[0], w, rel_tol=1e-15, abs_tol=1e-15)
+    rows = np.array([[0.0, 0.5, 3.0], [0.0, 0.0, 3.0], [0.0, 3.0, 3.0]])
+    got = cp._log_quad(lambda z, k: shifts[k, None] - z, rows)
+    for g, w in zip(got, want):
+        assert math.isclose(g, w, rel_tol=1e-15, abs_tol=1e-15)
     with pytest.raises(QuadratureError, match="degenerated"):
-        cp._log_quad(lambda z: np.full(z.shape, np.nan), edges)
+        cp._log_quad(lambda z, k: np.full(z.shape, np.nan), edges)
     with pytest.raises(QuadratureError, match="did not converge"):
-        cp._log_quad(lambda z: np.log(2.0 + np.sin(1e5 * z)), edges)
+        cp._log_quad(lambda z, k: np.log(2.0 + np.sin(1e5 * z)), edges)
 
 
 def _quad_log_survivor(rho, x, y):
     # the earlier scipy.integrate.quad form of the bvn survivor; None where it
-    # found no value
-    from scipy.integrate import quad
+    # found no value, and its IntegrationWarning is an error
+    from scipy.integrate import IntegrationWarning, quad
     from scipy.special import ndtri
 
     sig = math.sqrt(1.0 - rho * rho)
@@ -384,9 +444,11 @@ def _quad_log_survivor(rho, x, y):
         )
 
     opts = {"epsrel": 1e-11, "limit": 300, "points": [max(0.0, -t)]}
-    val, err = quad(integrand, 0.0, 40.0, epsabs=1e-13, **opts)
-    if 0.0 < val < 1e-10:
-        val, err = quad(integrand, 0.0, 40.0, epsabs=val * 1e-11, **opts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        val, err = quad(integrand, 0.0, 40.0, epsabs=1e-13, **opts)
+        if 0.0 < val < 1e-10:
+            val, err = quad(integrand, 0.0, 40.0, epsabs=val * 1e-11, **opts)
     if not (0.0 < val < math.inf and err <= max(1e-12, 1e-7 * val)):
         return None
     return -0.5 * t * t - 0.5 * math.log(2.0 * math.pi) + math.log(val)
