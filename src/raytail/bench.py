@@ -82,7 +82,12 @@ def _methods(value):
 
 def _plain(value):
     """JSON form of a config or report value: models as ``as_dict()``, other
-    dataclasses field by field, tuples and arrays as lists and NaN as null."""
+    dataclasses field by field, tuples and arrays as lists and NaN as null.
+    The leaves, most of the nodes, are tested first."""
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    if value is None or isinstance(value, (int, str)):
+        return value
     if isinstance(value, CopulaModel):
         return value.as_dict()
     if is_dataclass(value):
@@ -93,8 +98,6 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, float) and math.isnan(value):
-        return None
     return value
 
 

@@ -103,6 +103,13 @@ def _neg_log1mexp(v):
     return -math.log1p(-math.exp(-v)) if v > _LOG_2 else -math.log(-math.expm1(-v))
 
 
+def _log_diff(a, b):
+    """log(e^a - e^b) for a >= b; -inf when they are equal."""
+    if a == b:
+        return -math.inf
+    return a - _neg_log1mexp(a - b)
+
+
 def _positive_stable(alpha, n, rng):
     """One-sided positive stable draws with Laplace transform exp(-s**alpha).
 
@@ -675,81 +682,38 @@ class TrivariateMaxPareto(CopulaModel):
         return np.column_stack(cols)
 
     @staticmethod
-    def _pareto_threshold(x):
-        """Pareto-scale threshold whose maximum-survivor equals e^{-x}."""
-        q = math.exp(-x)
-        # 1 - sqrt(1-q) without cancellation
-        return (1.0 + math.sqrt(1.0 - q)) / q
-
-    def survivor(self, s):
-        return self._survivor(*self._corner(s))
-
-    def _survivor(self, *c):
-        if max(c) > _EXP_GUARD:
-            raise NumericError(f"corner {c} exceeds the exp range")
-        tx, ty, tz = (self._pareto_threshold(v) for v in c)
-
-        def F(t):
-            return 1.0 - 1.0 / t
-
-        fx, fy, fz = F(tx), F(ty), F(tz)
-        fxy = F(min(tx, ty))
-        fyz = F(min(ty, tz))
-        # inclusion-exclusion over the product-form joint CDF
-        val = (
-            1.0
-            - fx * fx
-            - fy * fy
-            - fz * fz
-            + fx * fxy * fy
-            + fx * fx * fz * fz
-            + fy * fyz * fz
-            - fx * fxy * fyz * fz
-        )
-        if val < 1e-10:
-            # the alternating sum loses all precision for deep corners;
-            # re-evaluate by enumeration over the independent components
-            val = self._survivor_by_enumeration(tx, ty, tz)
-        return max(val, 0.0)
-
-    @staticmethod
-    def _survivor_by_enumeration(tx, ty, tz):
-        """P(max(T,U)>tx, max(U,V)>ty, max(V,W)>tz) summed over the cells of
-        U relative to (tx, ty) and V relative to (ty, tz); cancellation-free
-        because every factor is a probability."""
-        pu = [0.0, 0.0, 0.0]  # U below both, between, above both
-        lo, hi = min(tx, ty), max(tx, ty)
-        pu[0] = 1.0 - 1.0 / lo
-        pu[1] = 1.0 / lo - 1.0 / hi
-        pu[2] = 1.0 / hi
-        pv = [0.0, 0.0, 0.0]
-        lo2, hi2 = min(ty, tz), max(ty, tz)
-        pv[0] = 1.0 - 1.0 / lo2
-        pv[1] = 1.0 / lo2 - 1.0 / hi2
-        pv[2] = 1.0 / hi2
-        pt = 1.0 / tx  # P(T > tx)
-        pw = 1.0 / tz  # P(W > tz)
-        total = 0.0
-        for iu in range(3):
-            # the middle cell (lo, hi] exceeds a threshold iff that
-            # threshold is the lower of the two boundaries
-            u_above_x = (iu == 2) or (iu == 1 and tx <= ty)
-            u_above_y = (iu == 2) or (iu == 1 and ty <= tx)
-            for iv in range(3):
-                v_above_y = (iv == 2) or (iv == 1 and ty <= tz)
-                v_above_z = (iv == 2) or (iv == 1 and tz <= ty)
-                if not (u_above_y or v_above_y):
-                    continue
-                w_factor = 1.0 if v_above_z else pw
-                t_factor = 1.0 if u_above_x else pt
-                total += pu[iu] * pv[iv] * t_factor * w_factor
-        return total
+    def _log_tail(x):
+        """(log p, log(1 - p)) for p = P(T > t) = 1/t at the Pareto threshold
+        t whose maximum-survivor 1 - (1 - p)^2 equals e^{-x}: 1 - p is
+        sqrt(1 - e^{-x}) and p = e^{-x} / (1 + sqrt(1 - e^{-x}))."""
+        r = math.sqrt(-math.expm1(-x))
+        return -x - math.log1p(r), (math.log(r) if r > 0.0 else -math.inf)
 
     def _log_survivor(self, x, y, z):
-        val = self._survivor(x, y, z)
-        if val <= 0.0:
+        # P(max(T,U) > tx, max(U,V) > ty, max(V,W) > tz) summed over the
+        # cells of U relative to (tx, ty) and of V relative to (ty, tz):
+        # below both thresholds, between them or above both. Every factor is
+        # a probability, so each cell is a sum of log factors and the cells
+        # combine by log-sum-exp, without cancellation and at any depth.
+        (px, qx), (py, qy), (pz, qz) = (self._log_tail(v) for v in (x, y, z))
+        # the larger p belongs to the lower threshold, i.e. the smaller corner
+        u_cells = (qx if x <= y else qy, _log_diff(max(px, py), min(px, py)), min(px, py))
+        v_cells = (qy if y <= z else qz, _log_diff(max(py, pz), min(py, pz)), min(py, pz))
+        terms = []
+        for iu, lu in enumerate(u_cells):
+            # the middle cell exceeds a threshold iff it is the lower one
+            u_above_x = iu == 2 or (iu == 1 and x <= y)
+            u_above_y = iu == 2 or (iu == 1 and y <= x)
+            for iv, lv in enumerate(v_cells):
+                v_above_y = iv == 2 or (iv == 1 and y <= z)
+                v_above_z = iv == 2 or (iv == 1 and z <= y)
+                if u_above_y or v_above_y:
+                    # T must exceed tx unless U does, W must exceed tz unless V does
+                    terms.append(lu + lv + (0.0 if u_above_x else px) + (0.0 if v_above_z else pz))
+        top = max(terms)
+        if top == -math.inf:
             raise NumericError("trivariate survivor underflow")
-        return math.log(val)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     def _kappa(self, b, g, d):
         if g >= b and g >= d:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -358,6 +359,38 @@ def test_lambda_recovery_dict_writes_null_for_a_ray_that_always_fails():
         doc = bench.lambda_recovery(cfg, omega_grid=[0.5]).as_dict()
     assert (doc["mean_lambda"], doc["lo"], doc["hi"]) == ([None], [None], [None])
     assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+def _plain_by_container(value):
+    # the JSON walk with the containers tested before the leaves
+    if isinstance(value, cp.CopulaModel):
+        return value.as_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain_by_container(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return _plain_by_container(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_plain_by_container(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain_by_container(v) for k, v in value.items()}
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
+def test_json_walk_writes_the_same_bytes_as_a_container_first_walk():
+    # the report's ht cells carry NaN lambda summaries, and every fit of the
+    # curve fails (3 exceedances of 60), so both write null
+    report = bench.run_benchmark(tiny_config(reps=2))
+    want = _plain_by_container(report)
+    del want["wall_seconds"]
+    cfg = bench.BenchmarkConfig(cp.InvertedLogistic(0.5), reps=2, m=60, frac=0.05)
+    curve = bench.lambda_recovery(cfg, omega_grid=[0.3, 0.5])
+    for got, want in ((report.as_dict(), want), (curve.as_dict(), _plain_by_container(curve))):
+        text = json.dumps(got, sort_keys=True)
+        assert text == json.dumps(want, sort_keys=True)
+        assert "null" in text
 
 
 def test_lambda_recovery_summaries_bitwise_equal_numpy_nan_reductions(monkeypatch):

@@ -75,7 +75,7 @@ def with_last(values, last):
 @pytest.mark.parametrize("family", sorted(cp.FAMILIES))
 def test_a_family_writes_only_the_private_contract(family):
     cls = cp.FAMILIES[family]
-    assert not {"sample", "log_survivor", "kappa"} & set(vars(cls))
+    assert not {"sample", "log_survivor", "survivor", "kappa"} & set(vars(cls))
     assert {"_draw", "_log_survivor", "_kappa"} <= set(vars(cls))
 
 
@@ -641,14 +641,36 @@ def test_trivariate_margins_exponential():
         assert kstest(s.points[:, j], "expon").pvalue > 0.01
 
 
-def test_trivariate_formula_matches_enumeration_oracle():
+# log survivors of the trivariate model at corners given as floats, to 50
+# digits: the nine-cell enumeration in 80-digit mpmath 1.3.0 arithmetic,
+# checked against the inclusion-exclusion sum at 1500 digits. The corners
+# with survivors near 1e-10 are where the earlier inclusion-exclusion path
+# lost up to 2e-6 relative; the last two are far beyond e^-700
+TRIVARIATE_LOG_SURVIVOR = {
+    (0.5, 2.0, 1.0): "-2.7580667096436931200951228936951769228623154210109",
+    (2.0, 2.0, 2.0): "-4.2641757524001052334939591747204752272641013151915",
+    (0.0, 1.5, 0.0): "-1.5",
+    (5.0, 0.25, 3.0): "-8.0577355326901316782677864875029944862181397478259",
+    (9.45, 9.41, 13.07): "-22.807661505147895610433274803429852368694031712884",
+    (11.28, 2.67, 11.11): "-22.65486249529612757648328838728848911517646201932",
+    (12.8, 13.09, 9.13): "-22.897327540956276045628896434237479639378558151062",
+    (12.0, 12.0, 12.0): "-24.287681048414553566032704185558236955303972944657",
+    (25.0, 3.0, 25.0): "-50.271222586589700833697902185653993598900134977931",
+    (40.0, 41.5, 39.0): "-80.910349310032329704708658079239289246220380526092",
+    (700.0, 700.0, 700.0): "-1400.2876820724517809274392190059938274315035097109",
+    (400.0, 1.0, 400.0): "-800.17201106075713025057795590014226427678216344918",
+}
+
+
+@pytest.mark.parametrize(
+    "corner", list(TRIVARIATE_LOG_SURVIVOR), ids=lambda c: "-".join(map(repr, c))
+)
+def test_trivariate_log_survivor_matches_50_digit_references(corner):
     tri = cp.TrivariateMaxPareto()
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        c = tuple(rng.uniform(0.2, 3.0, 3))
-        tx, ty, tz = (tri._pareto_threshold(v) for v in c)
-        oracle = tri._survivor_by_enumeration(tx, ty, tz)
-        assert math.isclose(tri.survivor(c), oracle, rel_tol=1e-11), c
+    want = float(TRIVARIATE_LOG_SURVIVOR[corner])
+    assert math.isclose(tri.log_survivor(corner), want, rel_tol=1e-13)
+    if want > -700.0:
+        assert math.isclose(tri.survivor(corner), math.exp(want), rel_tol=1e-13)
 
 
 def test_trivariate_survivor_matches_monte_carlo():

@@ -11,6 +11,7 @@ from raytail.errors import (
     ExtrapolationError,
     InsufficientExceedancesError,
     OptimizerError,
+    RaytailError,
 )
 from raytail.margins import ExponentialSample, rank_transform
 
@@ -629,7 +630,7 @@ def _ref_ht_profile(betas, x, y, logy, logy_stats):
     return nll, alpha
 
 
-def _ref_fit_ht(sample, quantile):
+def _ref_fit_ht(sample, quantile, grid_points):
     # grid scan, widening and bounded Brent refinement, each evaluation a
     # fresh call of the reference profile
     from scipy.optimize import minimize_scalar
@@ -640,7 +641,7 @@ def _ref_fit_ht(sample, quantile):
     stats = (np.max(logy), np.min(logy), np.sum(logy))
     lo, hi = -1.0, 1.0 - 1e-8
     while True:
-        betas = np.linspace(lo, hi, 121)
+        betas = np.linspace(lo, hi, grid_points)
         nll, _ = _ref_ht_profile(betas, x, y, logy, stats)
         i = int(np.argmin(nll))
         if i > 0 or not np.isfinite(nll[0]):
@@ -684,13 +685,46 @@ def test_ht_path_bitwise_equals_reference(model, m):
         # 60 exceedances at m=300; two thresholds at the larger sizes
         quantile = 0.8 if m == 300 or seed % 2 else 0.9
         fit = est.fit_ht(s, quantile=quantile)
-        ref = _ref_fit_ht(s, quantile)
+        ref = _ref_fit_ht(s, quantile, est._HT_GRID_POINTS)
         for name, want in ref.items():
             _same_bits(getattr(fit, name), want)
         for omega in (0.0, 0.3, 0.6):
             u_n = fit.u_y / (1.0 - omega) + 2.0
             (p,) = est._ht_estimates(fit, [(omega * u_n, (1.0 - omega) * u_n)], 2000, seed)
             _same_bits(p.value, _ref_ht_value(fit, omega, u_n, 2000, seed))
+
+
+def _ht_outcome(sample, quantile):
+    try:
+        return est.fit_ht(sample, quantile=quantile)
+    except RaytailError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "m, seeds", [(300, range(900, 1000)), (2000, range(900, 920))], ids=["m300", "m2000"]
+)
+def test_ht_grid_loses_no_fit_against_121_points(monkeypatch, m, seeds):
+    # the grid only brackets the profile minimum: the same fit on a
+    # 121-point grid is the oracle, which no fit may beat by more than 1e-9
+    # in nll or fail differently from (m=300 at 0.9 has 30 exceedances). At
+    # m=300 some profiles fall all the way to the upper edge of beta; how
+    # far short of that bound Brent stops depends on the bracket width
+    models = [cp.BivariateNormal(0.9), cp.BivariateNormal(-0.9), cp.ClaytonLowerTail(2.0),
+              cp.LogisticBEV(0.5), cp.Morgenstern(1.0)]
+    samples = [model.sample(m, seed) for model in models for seed in seeds]
+    cases = [(s, q) for s in samples for q in (0.8, 0.9)]
+    got = [_ht_outcome(s, q) for s, q in cases]
+    monkeypatch.setattr(est, "_HT_GRID_POINTS", 121)
+    at_edge = 0
+    for (s, q), fit in zip(cases, got):
+        want = _ht_outcome(s, q)
+        if isinstance(want, type):
+            assert fit is want
+        else:
+            assert fit.nll <= want.nll + 1e-9
+            at_edge += want.beta > 1.0 - 1e-6
+    assert at_edge > 0 or m > 300  # the m=300 cases include the edge
 
 
 def test_fit_ht_requires_enough_exceedances():
@@ -841,7 +875,8 @@ def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
     mask = y > est._quantile(y, 0.9)
     logy = np.log(y[mask])
     betas = np.linspace(est._HT_BETA_LO, est._HT_BETA_HI, est._HT_GRID_POINTS)
-    lo, hi = betas[79], betas[81]
+    i = int(np.argmin(np.abs(betas - 1.0 / 3.0)))
+    lo, hi = betas[i - 1], betas[i + 1]
     b0 = lo + 0.5 * (3.0 - math.sqrt(5.0)) * (hi - lo)
     x = rng.standard_exponential(1000)
     x[mask] = 2.0**20 * np.exp(b0 * logy)
