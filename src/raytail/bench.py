@@ -10,11 +10,15 @@ diagonal methods the mean fitted angular index with its 95% envelope.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
-execution order of replications is irrelevant. The ``ht`` draws of seed s
-are one set, seeded by (s, 7919) and shared by its rays. Replications run
-in the package's one process pool (``_pool``), forked once per process and
-shared with the CSV reader, with as many workers as the environment
-variable RAYTAIL_THREADS says (default: the usable cores);
+execution order of replications is irrelevant. ``wt`` and ``lt`` share one
+ray batch per sample: the rays through the corners, which include the
+diagonal of ``lt`` at the default rays, are fitted once, and each method
+reads its slots through the estimators' own kernels. The angular curve of
+``lambda_recovery`` reads the ray kernel's arrays directly. The ``ht``
+draws of seed s are one set, seeded by (s, 7919) and shared by its rays.
+Replications run in the package's one process pool (``_pool``), forked
+once per process and shared with the CSV reader, with as many workers as
+the environment variable RAYTAIL_THREADS says (default: the usable cores);
 RAYTAIL_THREADS=1 runs them serially in the caller.
 """
 
@@ -235,16 +239,26 @@ def _sample(config: BenchmarkConfig, seed: int):
 def _run_single_rep(config: BenchmarkConfig, rep: int) -> np.ndarray:
     """One replication: a (2, methods, rays) array of log estimates and of
     fitted lambdas, NaN where an estimate failed and for ht's lambda, so
-    aggregation stays order-independent."""
+    aggregation stays order-independent. ``wt`` and ``lt`` read one batch
+    of ray fits: the rays through the corners, and the diagonal after them
+    where no corner lies on it."""
     seed = config.seed_base + rep
     sample = _sample(config, seed)
     targets = config.targets()
+    corners = targets.tolist()
+    radii, rays = est._wt_rays(corners)
+    if "wt" not in config.methods:
+        rays = []
+    if "lt" in config.methods and 0.5 not in rays:
+        rays.append(0.5)
+    fits = est.fit_lambda_rays(sample, rays, frac=config.frac)
     out = np.full((2, len(config.methods), len(targets)), np.nan)
     for j, mth in enumerate(config.methods):
         if mth == "wt":
-            ests, lam = est.wt_probabilities_at(sample, targets, frac=config.frac), "lambda_hat"
+            ests, lam = est._wt_estimates(sample, radii, fits), "lambda_hat"
         elif mth == "lt":
-            ests, lam = est.lt_probabilities(sample, targets, frac=config.frac), "lambda_half"
+            diag = fits[rays.index(0.5)]
+            ests, lam = est._lt_estimates(sample, corners, diag, config.frac, None), "lambda_half"
         else:
             ests, lam = est.ht_probabilities(
                 sample, targets, config.ht_quantile, config.r_draws, seed=(int(seed), 7919)
@@ -350,9 +364,15 @@ class LambdaRecovery:
 
 
 def _recover_rep(config: BenchmarkConfig, rep: int, grid) -> np.ndarray:
-    """One replication's angular-index fits over ``grid``; NaN on failure."""
-    fits = est.fit_lambda_rays(_sample(config, config.seed_base + rep), grid, frac=config.frac)
-    return _slots(fits, lambda f: f.lambda_hat)
+    """One replication's angular-index fits over ``grid``, read from the
+    arrays of the ray kernel: lambda_hat = k / total excess, NaN where the
+    fit fails (fewer than 5 exceedances, or no positive excess)."""
+    sample = _sample(config, config.seed_base + rep)
+    _, k, total = est._hill_rays(sample.x, sample.y, grid, config.frac, None)
+    ok = (k >= est._MIN_EXCEEDANCES) & (total > 0.0)
+    lam = np.full(grid.size, math.nan)
+    lam[ok] = k[ok] / total[ok]
+    return lam
 
 
 def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
@@ -365,13 +385,21 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
         raise DomainError("omega grid must lie strictly inside (0, 1)")
     fits = np.array(list(_map_reps(_recover_rep, config, range(config.reps), grid).values()))
     ok = ~np.isnan(fits)
+    n_ok = np.count_nonzero(ok, axis=0)
     # np.nanmean's own sum and count over the whole array, so the mean is
     # bitwise its value; 0/0 gives NaN where every fit of a ray failed
     with np.errstate(invalid="ignore"):
-        mean = np.sum(np.where(ok, fits, 0.0), axis=0) / np.count_nonzero(ok, axis=0)
-    cols = [fits[ok[:, j], j] for j in range(grid.size)]
-    lo = np.array([est._quantile(c, 0.025) if c.size else math.nan for c in cols])
-    hi = np.array([est._quantile(c, 0.975) if c.size else math.nan for c in cols])
+        mean = np.sum(np.where(ok, fits, 0.0), axis=0) / n_ok
+    # the envelopes of the rays with c finite fits are one _quantile call
+    # over their rows with the failed fits at -inf, below the c finite ones
+    # (a set, not np.unique: its sort code alone adds 0.6 MB of resident
+    # pages to a process that sorts nothing else)
+    rows = np.where(ok, fits, -np.inf).T
+    lo, hi = np.full(grid.size, math.nan), np.full(grid.size, math.nan)
+    for c in set(n_ok.tolist()) - {0}:
+        rays = n_ok == c
+        lo[rays] = est._quantile(rows[rays], 0.025, c)
+        hi[rays] = est._quantile(rows[rays], 0.975, c)
     return LambdaRecovery(
         omegas=grid,
         true_lambda=np.array([config.model.lam(w) for w in grid]),

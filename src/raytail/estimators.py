@@ -32,14 +32,29 @@ per ray or corner: the result of the one-item call (``fit_lambda``,
 ``wt_probability_at``, ``lt_probability``, ``ht_probability``) or the typed
 error it raises, so a failed ray does not stop the others.
 
-The structure matrix of a large batch covers only candidate points.
-T = min(x/w, y/(1-w)) is non-decreasing in both coordinates, so on every
-ray a point that k others match or beat in both has T at or below the
-k-th largest value: it neither sets the quantile threshold, which only
+The ray fits are one array kernel, ``_hill_rays``, which returns each ray's
+threshold, exceedance count k and summed excess as arrays; the slots of
+``fit_lambda_rays`` wrap them, and the benchmark's angular curve reads them
+directly. The structure matrix is built in cache-sized row blocks. In each
+block one mask and one compress leave every row's excesses contiguous, and
+each run of rows with equal k is summed as one (rows, k) array, row by row
+pairwise as numpy sums a 1-D array, so every sum is bitwise the one of its
+own row. The structure matrix of a large batch covers only candidate
+points. T = min(x/w, y/(1-w)) is non-decreasing in both coordinates, so on
+every ray a point that k others match or beat in both has T at or below
+the k-th largest value: it neither sets the quantile threshold, which only
 the top k values enter, nor exceeds it. A short staircase on the x order
 finds most such points, and they are dropped before the matrix is built;
 about a quarter of a sample stays at frac=0.1. Every fit is bitwise the
-one on the full sample (see ``fit_lambda_rays``).
+one on the full sample.
+
+The ``wt`` and ``lt`` estimates are "fit, then kernel": one ray batch, then
+``_wt_estimates`` or ``_lt_estimates``, which the benchmark calls on one
+batch per sample shared by both methods. Every empirical joint count, the
+``wt`` base sets, the ``lt`` slid corners and ``diagnose_linearity``'s
+nested corners, goes through one count kernel, ``_joint_counts``: exact
+integer counts of #{x > a, y > b} for a batch of corners, a -inf
+coordinate standing for a zero weight.
 
 Every interpolated order statistic goes through ``_quantile``, numpy's
 default linear quantile from one partition and bitwise np.quantile's value:
@@ -55,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -76,12 +92,16 @@ _MIN_HT_EXCEEDANCES = 50
 # 2; logistic 0.5; morgenstern 1; m 300/600/2000/5000; two sets of 15
 # seeds), 21 points lose no fit by more than 2.3e-13 in nll, move beta by at
 # most 1.7e-7 and change no typed error. No profile there has two minima.
-# The grids that lose a fit by more than 1e-9 (5, 7, 10, 11, 15-18, 24-29,
-# 41 and 61 points; by up to 3.4e-8) lose it where the minimum sits at the
-# upper edge 1 - 1e-8: how far short of that bound Brent stops depends on
-# the bracket width. Below 21 points a fit at m=5000 costs about as much
-# (1.0-1.1 ms), and a coarser grid would more easily step over a narrow
-# minimum.
+# Where the minimum sits at the upper edge 1 - 1e-8, Brent stops about 2e-8
+# short of it, at a point that depends on the bracket, so fit_ht compares
+# its result with the profile at the edge itself. With that comparison
+# every grid of 3-31, 41 and 61 points is within 2.3e-13 in nll of the
+# 121-point one on 2100 fits (bvn rho 0.5 and +-0.9, invlog 2-log2(3),
+# clayton 2, logistic 0.5, morgenstern 1; m 300/600/2000; quantiles 0.8
+# and 0.9); without it 5, 7, 10, 11, 15-18, 24-29, 41 and 61 points lost
+# edge fits by up to 3.4e-8. Below 21 points a fit at m=5000 costs about
+# as much (1.0-1.1 ms), and a coarser grid would more easily step over a
+# narrow minimum.
 _HT_GRID_POINTS = 21
 _HT_BETA_LO = -1.0  # lower edge of the first beta grid
 _HT_BETA_HI = 1.0 - 1e-8
@@ -275,10 +295,12 @@ def _candidates(x, y, k) -> np.ndarray:
     return keep
 
 
-def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
-    """Hill fits along every ray in ``omegas``: one slot per ray, holding
-    its AngularFit or, where the fit fails, the typed error (not raised).
-    A ray's fit does not depend on the other rays of the batch.
+def _hill_rays(x, y, w, frac, u):
+    """Hill sums along the rays ``w`` of the sample (x, y): the arrays
+    (u, k, total_excess) of each ray's threshold, count of exceedances and
+    summed excess over the threshold. A ray's sums do not depend on the
+    other rays of the batch. ``fit_lambda_rays`` wraps them into slots; the
+    benchmark's angular curve reads them directly.
 
     With u None, each ray's threshold is the (1 - frac) quantile of its m
     structure values T (see ``_quantile``). Only the top k = m - floor(h)
@@ -287,42 +309,74 @@ def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
     others match or beat in both is never needed: on a batch large enough
     to pay for it, _candidates drops most such points before the structure
     matrix is built. The kept points hold every ray's top k values and, in
-    the same order, every exceedance, so each fit is bitwise the one on the
+    the same order, every exceedance, so each sum is bitwise the one on the
     full sample. An explicit ``u`` keeps every point, since its exceedances
-    are not limited by rank. An empty sample fails every ray.
+    are not limited by rank. An empty sample has k = 0 on every ray, and
+    with u None a NaN threshold.
+
+    The structure matrix is built in row blocks. In a block one mask and
+    one compress leave each row's values above its threshold contiguous and
+    in sample order. A run of rows with equal k is then one (rows, k)
+    array: the thresholds are subtracted from it in place, and it is summed
+    along its rows. np.add.reduce along a contiguous row is that row's own
+    pairwise sum, bitwise the 1-D reduce of its excesses. np.add.reduceat
+    is not pairwise, so it is not used.
     """
-    w = _as_omegas(omegas)
-    _require_bivariate(sample)
-    x, y = sample.x, sample.y
     m = x.size
-    if u is None:
-        if not 0.0 < frac < 1.0:
-            raise DomainError(f"frac must lie in (0, 1), got {frac}")
-        # the staircase costs a sort and a fixed overhead; measured on two
-        # cores it pays from about 7 rays at m=5000, 12 at m=2000 and 50 at
-        # m=300
-        if w.size >= _SKYBAND_STEPS and w.size * m >= _PRUNE_MIN_ELEMS:
-            keep = _candidates(x, y, m - math.floor((m - 1) * (1.0 - frac)))
-            x, y = x[keep], y[keep]
+    # the staircase costs a sort and a fixed overhead; measured on two cores
+    # it pays from about 7 rays at m=5000, 12 at m=2000 and 50 at m=300
+    if u is None and w.size >= _SKYBAND_STEPS and w.size * m >= _PRUNE_MIN_ELEMS:
+        keep = _candidates(x, y, m - math.floor((m - 1) * (1.0 - frac)))
+        x, y = x[keep], y[keep]
+    us = np.full(w.size, math.nan if u is None else u)
+    ks = np.zeros(w.size, dtype=np.intp)
+    totals = np.zeros(w.size)
     if m == 0:
-        return [InsufficientExceedancesError(0, _MIN_EXCEEDANCES)] * w.size
-    fits = []
+        return us, ks, totals
     step = max(1, _BLOCK_ELEMS // x.size)
     for start in range(0, w.size, step):
         block = slice(start, start + step)
         t = _structure(x, y, w[block])
-        us = _quantile(t, 1.0 - frac, m) if u is None else np.full(len(t), u)
-        for row, u_r, omega in zip(t, us.tolist(), w[block].tolist()):
-            exc = row[row > u_r]
-            exc -= u_r
-            k_r, total_excess = exc.size, float(np.add.reduce(exc))
-            if k_r < _MIN_EXCEEDANCES:
-                fits.append(InsufficientExceedancesError(k_r, _MIN_EXCEEDANCES))
-            elif total_excess <= 0.0:
-                fits.append(DomainError("all excesses are zero; tail index undefined"))
-            else:
-                lam = k_r / total_excess
-                fits.append(AngularFit(omega, lam, u_r, k_r, lam / math.sqrt(k_r)))
+        if u is None:
+            us[block] = _quantile(t, 1.0 - frac, m)
+        above = t > us[block, None]
+        ks[block] = above.sum(axis=1)
+        exc = t[above]
+        at, row = 0, start
+        for k, run in groupby(ks[block].tolist()):
+            rows = len(list(run))
+            excesses = exc[at:at + rows * k].reshape(rows, k)
+            excesses -= us[row:row + rows, None]
+            totals[row:row + rows] = np.add.reduce(excesses, axis=1)
+            at, row = at + rows * k, row + rows
+    return us, ks, totals
+
+
+def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
+    """Hill fits along every ray in ``omegas``: one slot per ray, holding
+    its AngularFit or, where the fit fails, the typed error (not raised).
+    A ray's fit does not depend on the other rays of the batch.
+
+    The threshold, count and summed excess of every ray come from one
+    ``_hill_rays`` call: with u None, the (1 - frac) quantile of the ray's
+    structure values T, else ``u``. lambda_hat = k / total excess; a ray
+    with fewer than 5 exceedances, or whose excesses are all zero, fails.
+    An empty sample fails every ray.
+    """
+    w = _as_omegas(omegas)
+    _require_bivariate(sample)
+    if u is None and not 0.0 < frac < 1.0:
+        raise DomainError(f"frac must lie in (0, 1), got {frac}")
+    us, ks, totals = _hill_rays(sample.x, sample.y, w, frac, u)
+    fits = []
+    for omega, u_r, k_r, total_excess in zip(*(a.tolist() for a in (w, us, ks, totals))):
+        if k_r < _MIN_EXCEEDANCES:
+            fits.append(InsufficientExceedancesError(k_r, _MIN_EXCEEDANCES))
+        elif total_excess <= 0.0:
+            fits.append(DomainError("all excesses are zero; tail index undefined"))
+        else:
+            lam = k_r / total_excess
+            fits.append(AngularFit(omega, lam, u_r, k_r, lam / math.sqrt(k_r)))
     return fits
 
 
@@ -343,34 +397,88 @@ def fit_lambda(sample, omega, frac=0.10, u=None) -> AngularFit:
     return _one(fit_lambda_rays(sample, [omega], frac=frac, u=u))
 
 
-def _wt_estimate(sample, fit, s) -> ProbEstimate:
-    """Ray estimate at radius s on the ray of ``fit``: exp(-lambda_hat * v)
+def _joint_counts(x, y, corners) -> np.ndarray:
+    """#{x > a, y > b} for every corner (a, b) of the (n, 2) array
+    ``corners``, as exact integers; a -inf coordinate counts every point on
+    its axis. One comparison matrix is built in corner blocks of at most
+    _BLOCK_ELEMS elements. With more than one corner it covers only the
+    points above the corners' smallest a and smallest b, the only ones that
+    can count; for one corner that selection is the count itself, and
+    copying the selected coordinates out of the sample's rows would cost
+    more than it saves (5x the direct count on 10^6 points)."""
+    counts = np.zeros(len(corners), dtype=np.intp)
+    a, b = corners[:, 0], corners[:, 1]
+    if a.size > 1:
+        # fmin skips a NaN corner, which counts no point
+        near = (x > np.fmin.reduce(a)) & (y > np.fmin.reduce(b))
+        x, y = x[near], y[near]
+    step = max(1, _BLOCK_ELEMS // max(x.size, 1))
+    for start in range(0, a.size, step):
+        block = slice(start, start + step)
+        hit = x > a[block, None]
+        hit &= y > b[block, None]
+        counts[block] = hit.sum(axis=1)
+    return counts
+
+
+def _wt_rays(corners):
+    """Each corner's radius s = x0 + y0, and the ray x0 / s through each
+    corner with 0 < s < inf, in corner order."""
+    radii = [x0 + y0 for x0, y0 in corners]
+    return radii, [c[0] / s for c, s in zip(corners, radii) if 0.0 < s < math.inf]
+
+
+def _wt_estimates(sample, radii, fits) -> list:
+    """Ray estimates at radius s on the ray of a fit: exp(-lambda_hat * v)
     times the empirical probability of the base set {X_E > w*u_n,
     Y_E > (1-w)*u_n}, with u_n = min(u, s) and v = max(s - u, 0) for the fit
     threshold u. At u_n = u the base count is the fit's exceedance count. An
     empty base set yields a zero estimate, never an error.
+
+    One slot per radius. A radius that is 0 or not finite holds a
+    DomainError; each other one takes the next slot of ``fits`` (slots left
+    over are not read), and a slot holding a typed error passes through.
+    One ``_joint_counts`` counts every base set, a zero weight dropping its
+    coordinate.
     """
-    omega = fit.omega
-    u_n, v = min(fit.u, s), max(s - fit.u, 0.0)
-    if omega == 0.0:
-        base = int(np.count_nonzero(sample.y > u_n))
-    elif omega == 1.0:
-        base = int(np.count_nonzero(sample.x > u_n))
-    else:
-        x0, y0 = omega * u_n, (1.0 - omega) * u_n
-        base = int(np.count_nonzero((sample.x > x0) & (sample.y > y0)))
-    return ProbEstimate(
-        value=math.exp(-fit.lambda_hat * v) * base / sample.n,
-        log_value=_log_prob(-fit.lambda_hat * v, base, sample.n),
-        method="wt",
-        meta={
-            "omega": omega,
-            "u_n": u_n,
-            "v": v,
-            "k": fit.k,
-            "lambda_hat": fit.lambda_hat,
-        },
-    )
+    fits = iter(fits)
+    out = [
+        next(fits) if 0.0 < s < math.inf
+        else DomainError("target corner must not be the origin") if s == 0.0
+        else DomainError(f"target radius x0 + y0 overflows to {s}")
+        for s in radii
+    ]
+    rays = [
+        (i, out[i], min(out[i].u, s))
+        for i, s in enumerate(radii) if not isinstance(out[i], RaytailError)
+    ]
+    bases = [
+        (fit.omega * u_n if fit.omega > 0.0 else -math.inf,
+         (1.0 - fit.omega) * u_n if fit.omega < 1.0 else -math.inf)
+        for _, fit, u_n in rays
+    ]
+    counts = _joint_counts(sample.x, sample.y, np.array(bases).reshape(-1, 2))
+    for (i, fit, u_n), base in zip(rays, counts.tolist()):
+        v = max(radii[i] - fit.u, 0.0)
+        out[i] = ProbEstimate(
+            value=math.exp(-fit.lambda_hat * v) * base / sample.n,
+            log_value=_log_prob(-fit.lambda_hat * v, base, sample.n),
+            method="wt",
+            meta={
+                "omega": fit.omega,
+                "u_n": u_n,
+                "v": v,
+                "k": fit.k,
+                "lambda_hat": fit.lambda_hat,
+            },
+        )
+    return out
+
+
+def _wt_estimate(sample, fit, s) -> ProbEstimate:
+    """The ray estimate at radius s > 0 on the ray of ``fit``; see
+    :func:`_wt_estimates`."""
+    return _one(_wt_estimates(sample, [s], [fit]))
 
 
 def wt_probabilities_at(sample, targets, frac=0.10) -> list:
@@ -379,27 +487,47 @@ def wt_probabilities_at(sample, targets, frac=0.10) -> list:
     beyond the fit threshold u, or v = 0 and the empirical probability at
     the corner inside it. One slot per corner: a ProbEstimate or a typed
     error."""
-    corners = _corners(targets, 2).tolist()
-    radii = [x0 + y0 for x0, y0 in corners]
-    rays = [i for i, s in enumerate(radii) if 0.0 < s < math.inf]
-    fits = fit_lambda_rays(sample, [corners[i][0] / radii[i] for i in rays], frac=frac)
-    out = [
-        DomainError("target corner must not be the origin") if s == 0.0
-        else DomainError(f"target radius x0 + y0 overflows to {s}")
-        for s in radii
-    ]
-    for i, fit in zip(rays, fits):
-        out[i] = (
-            fit if isinstance(fit, RaytailError)
-            else _wt_estimate(sample, fit, radii[i])
-        )
-    return out
+    radii, rays = _wt_rays(_corners(targets, 2).tolist())
+    return _wt_estimates(sample, radii, fit_lambda_rays(sample, rays, frac=frac))
 
 
 def wt_probability_at(sample, target, frac=0.10) -> ProbEstimate:
     """Ray estimate at an explicit corner: the ray is the one through the
     corner, and v is the outward distance from the fit threshold."""
     return _one(wt_probabilities_at(sample, [target], frac=frac))
+
+
+def _lt_estimates(sample, corners, diag_fit, frac, baseline) -> list:
+    """The estimates of ``lt_probabilities`` from its diagonal fit, a slot
+    of ``fit_lambda_rays`` at w = 1/2: one slot per corner, every one the
+    fit's error where it failed. One ``_joint_counts`` counts every slid
+    corner."""
+    if isinstance(diag_fit, RaytailError):
+        return [diag_fit] * len(corners)
+    eta_hat = 1.0 / (2.0 * diag_fit.lambda_hat)
+    if baseline is not None:
+        bx, by = (float(b) for b in baseline)
+    else:
+        bx = float(_quantile(sample.x, 1.0 - frac))
+        by = float(_quantile(sample.y, 1.0 - frac))
+    vs = [max(0.0, min(x0 - bx, y0 - by)) for x0, y0 in corners]
+    slid = [(x0 - v, y0 - v) for (x0, y0), v in zip(corners, vs)]
+    counts = _joint_counts(sample.x, sample.y, np.array(slid).reshape(-1, 2))
+    return [
+        ProbEstimate(
+            value=math.exp(-v / eta_hat) * base / sample.n,
+            log_value=_log_prob(-v / eta_hat, base, sample.n),
+            method="lt",
+            meta={
+                "eta_hat": eta_hat,
+                "lambda_half": diag_fit.lambda_hat,
+                "v": v,
+                "base_corner": base_corner,
+                "k": diag_fit.k,
+            },
+        )
+        for v, base_corner, base in zip(vs, slid, counts.tolist())
+    ]
 
 
 def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
@@ -415,31 +543,7 @@ def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
     _require_bivariate(sample)
     corners = _corners(targets, 2).tolist()
     (diag_fit,) = fit_lambda_rays(sample, [0.5], frac=frac)
-    if isinstance(diag_fit, RaytailError):
-        return [diag_fit] * len(corners)
-    eta_hat = 1.0 / (2.0 * diag_fit.lambda_hat)
-    if baseline is not None:
-        bx, by = (float(b) for b in baseline)
-    else:
-        bx = float(_quantile(sample.x, 1.0 - frac))
-        by = float(_quantile(sample.y, 1.0 - frac))
-    out = []
-    for x0, y0 in corners:
-        v = max(0.0, min(x0 - bx, y0 - by))
-        base = int(np.count_nonzero((sample.x > x0 - v) & (sample.y > y0 - v)))
-        out.append(ProbEstimate(
-            value=math.exp(-v / eta_hat) * base / sample.n,
-            log_value=_log_prob(-v / eta_hat, base, sample.n),
-            method="lt",
-            meta={
-                "eta_hat": eta_hat,
-                "lambda_half": diag_fit.lambda_hat,
-                "v": v,
-                "base_corner": (x0 - v, y0 - v),
-                "k": diag_fit.k,
-            },
-        ))
-    return out
+    return _lt_estimates(sample, corners, diag_fit, frac, baseline)
 
 
 def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
@@ -584,16 +688,18 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     """Fit the conditional-tail model X_E | Y_E = y ~ Normal(alpha*y +
     mu*y**beta, (sigma*y**beta)**2) above the conditioning threshold.
 
-    alpha is constrained to [0, 1] and beta to (-inf, 1 - 1e-8); mu and
+    alpha is constrained to [0, 1] and beta to (-inf, 1 - 1e-8]; mu and
     sigma are profiled out of the likelihood, and alpha in closed form for
     each beta, leaving a 1-D profile in beta. It is evaluated on a
     21-point grid ending at 1 - 1e-8, which widens downward while its
     minimum sits on the lower edge, then refined by a bounded Brent search,
-    ``_fminbound``, on the bracket around the best grid point. The grid and
-    each Brent evaluation run the one profile kernel ``_ht_block``, a block
-    of rows or a single row, inside one np.errstate held for the whole
-    profile. Raises OptimizerError when the likelihood is nowhere finite on
-    the grid, the refinement fails, or the residual scale is degenerate.
+    ``_fminbound``, on the bracket around the best grid point. The refined
+    point is kept unless the profile at the bound 1 - 1e-8 is lower, and
+    its alpha is the one Brent evaluated with it. The grid and each Brent
+    evaluation run the one profile kernel ``_ht_block``, a block of rows or
+    a single row, inside one np.errstate held for the whole profile.
+    Raises OptimizerError when the likelihood is nowhere finite on the
+    grid, the refinement fails, or the residual scale is degenerate.
     """
     _require_bivariate(sample)
     if not 0.0 < quantile < 1.0:
@@ -620,11 +726,21 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
         (nll,), (al,) = _ht_block(np.array([[b]]), x, y, logy, logy_stats[2])
         return (nll if math.isfinite(nll) else math.inf), al
 
+    evals = {}  # beta -> (nll, alpha) at every point Brent evaluates
+
+    def refine(b):
+        evals[b] = one(b)
+        return evals[b][0]
+
     lo, hi = _HT_BETA_LO, _HT_BETA_HI
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             betas = np.linspace(lo, hi, _HT_GRID_POINTS)
             nll, alphas = _ht_profile(betas, x, y, logy, logy_stats)
+            if hi == _HT_BETA_HI:
+                # the first grid ends at the upper bound, which Brent never
+                # evaluates: it stops about 2e-8 short of a minimum there
+                at_bound = (nll[-1], alphas[-1])
             i = int(np.argmin(nll))
             # widen while the minimum sits on a finite lower edge; the
             # |beta * log y| guard makes that edge infinite eventually
@@ -634,7 +750,7 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
         if not np.isfinite(nll[i]):
             raise OptimizerError("conditional-tail likelihood never finite", None)
         beta, _, converged, _ = _fminbound(
-            lambda b: one(b)[0],
+            refine,
             float(betas[max(i - 1, 0)]),
             float(betas[min(i + 1, betas.size - 1)]),
             1e-10,
@@ -642,7 +758,9 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
         if not converged:
             best = (float(alphas[i]), float(betas[i]))
             raise OptimizerError("conditional-tail fit did not converge", best)
-        fbest, alpha = one(beta)
+    fbest, alpha = evals[beta]
+    if at_bound[0] < fbest:
+        beta, (fbest, alpha) = _HT_BETA_HI, at_bound
     alpha = float(alpha)
     z = (x - alpha * y) / np.exp(beta * logy)
     sigma = float(np.std(z))
@@ -740,15 +858,9 @@ def diagnose_linearity(sample, omega, c_grid) -> dict:
     if sample.n == 0:
         raise InsufficientExceedancesError(0, 3)
     logm = math.log(sample.n)
-    pairs = []
-    for c in cs:
-        cnt = int(
-            np.count_nonzero(
-                (sample.x > c * omega * logm) & (sample.y > c * (1.0 - omega) * logm)
-            )
-        )
-        if cnt > 0:
-            pairs.append((float(c), math.log(cnt)))
+    corners = np.column_stack((cs * omega * logm, cs * (1.0 - omega) * logm))
+    counts = _joint_counts(sample.x, sample.y, corners).tolist()
+    pairs = [(c, math.log(cnt)) for c, cnt in zip(cs.tolist(), counts) if cnt > 0]
     if len(pairs) < 3:
         raise InsufficientExceedancesError(len(pairs), 3)
     arr = np.asarray(pairs)

@@ -268,7 +268,7 @@ def test_untyped_errors_surface(monkeypatch):
 
     # workers forked earlier do not see a patch made now
     monkeypatch.setenv("RAYTAIL_THREADS", "1")
-    monkeypatch.setattr(bench.est, "fit_lambda_rays", broken)
+    monkeypatch.setattr(bench.est, "_hill_rays", broken)
     cfg = tiny_config(reps=1, methods=("wt", "lt"))
     with pytest.raises(TypeError):
         bench.run_benchmark(cfg)
@@ -394,22 +394,21 @@ def test_json_walk_writes_the_same_bytes_as_a_container_first_walk():
 
 
 def test_lambda_recovery_summaries_bitwise_equal_numpy_nan_reductions(monkeypatch):
-    # a stand-in for the ray fits fails ray 0 on every replication and the
-    # others on some
-    fit_rays, seen = est.fit_lambda_rays, []
+    # a stand-in for the ray kernel fails ray 0 on every replication and the
+    # others on some, by leaving them no exceedance
+    hill_rays, seen = est._hill_rays, []
 
-    def flaky(sample, omegas, frac):
-        fits = fit_rays(sample, omegas, frac=frac)
+    def flaky(x, y, w, frac, u):
+        us, k, total = hill_rays(x, y, w, frac, u)
         rep = len(seen)
         seen.append([
-            math.nan if j == 0 or (rep + j) % 3 == 0 else f.lambda_hat
-            for j, f in enumerate(fits)
+            math.nan if j == 0 or (rep + j) % 3 == 0 else k[j] / total[j]
+            for j in range(w.size)
         ])
-        return [InsufficientExceedancesError(0, 5) if math.isnan(v) else f
-                for v, f in zip(seen[-1], fits)]
+        return us, np.where(np.isnan(seen[-1]), 0, k), total
 
     monkeypatch.setenv("RAYTAIL_THREADS", "1")  # the stand-in records in this process
-    monkeypatch.setattr(est, "fit_lambda_rays", flaky)
+    monkeypatch.setattr(est, "_hill_rays", flaky)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rec = bench.lambda_recovery(tiny_config(reps=12, m=300))

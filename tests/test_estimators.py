@@ -386,6 +386,106 @@ def test_fit_lambda_rays_bitwise_on_tied_atoms_edge_frac_and_explicit_u():
     )
 
 
+def _per_row_hill(s, omegas, frac, u=None):
+    # the per-row loop the ray kernel replaced, on the full sample: one
+    # threshold, one compress and one 1-D np.add.reduce per ray
+    w = np.asarray(omegas, dtype=np.float64)
+    if s.n == 0:
+        return [(math.nan if u is None else u, 0, 0.0)] * w.size
+    t = est._structure(s.x, s.y, w)
+    us = est._quantile(t, 1.0 - frac) if u is None else np.full(w.size, u)
+    out = []
+    for row, u_r in zip(t, us.tolist()):
+        exc = row[row > u_r]
+        exc -= u_r
+        out.append((u_r, exc.size, float(np.add.reduce(exc))))
+    return out
+
+
+def _per_row_slot(omega, u, k, total):
+    if k < 5:
+        return InsufficientExceedancesError(k, 5)
+    if total <= 0.0:
+        return DomainError("all excesses are zero; tail index undefined")
+    lam = k / total
+    return est.AngularFit(omega, lam, u, k, lam / math.sqrt(k))
+
+
+def _kernel_batches():
+    # (name, sample, rays, frac, u): axis and interior rays, explicit
+    # thresholds, tied tiny samples whose rays differ in k, and batches on
+    # both sides of the pruning cut-off
+    rng = np.random.default_rng(2023)
+    interior = np.linspace(0.0, 1.0, 99)
+    mixed = [0.0, 1.0, 0.5, 0.3, 1.0, 0.01, 0.99, 0.0, 0.72]
+    for m in (8, 13, 40):
+        for scale in (2.0, 5.0):
+            pts = np.floor(scale * rng.standard_exponential((m, 2)))
+            s = make_sample(pts)
+            yield f"tied{m}x{scale}", s, interior, 0.25, None
+            yield f"tied{m}x{scale}-u", s, mixed, 0.1, 1.0
+    bvn = cp.BivariateNormal(0.5).sample(2000, 77)
+    tied = make_sample(np.round(bvn.points, 1))
+    for name, s in (("bvn", bvn), ("bvn-tied", tied)):
+        yield name + "-pruned", s, interior, 0.1, None
+        yield name + "-few", s, mixed[:5], 0.1, None
+        yield name + "-u", s, interior, 0.1, 1.2
+    yield "diagonal-atoms", _tied_diagonal_sample(), np.linspace(0.0, 1.0, 101), 0.1, None
+    yield "empty", ExponentialSample(np.empty((0, 2))), mixed, 0.1, None
+
+
+@pytest.mark.parametrize(
+    "name, s, rays, frac, u", [pytest.param(*b, id=b[0]) for b in _kernel_batches()]
+)
+def test_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac, u):
+    # the kernel sums each run of rows with equal k as one 2-D array; every
+    # slot, and every array entry, must be bitwise the per-row loop's
+    ref = _per_row_hill(s, rays, frac, u)
+    us, ks, totals = est._hill_rays(s.x, s.y, np.asarray(rays, dtype=np.float64), frac, u)
+    assert ks.tolist() == [k for _, k, _ in ref]
+    _same_bits(totals, np.array([total for _, _, total in ref]))
+    _same_bits(us, np.array([u_r for u_r, _, _ in ref]))  # NaN when empty
+    if name.startswith("tied"):
+        assert len(set(ks.tolist())) > 1  # runs of unequal k
+    fits = est.fit_lambda_rays(s, rays, frac=frac, u=u)
+    for fit, omega, (u_r, k, total) in zip(fits, rays, ref, strict=True):
+        want = _per_row_slot(float(omega), u_r, k, total)
+        assert type(fit) is type(want) and str(fit) == str(want)
+        if isinstance(want, est.AngularFit):
+            _same_bits(
+                [fit.omega, fit.lambda_hat, fit.u, fit.se],
+                [want.omega, want.lambda_hat, want.u, want.se],
+            )
+            assert fit.k == want.k
+
+
+@pytest.mark.parametrize("elems", [None, 16])
+def test_joint_counts_equal_direct_counts(monkeypatch, elems):
+    if elems is not None:
+        monkeypatch.setattr(est, "_BLOCK_ELEMS", elems)  # many corner blocks
+    rng = np.random.default_rng(5)
+    x, y = np.floor(4.0 * rng.standard_exponential((2, 60)))
+    # corners on sample values (x == a must not count), a -inf coordinate on
+    # either axis or both, corners above every point, and a NaN corner;
+    # more corners than _BLOCK_ELEMS / points
+    on_points = np.column_stack((x, y))[rng.integers(0, 60, 300)]
+    special = [
+        (-np.inf, 2.0), (3.0, -np.inf), (-np.inf, -np.inf), (x.max(), 0.0),
+        (0.0, y.max()), (x.max() + 1.0, y.max() + 1.0), (np.nan, 1.0), (-np.inf, np.inf),
+    ]
+    corners = np.vstack((on_points, special, on_points - 0.5))
+    got = est._joint_counts(x, y, corners)
+    want = [int(np.count_nonzero((x > a) & (y > b))) for a, b in corners]
+    assert got.tolist() == want
+    # a single corner counts without the selection
+    assert [est._joint_counts(x, y, corners[i:i + 1])[0] for i in range(len(corners))] == want
+    assert got[300:308].tolist() == [
+        np.count_nonzero(y > 2.0), np.count_nonzero(x > 3.0), 60, 0, 0, 0, 0, 0
+    ]
+    assert est._joint_counts(x, y, np.empty((0, 2))).tolist() == []
+    assert est._joint_counts(x[:0], y[:0], corners).tolist() == [0] * len(corners)
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 40])
 def test_candidates_keep_k_dominating_points_for_every_dropped_one(k):
     # a dropped point is safe when k kept points match or beat it in both
@@ -655,6 +755,10 @@ def _ref_fit_ht(sample, quantile, grid_points):
     )
     assert res.success
     beta = float(res.x)
+    # the profile at the upper bound itself wins where it is lower
+    at_bound = _ref_ht_profile(np.array([1.0 - 1e-8]), x, y, logy, stats)[0][0]
+    if at_bound < _ref_ht_profile(np.array([beta]), x, y, logy, stats)[0][0]:
+        beta = 1.0 - 1e-8
     fbest, abest = _ref_ht_profile(np.array([beta]), x, y, logy, stats)
     alpha = float(abest[0])
     z = (x - alpha * y) / np.exp(beta * logy)
@@ -708,8 +812,7 @@ def test_ht_grid_loses_no_fit_against_121_points(monkeypatch, m, seeds):
     # the grid only brackets the profile minimum: the same fit on a
     # 121-point grid is the oracle, which no fit may beat by more than 1e-9
     # in nll or fail differently from (m=300 at 0.9 has 30 exceedances). At
-    # m=300 some profiles fall all the way to the upper edge of beta; how
-    # far short of that bound Brent stops depends on the bracket width
+    # m=300 some profiles fall all the way to the upper edge of beta
     models = [cp.BivariateNormal(0.9), cp.BivariateNormal(-0.9), cp.ClaytonLowerTail(2.0),
               cp.LogisticBEV(0.5), cp.Morgenstern(1.0)]
     samples = [model.sample(m, seed) for model in models for seed in seeds]
@@ -725,6 +828,29 @@ def test_ht_grid_loses_no_fit_against_121_points(monkeypatch, m, seeds):
             assert fit.nll <= want.nll + 1e-9
             at_edge += want.beta > 1.0 - 1e-6
     assert at_edge > 0 or m > 300  # the m=300 cases include the edge
+
+
+@pytest.mark.parametrize("seed", [920, 932, 947, 980, 994])
+def test_fit_ht_reaches_the_upper_beta_bound_on_every_grid(monkeypatch, seed):
+    # these profiles fall all the way to beta = 1 - 1e-8; bounded Brent
+    # never evaluates the bound and stops about 2e-8 short of it, at a point
+    # that depends on the bracket, so the profile at the bound itself wins
+    s = cp.BivariateNormal(0.9).sample(300, seed)
+    fits = []
+    for points in (est._HT_GRID_POINTS, 5, 11, 16, 25):
+        monkeypatch.setattr(est, "_HT_GRID_POINTS", points)
+        fits.append(est.fit_ht(s, quantile=0.8))
+    for fit in fits:
+        assert fit.beta == 1.0 - 1e-8
+        _same_bits([fit.alpha, fit.nll], [fits[0].alpha, fits[0].nll])
+    u_y = float(np.quantile(s.y, 0.8))
+    x, y = s.x[s.y > u_y], s.y[s.y > u_y]
+    logy = np.log(y)
+    stats = (np.max(logy), np.min(logy), np.sum(logy))
+    betas = np.array([1.0 - 1e-8, 1.0 - 3e-8, 1.0 - 1e-7])
+    nll, alpha = _ref_ht_profile(betas, x, y, logy, stats)
+    assert nll[0] < nll[1] < nll[2]
+    _same_bits([fits[0].nll, fits[0].alpha], [nll[0], alpha[0]])
 
 
 def test_fit_ht_requires_enough_exceedances():
