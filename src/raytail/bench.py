@@ -7,6 +7,10 @@ cell the report carries the root mean squared error of the non-zero log
 estimates, the proportion of estimates exceeding the truth (zero estimates
 never exceed), the proportion of zero estimates, and for the ray and
 diagonal methods the mean fitted angular index with its 95% envelope.
+The cells are aggregated array-wise: per method, the replications of each
+ray are one contiguous row, and the rays with equal valid counts are
+compressed into one array, whose row sums and quantiles are bitwise each
+cell's own np.mean and quantile.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
@@ -277,13 +281,39 @@ def _map_reps(fn, config, order, *args):
     return dict(zip(order, _pool.map(fn, [config] * n, order, *([a] * n for a in args))))
 
 
+def _shares(hits, n):
+    # each row's count of hits over n, exactly; NaN where n is 0
+    out = np.full(n.size, math.nan)
+    return np.divide(np.count_nonzero(hits, axis=1), n, out=out, where=n > 0)
+
+
+def _row_stats(v, ok, qs=()):
+    """Per row of ``v``, over its entries where ``ok``: the mean and the
+    ``_quantile`` at each of ``qs`` (NaN for a row with none), and the
+    counts. The rows with c such entries are compressed into one (rows, c)
+    array, in replication order; a row's np.add.reduce there divided by c
+    is bitwise np.mean of that row alone."""
+    counts = np.count_nonzero(ok, axis=1)
+    out = np.full((1 + len(qs), len(v)), math.nan)
+    # a set, not np.unique: its sort code alone adds 0.6 MB of resident
+    # pages to a process that sorts nothing else
+    for c in set(counts.tolist()) - {0}:
+        rows = counts == c
+        kept = v[rows].ravel().compress(ok[rows].ravel()).reshape(-1, c)
+        out[0, rows] = np.add.reduce(kept, axis=1) / c
+        for j, q in enumerate(qs, 1):
+            out[j, rows] = est._quantile(kept, q)
+    return out, counts
+
+
 def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
     """Run the full replication study and aggregate the report.
 
     ``rep_order`` permutes the execution order only; results are stored by
     replication index, so any order yields the identical report. Raises
     NumericError when a log truth is not a finite number <= 0, before any
-    replication runs.
+    replication runs. Proportions come from exact counts, and the RMSE and
+    lambda summaries from ``_row_stats``.
     """
     t_start = time.perf_counter()
     order = list(range(config.reps)) if rep_order is None else list(rep_order)
@@ -301,44 +331,27 @@ def run_benchmark(config: BenchmarkConfig, rep_order=None) -> BenchmarkReport:
             )
 
     results = _map_reps(_run_single_rep, config, order)
-    log_values, lambdas = np.stack([results[rep] for rep in range(config.reps)], axis=2)
+    # (2, methods, rays, reps): each ray's replications are one contiguous row
+    log_values, lambdas = np.stack([results[rep] for rep in range(config.reps)], axis=-1)
+    truths = np.array(log_truths)[:, None]
 
     cells = []
     failures = {}
     for mth, vals, lams in zip(config.methods, log_values, lambdas):
-        failures[mth] = int(np.sum(np.all(np.isnan(vals), axis=1)))
-        for i, w in enumerate(config.omegas):
-            col = vals[:, i]
-            used = col[~np.isnan(col)]
-            n_used = used.size
-            nonzero = used[used > -np.inf]
-            if nonzero.size:
-                rmse = float(np.sqrt(np.mean((nonzero - log_truths[i]) ** 2)))
-            else:
-                rmse = math.nan
-            prop_exceed = float(np.mean(used > log_truths[i])) if n_used else math.nan
-            prop_zero = float(np.mean(used == -np.inf)) if n_used else math.nan
-            lcol = lams[:, i][~np.isnan(lams[:, i])]
-            mean_lam = lo = hi = math.nan
-            if lcol.size:
-                mean_lam = float(np.mean(lcol))
-                lo = float(est._quantile(lcol, 0.025))
-                hi = float(est._quantile(lcol, 0.975))
-            cells.append(
-                BenchmarkCell(
-                    method=mth,
-                    omega=w,
-                    true_prob=math.exp(log_truths[i]),
-                    rmse_nonzero_log=rmse,
-                    prop_exceed=prop_exceed,
-                    prop_zero=prop_zero,
-                    n_reps_used=n_used,
-                    n_nonzero=int(nonzero.size),
-                    mean_lambda=mean_lam,
-                    lambda_lo=lo,
-                    lambda_hi=hi,
-                )
-            )
+        used = ~np.isnan(vals)
+        failures[mth] = int(np.count_nonzero(~used.any(axis=0)))
+        n_used = np.count_nonzero(used, axis=1)
+        prop_exceed = _shares(vals > truths, n_used)
+        prop_zero = _shares(vals == -np.inf, n_used)
+        (mse,), n_nonzero = _row_stats((vals - truths) ** 2, vals > -np.inf)
+        lam, _ = _row_stats(lams, ~np.isnan(lams), (0.025, 0.975))
+        for w, lt, *stats in zip(
+            config.omegas,
+            log_truths,
+            *(a.tolist() for a in (np.sqrt(mse), prop_exceed, prop_zero, n_used, n_nonzero)),
+            *lam.tolist(),
+        ):
+            cells.append(BenchmarkCell(mth, w, math.exp(lt), *stats))
     return BenchmarkReport(
         config=config.as_dict(),
         cells=tuple(cells),
@@ -381,8 +394,9 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
     if omega_grid is None:
         omega_grid = np.round(np.arange(0.01, 0.995, 0.01), 4)
     grid = np.asarray(omega_grid, dtype=np.float64)
-    if np.any((grid <= 0.0) | (grid >= 1.0)):
-        raise DomainError("omega grid must lie strictly inside (0, 1)")
+    # NaN fails both comparisons
+    if grid.ndim != 1 or not np.all((grid > 0.0) & (grid < 1.0)):
+        raise DomainError("omega grid must be a 1-D list of numbers strictly inside (0, 1)")
     fits = np.array(list(_map_reps(_recover_rep, config, range(config.reps), grid).values()))
     ok = ~np.isnan(fits)
     n_ok = np.count_nonzero(ok, axis=0)
@@ -390,16 +404,7 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
     # bitwise its value; 0/0 gives NaN where every fit of a ray failed
     with np.errstate(invalid="ignore"):
         mean = np.sum(np.where(ok, fits, 0.0), axis=0) / n_ok
-    # the envelopes of the rays with c finite fits are one _quantile call
-    # over their rows with the failed fits at -inf, below the c finite ones
-    # (a set, not np.unique: its sort code alone adds 0.6 MB of resident
-    # pages to a process that sorts nothing else)
-    rows = np.where(ok, fits, -np.inf).T
-    lo, hi = np.full(grid.size, math.nan), np.full(grid.size, math.nan)
-    for c in set(n_ok.tolist()) - {0}:
-        rays = n_ok == c
-        lo[rays] = est._quantile(rows[rays], 0.025, c)
-        hi[rays] = est._quantile(rows[rays], 0.975, c)
+    (_, lo, hi), _ = _row_stats(fits.T, ok.T, (0.025, 0.975))
     return LambdaRecovery(
         omegas=grid,
         true_lambda=np.array([config.model.lam(w) for w in grid]),

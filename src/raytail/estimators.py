@@ -315,14 +315,22 @@ def _hill_rays(x, y, w, frac, u):
     with u None a NaN threshold.
 
     The structure matrix is built in row blocks. In a block one mask and
-    one compress leave each row's values above its threshold contiguous and
-    in sample order. A run of rows with equal k is then one (rows, k)
-    array: the thresholds are subtracted from it in place, and it is summed
-    along its rows. np.add.reduce along a contiguous row is that row's own
-    pairwise sum, bitwise the 1-D reduce of its excesses. np.add.reduceat
-    is not pairwise, so it is not used.
+    one flat compress leave each row's values above its threshold
+    contiguous and in sample order. A run of rows with equal k is then one
+    (rows, k) array: the thresholds are subtracted from it in place, and it
+    is summed along its rows. np.add.reduce along a contiguous row is that
+    row's own pairwise sum, bitwise the 1-D reduce of its excesses.
+    np.add.reduceat is not pairwise, so it is not used. A single ray skips
+    the blocks and runs: its row is that 1-D reduce itself.
     """
     m = x.size
+    if w.size == 1 and m:
+        # one ray: a 1-D row, with no block or run bookkeeping
+        t = _structure(x, y, w)[0]
+        u_r = _quantile(t, 1.0 - frac) if u is None else u
+        exc = t[t > u_r]
+        exc -= u_r
+        return np.array([u_r]), np.array([exc.size]), np.array([np.add.reduce(exc)])
     # the staircase costs a sort and a fixed overhead; measured on two cores
     # it pays from about 7 rays at m=5000, 12 at m=2000 and 50 at m=300
     if u is None and w.size >= _SKYBAND_STEPS and w.size * m >= _PRUNE_MIN_ELEMS:
@@ -341,7 +349,9 @@ def _hill_rays(x, y, w, frac, u):
             us[block] = _quantile(t, 1.0 - frac, m)
         above = t > us[block, None]
         ks[block] = above.sum(axis=1)
-        exc = t[above]
+        # the flat compress takes the same values in the same order as the
+        # 2-D boolean index t[above], in about half its time
+        exc = t.ravel().compress(above.ravel())
         at, row = 0, start
         for k, run in groupby(ks[block].tolist()):
             rows = len(list(run))
@@ -559,29 +569,32 @@ def _ht_feasible(betas, logy_stats):
 
 
 def _ht_block(b, x, y, logy, logy_sum):
-    """Profile nll and location slope for a (rows, 1) column of betas that
-    pass ``_ht_feasible``: the one kernel of the grid scan and the Brent
-    refinement. The caller holds np.errstate(divide, invalid) and maps a
-    non-finite nll to +inf.
+    """Profile nll and location slope at betas that pass ``_ht_feasible``:
+    ``b`` is a vector (a block of the grid scan) or a scalar (one Brent
+    evaluation), and the one kernel serves both. The caller holds
+    np.errstate(divide, invalid) and maps a non-finite nll to +inf.
 
     Each row is np.mean's arithmetic, bitwise: an np.add.reduce along the
     row divided by n. Three (rows x points) buffers hold y**beta, then c, a
-    and the products; a and c are centred and reused in place.
+    and the products; a and c are centred and reused in place. Per-row
+    values act on the transposed buffers, so a scalar row needs no (1, 1)
+    arrays, and a scalar beta's row is the same arithmetic as a grid row.
     """
     n = x.size
-    c = np.multiply(b, logy)
+    c = np.multiply.outer(b, logy)
     np.exp(c, out=c)
     a = x / c
     np.divide(y, c, out=c)
-    a -= np.add.reduce(a, axis=1, keepdims=True) / n
-    c -= np.add.reduce(c, axis=1, keepdims=True) / n
+    a_t, c_t = a.T, c.T  # a row's value broadcasts along its column here
+    a_t -= np.add.reduce(a, axis=-1) / n
+    c_t -= np.add.reduce(c, axis=-1) / n
     t = a * c
-    cov = np.add.reduce(t, axis=1)
-    al = (cov / np.add.reduce(np.multiply(c, c, out=t), axis=1)).clip(0.0, 1.0)
-    c *= al[:, None]
+    cov = np.add.reduce(t, axis=-1)
+    al = (cov / np.add.reduce(np.multiply(c, c, out=t), axis=-1)).clip(0.0, 1.0)
+    c_t *= al
     a -= c
     a *= a
-    nll = 0.5 * n * np.log(np.add.reduce(a, axis=1) / n) + b[:, 0] * logy_sum
+    nll = 0.5 * n * np.log(np.add.reduce(a, axis=-1) / n) + b * logy_sum
     return nll, al
 
 
@@ -594,7 +607,7 @@ def _ht_profile(betas, x, y, logy, logy_stats):
     |beta * log y| > 600 for some y, and degenerate variances, get +inf.
     ``logy_stats`` is (max, min, sum) of logy, computed once per fit. The
     feasible betas go through ``_ht_block`` in cache-sized row blocks; the
-    Brent refinement of ``fit_ht`` calls the same kernel one row at a time.
+    Brent refinement of ``fit_ht`` calls the same kernel on one scalar beta.
     """
     nll = np.full(betas.size, np.inf)
     alpha = np.full(betas.size, np.nan)
@@ -603,9 +616,7 @@ def _ht_profile(betas, x, y, logy, logy_stats):
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, feasible.size, step):
             rows = feasible[start:start + step]
-            nll[rows], alpha[rows] = _ht_block(
-                betas[rows, None], x, y, logy, logy_stats[2]
-            )
+            nll[rows], alpha[rows] = _ht_block(betas[rows], x, y, logy, logy_stats[2])
     nll[~np.isfinite(nll)] = np.inf
     return nll, alpha
 
@@ -696,8 +707,9 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     ``_fminbound``, on the bracket around the best grid point. The refined
     point is kept unless the profile at the bound 1 - 1e-8 is lower, and
     its alpha is the one Brent evaluated with it. The grid and each Brent
-    evaluation run the one profile kernel ``_ht_block``, a block of rows or
-    a single row, inside one np.errstate held for the whole profile.
+    evaluation run the one profile kernel ``_ht_block``, on a block of
+    betas or on one scalar beta (no (1, 1) arrays), inside one np.errstate
+    held for the whole profile.
     Raises OptimizerError when the likelihood is nowhere finite on the
     grid, the refinement fails, or the residual scale is degenerate.
     """
@@ -716,14 +728,14 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     if np.min(y) <= 0.0:
         raise DomainError("conditioning threshold must keep Y_E positive")
     logy = np.log(y)
-    logy_stats = (np.max(logy), np.min(logy), np.sum(logy))
+    logy_stats = (float(np.max(logy)), float(np.min(logy)), float(np.sum(logy)))
 
     def one(b):
         # one beta of the refinement: the guard as a scalar check, then one
-        # kernel row; bitwise the value of _ht_profile at [b]
+        # scalar kernel row; bitwise the value of _ht_profile at [b]
         if not _ht_feasible(b, logy_stats):
             return math.inf, math.nan
-        (nll,), (al,) = _ht_block(np.array([[b]]), x, y, logy, logy_stats[2])
+        nll, al = _ht_block(b, x, y, logy, logy_stats[2])
         return (nll if math.isfinite(nll) else math.inf), al
 
     evals = {}  # beta -> (nll, alpha) at every point Brent evaluates

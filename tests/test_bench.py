@@ -176,6 +176,94 @@ def test_metric_identities_per_cell():
         assert 0.0 <= cell.prop_zero <= 1.0
 
 
+def _cells_per_cell_reference(config, log_truths, log_values, lambdas):
+    # the report's per-cell aggregation as it was before it became
+    # array-wise; log_values and lambdas are (methods, reps, rays)
+    cells, failures = [], {}
+    for mth, vals, lams in zip(config.methods, log_values, lambdas):
+        failures[mth] = int(np.sum(np.all(np.isnan(vals), axis=1)))
+        for i, w in enumerate(config.omegas):
+            col = vals[:, i]
+            used = col[~np.isnan(col)]
+            n_used = used.size
+            nonzero = used[used > -np.inf]
+            if nonzero.size:
+                rmse = float(np.sqrt(np.mean((nonzero - log_truths[i]) ** 2)))
+            else:
+                rmse = math.nan
+            prop_exceed = float(np.mean(used > log_truths[i])) if n_used else math.nan
+            prop_zero = float(np.mean(used == -np.inf)) if n_used else math.nan
+            lcol = lams[:, i][~np.isnan(lams[:, i])]
+            mean_lam = lo = hi = math.nan
+            if lcol.size:
+                mean_lam = float(np.mean(lcol))
+                lo = float(est._quantile(lcol, 0.025))
+                hi = float(est._quantile(lcol, 0.975))
+            cells.append(bench.BenchmarkCell(
+                mth, w, math.exp(log_truths[i]), rmse, prop_exceed, prop_zero,
+                n_used, int(nonzero.size), mean_lam, lo, hi,
+            ))
+    return cells, failures
+
+
+def _bits(cell):
+    # every field, floats by their bit pattern
+    return [
+        (type(v), np.float64(v).tobytes() if isinstance(v, float) else v)
+        for v in dataclasses.astuple(cell)
+    ]
+
+
+@pytest.mark.parametrize("reps", [1, 10, 137, 500])
+def test_report_cells_bitwise_equal_per_cell_reference(monkeypatch, reps):
+    # seeded stand-in replications: per ray a different share of failed
+    # (NaN) and zero (-inf) estimates, so the rays' valid counts differ; ray
+    # 0.1 fails on every replication and every ht lambda is NaN. 137 and 500
+    # replications reach numpy's unrolled pairwise sum
+    cfg = tiny_config(reps=reps, omegas=(0.5, 0.4, 0.3, 0.2, 0.1))
+    log_truths = cfg.model.log_survivors(cfg.targets()).tolist()
+    p_fail = np.array([0.0, 0.05, 0.2, 0.5, 1.0])
+    p_zero = np.array([0.0, 0.3, 0.1, 0.0, 0.2])
+    seen = {}
+
+    def replicate(config, rep):
+        rng = np.random.default_rng([reps, rep])
+        shape = (len(config.methods), len(config.omegas))
+        logs = np.asarray(log_truths) + rng.normal(0.0, 1.5, shape)
+        logs[rng.random(shape) < p_zero] = -np.inf
+        logs[rng.random(shape) < p_fail] = np.nan
+        lams = rng.gamma(20.0, 0.07, shape)
+        lams[np.isnan(logs)] = np.nan
+        lams[config.methods.index("ht")] = np.nan
+        seen[rep] = np.stack([logs, lams])
+        return seen[rep]
+
+    monkeypatch.setenv("RAYTAIL_THREADS", "1")  # the stand-in records in this process
+    monkeypatch.setattr(bench, "_run_single_rep", replicate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = bench.run_benchmark(cfg)
+    log_values, lambdas = np.stack([seen[rep] for rep in range(reps)], axis=2)
+    cells, failures = _cells_per_cell_reference(cfg, log_truths, log_values, lambdas)
+    assert report.n_failures == failures
+    assert [_bits(c) for c in report.cells] == [_bits(c) for c in cells]
+    counts = {c.n_reps_used for c in report.cells if c.method == "wt"}
+    assert 0 in counts and (reps < 10 or len(counts) >= 3)
+
+
+@pytest.mark.parametrize(
+    "grid", [[[0.3, 0.4]], [0.3, math.nan], [math.nan], [0.5, math.inf], 0.5]
+)
+def test_lambda_recovery_rejects_a_bad_grid_before_any_replication(monkeypatch, grid):
+    def replicate(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setenv("RAYTAIL_THREADS", "1")
+    monkeypatch.setattr(bench, "_recover_rep", replicate)
+    with pytest.raises(DomainError, match="omega grid"):
+        bench.lambda_recovery(tiny_config(reps=2), omega_grid=grid)
+
+
 def test_truth_column_is_exact_survivor():
     cfg = tiny_config()
     rep = bench.run_benchmark(cfg)

@@ -459,6 +459,18 @@ def test_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac, u):
             assert fit.k == want.k
 
 
+@pytest.mark.parametrize(
+    "name, s, rays, frac, u", [pytest.param(*b, id=b[0]) for b in _kernel_batches()]
+)
+def test_one_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac, u):
+    # a batch of one ray skips the row blocks and the runs of equal k
+    for omega, (u_r, k, total) in zip(rays, _per_row_hill(s, rays, frac, u)):
+        us, ks, totals = est._hill_rays(s.x, s.y, np.array([omega], dtype=np.float64), frac, u)
+        assert ks.tolist() == [k]
+        _same_bits(totals, np.array([total]))
+        _same_bits(us, np.array([u_r]))
+
+
 @pytest.mark.parametrize("elems", [None, 16])
 def test_joint_counts_equal_direct_counts(monkeypatch, elems):
     if elems is not None:
@@ -1007,7 +1019,7 @@ def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
     x = rng.standard_exponential(1000)
     x[mask] = 2.0**20 * np.exp(b0 * logy)
     with np.errstate(divide="ignore"):
-        (raw,), _ = est._ht_block(np.array([[b0]]), x[mask], y[mask], logy, logy.sum())
+        raw, _ = est._ht_block(b0, x[mask], y[mask], logy, logy.sum())
     assert raw == -np.inf
 
     seen, brent = [], est._fminbound
@@ -1021,6 +1033,25 @@ def test_ht_refinement_reads_non_finite_profile_as_inf(monkeypatch):
         est.fit_ht(make_sample(np.column_stack((x, y))))
     assert seen[0] == (b0, np.inf)
     assert all(math.isfinite(v) or v == np.inf for _, v in seen)
+
+
+@pytest.mark.parametrize(
+    "model", [cp.BivariateNormal(0.5), cp.InvertedLogistic(0.415), cp.LogisticBEV(0.5)],
+    ids=["bvn0.5", "invlog0.415", "logistic0.5"],
+)
+def test_ht_kernel_scalar_row_bitwise_equals_its_grid_row(model):
+    # Brent evaluates one scalar beta at a time; each must be the row the
+    # grid's block computes for it, in nll and alpha
+    s = model.sample(5000, 41)
+    mask = s.y > est._quantile(s.y, 0.9)
+    x, y = s.x[mask], s.y[mask]
+    logy = np.log(y)
+    betas = np.linspace(-0.9, 1.0 - 1e-8, 16)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nll, alpha = est._ht_block(betas, x, y, logy, float(np.sum(logy)))
+        for b, want in zip(betas.tolist(), zip(nll, alpha)):
+            got = est._ht_block(b, x, y, logy, float(np.sum(logy)))
+            _same_bits(np.array(got), np.array(want))
 
 
 def _scipy_bounded(f, a, b, xatol, maxfun=500):
