@@ -287,21 +287,23 @@ def _shares(hits, n):
     return np.divide(np.count_nonzero(hits, axis=1), n, out=out, where=n > 0)
 
 
-def _row_stats(v, ok, qs=()):
-    """Per row of ``v``, over its entries where ``ok``: the mean and the
-    ``_quantile`` at each of ``qs`` (NaN for a row with none), and the
-    counts. The rows with c such entries are compressed into one (rows, c)
-    array, in replication order; a row's np.add.reduce there divided by c
-    is bitwise np.mean of that row alone."""
+def _row_stats(v, ok, qs=(), mean=True):
+    """Per row of ``v``, over its entries where ``ok``: the mean (if
+    ``mean``) and the ``_quantile`` at each of ``qs`` (NaN for a row with
+    none), and the counts. The rows with c such entries are compressed into
+    one (rows, c) array, in replication order; a row's np.add.reduce there
+    divided by c is bitwise np.mean of that row alone."""
     counts = np.count_nonzero(ok, axis=1)
-    out = np.full((1 + len(qs), len(v)), math.nan)
+    first = int(mean)  # the row of the first quantile
+    out = np.full((first + len(qs), len(v)), math.nan)
     # a set, not np.unique: its sort code alone adds 0.6 MB of resident
     # pages to a process that sorts nothing else
     for c in set(counts.tolist()) - {0}:
         rows = counts == c
         kept = v[rows].ravel().compress(ok[rows].ravel()).reshape(-1, c)
-        out[0, rows] = np.add.reduce(kept, axis=1) / c
-        for j, q in enumerate(qs, 1):
+        if mean:
+            out[0, rows] = np.add.reduce(kept, axis=1) / c
+        for j, q in enumerate(qs, first):
             out[j, rows] = est._quantile(kept, q)
     return out, counts
 
@@ -399,12 +401,12 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
         raise DomainError("omega grid must be a 1-D list of numbers strictly inside (0, 1)")
     fits = np.array(list(_map_reps(_recover_rep, config, range(config.reps), grid).values()))
     ok = ~np.isnan(fits)
-    n_ok = np.count_nonzero(ok, axis=0)
-    # np.nanmean's own sum and count over the whole array, so the mean is
-    # bitwise its value; 0/0 gives NaN where every fit of a ray failed
+    (lo, hi), n_ok = _row_stats(fits.T, ok.T, (0.025, 0.975), mean=False)
+    # the curve's digest holds np.nanmean's value, a sum over the (reps,
+    # rays) array in replication order, not _row_stats' pairwise row sum;
+    # 0/0 gives NaN where every fit of a ray failed
     with np.errstate(invalid="ignore"):
         mean = np.sum(np.where(ok, fits, 0.0), axis=0) / n_ok
-    (_, lo, hi), _ = _row_stats(fits.T, ok.T, (0.025, 0.975))
     return LambdaRecovery(
         omegas=grid,
         true_lambda=np.array([config.model.lam(w) for w in grid]),

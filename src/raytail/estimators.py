@@ -315,22 +315,14 @@ def _hill_rays(x, y, w, frac, u):
     with u None a NaN threshold.
 
     The structure matrix is built in row blocks. In a block one mask and
-    one flat compress leave each row's values above its threshold
-    contiguous and in sample order. A run of rows with equal k is then one
-    (rows, k) array: the thresholds are subtracted from it in place, and it
-    is summed along its rows. np.add.reduce along a contiguous row is that
-    row's own pairwise sum, bitwise the 1-D reduce of its excesses.
-    np.add.reduceat is not pairwise, so it is not used. A single ray skips
-    the blocks and runs: its row is that 1-D reduce itself.
+    one compress leave each row's values above its threshold contiguous and
+    in sample order. A run of rows with equal k is then one (rows, k)
+    array: the thresholds are subtracted from it in place, and it is summed
+    along its rows. np.add.reduce along a contiguous row is that row's own
+    pairwise sum, bitwise the 1-D reduce of its excesses. np.add.reduceat
+    is not pairwise, so it is not used.
     """
     m = x.size
-    if w.size == 1 and m:
-        # one ray: a 1-D row, with no block or run bookkeeping
-        t = _structure(x, y, w)[0]
-        u_r = _quantile(t, 1.0 - frac) if u is None else u
-        exc = t[t > u_r]
-        exc -= u_r
-        return np.array([u_r]), np.array([exc.size]), np.array([np.add.reduce(exc)])
     # the staircase costs a sort and a fixed overhead; measured on two cores
     # it pays from about 7 rays at m=5000, 12 at m=2000 and 50 at m=300
     if u is None and w.size >= _SKYBAND_STEPS and w.size * m >= _PRUNE_MIN_ELEMS:

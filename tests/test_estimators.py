@@ -430,6 +430,7 @@ def _kernel_batches():
         yield name + "-pruned", s, interior, 0.1, None
         yield name + "-few", s, mixed[:5], 0.1, None
         yield name + "-u", s, interior, 0.1, 1.2
+        yield name + "-one", s, [0.3], 0.1, None  # fit_lambda's one-ray batch
     yield "diagonal-atoms", _tied_diagonal_sample(), np.linspace(0.0, 1.0, 101), 0.1, None
     yield "empty", ExponentialSample(np.empty((0, 2))), mixed, 0.1, None
 
@@ -457,18 +458,6 @@ def test_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac, u):
                 [want.omega, want.lambda_hat, want.u, want.se],
             )
             assert fit.k == want.k
-
-
-@pytest.mark.parametrize(
-    "name, s, rays, frac, u", [pytest.param(*b, id=b[0]) for b in _kernel_batches()]
-)
-def test_one_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac, u):
-    # a batch of one ray skips the row blocks and the runs of equal k
-    for omega, (u_r, k, total) in zip(rays, _per_row_hill(s, rays, frac, u)):
-        us, ks, totals = est._hill_rays(s.x, s.y, np.array([omega], dtype=np.float64), frac, u)
-        assert ks.tolist() == [k]
-        _same_bits(totals, np.array([total]))
-        _same_bits(us, np.array([u_r]))
 
 
 @pytest.mark.parametrize("elems", [None, 16])
