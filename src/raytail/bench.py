@@ -20,10 +20,12 @@ diagonal of ``lt`` at the default rays, are fitted once, and each method
 reads its slots through the estimators' own kernels. The angular curve of
 ``lambda_recovery`` reads the ray kernel's arrays directly. The ``ht``
 draws of seed s are one set, seeded by (s, 7919) and shared by its rays.
-Replications run in the package's one process pool (``_pool``), forked
-once per process and shared with the CSV reader, with as many workers as
-the environment variable RAYTAIL_THREADS says (default: the usable cores);
-RAYTAIL_THREADS=1 runs them serially in the caller.
+Replications run in the package's one process pool (``_pool``), shared
+with the CSV reader: the environment variable RAYTAIL_THREADS says how many
+processes share a study, the caller included (default: the usable cores).
+The caller runs the first contiguous chunk of replications itself and
+forked workers run the others; RAYTAIL_THREADS=1 runs them all serially in
+the caller.
 """
 
 from __future__ import annotations
@@ -407,9 +409,12 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
     # 0/0 gives NaN where every fit of a ray failed
     with np.errstate(invalid="ignore"):
         mean = np.sum(np.where(ok, fits, 0.0), axis=0) / n_ok
+    # the grid is checked above, so each ray's lam(w) is the family's own
+    # _kappa(w, 1 - w), without lam's checks
+    kappa = config.model._kappa
     return LambdaRecovery(
         omegas=grid,
-        true_lambda=np.array([config.model.lam(w) for w in grid]),
+        true_lambda=np.array([kappa(w, 1.0 - w) for w in grid.tolist()]),
         mean_lambda=mean,
         lo=lo,
         hi=hi,

@@ -7,8 +7,9 @@ the container types, the CSV reader and writer, and the one route onto that
 scale: the empirical rank transform of raw data.
 
 A large CSV body is parsed in line-aligned byte ranges on the package's
-process pool, one range per worker (RAYTAIL_THREADS, default the usable
-cores); the values and error messages are those of a serial read.
+process pool, one range per process (RAYTAIL_THREADS, the caller included,
+default the usable cores); the caller parses the first range itself. The
+values and error messages are those of a serial read.
 """
 
 from __future__ import annotations
@@ -153,27 +154,29 @@ def rank_transform(raw) -> ExponentialSample:
     return ExponentialSample(out, provenance="rank-transform")
 
 
-# A body shorter than two parts parses in one range in the caller: forking
-# the pool and sending the rows back cost about 50 ms. In a fresh CLI call on
-# 2 cores (estimate prob --method wt --rank-transform, medians of 10-12
-# alternating runs) two ranges were slower than one at 4 and 6 MB, even at
-# 8 MB and faster from 10 MB (0.537 -> 0.461 s) and 12 MB (0.573 -> 0.497 s).
-_PART_BYTES = 4 << 20
+# A body shorter than two parts parses in one range in the caller. A second
+# range costs the fork of one worker (about 4 ms) and the pipe that brings
+# its rows back. In a fresh CLI call on 2 cores (estimate prob --method wt
+# --rank-transform, medians of 12 alternating runs) two ranges tied one
+# range at 1 MB (0.1148 against 0.1152 s) and were faster from 2 MB on
+# (0.1235 against 0.1288 s; at 4 MB 0.1389 against 0.1546 s, at 8 MB 0.1734
+# against 0.2104 s).
+_PART_BYTES = 1 << 20
 
 
 def read_raw_csv(path) -> RawSample:
     """Read a raw sample from CSV: header row of names, float rows.
 
-    The body is cut into line-aligned byte ranges, at most one per worker of
-    the package's process pool and each at least ``_PART_BYTES`` long, and
-    every range is parsed by ``np.loadtxt`` (see :func:`_parse_range`). If
-    any range is not taken cleanly (a parse error, a non-ASCII byte, a
-    column count that differs from the header, a non-finite value), or the
-    body has no rows or a header that is not one plain line, the whole file
-    is re-read by the row loop, which accepts every field ``float()``
-    accepts and words every error message. Where both parse a file they
-    give bitwise the same values. Anything but a regular file, such as a
-    pipe, goes to the row loop directly.
+    The body is cut into line-aligned byte ranges, at most one per process
+    of the package's pool (the caller included) and each at least
+    ``_PART_BYTES`` long, and every range is parsed by ``np.loadtxt`` (see
+    :func:`_parse_range`). If any range is not taken cleanly (a parse
+    error, a non-ASCII byte, a column count that differs from the header, a
+    non-finite value), or the body has no rows or a header that is not one
+    plain line, the whole file is re-read by the row loop, which accepts
+    every field ``float()`` accepts and words every error message. Where
+    both parse a file they give bitwise the same values. Anything but a
+    regular file, such as a pipe, goes to the row loop directly.
     """
     if not os.path.isfile(path):
         # a pipe can be read once only; the row loop reads it in one pass
@@ -189,7 +192,7 @@ def read_raw_csv(path) -> RawSample:
         if not one_line or b"\r" in first.removesuffix(b"\n").removesuffix(b"\r"):
             return _read_raw_csv_rows(path)
         start, size = len(first), os.fstat(fh.fileno()).st_size
-        parts = max(1, min(_pool._worker_count(), (size - start) // _PART_BYTES))
+        parts = max(1, min(_pool._process_count(), (size - start) // _PART_BYTES))
         cuts = [start]
         for i in range(1, parts):
             # cut just after the first newline at or past the even split

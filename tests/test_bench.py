@@ -411,10 +411,13 @@ def test_process_pool_matches_serial(monkeypatch):
     assert {c["method"] for c in serial[0]["cells"]} == {"wt", "lt", "ht"}
     assert _reports_with_threads(monkeypatch, None) == serial
     assert _reports_with_threads(monkeypatch, "2") == serial
+    assert _reports_with_threads(monkeypatch, "3") == serial
 
 
-def _exit_on_rep_one(config, rep):
-    if rep == 1:
+def _exit_on_rep_three(config, rep):
+    # reps 2 and 3 form the worker's chunk on 2 processes; the caller runs
+    # reps 0 and 1
+    if rep == 3:
         os._exit(1)
     return rep
 
@@ -423,7 +426,7 @@ def test_broken_pool_is_dropped(monkeypatch):
     monkeypatch.setenv("RAYTAIL_THREADS", "2")
     cfg = tiny_config(reps=4, m=600)
     with pytest.raises(BrokenProcessPool):
-        bench._map_reps(_exit_on_rep_one, cfg, range(cfg.reps))
+        bench._map_reps(_exit_on_rep_three, cfg, range(cfg.reps))
     pooled = bench.run_benchmark(cfg).as_dict()
     monkeypatch.setenv("RAYTAIL_THREADS", "1")
     assert pooled == bench.run_benchmark(cfg).as_dict()
@@ -437,6 +440,23 @@ def test_lambda_recovery_summary():
         assert math.isclose(rec.true_lambda[i], cfg.model.lam(w), rel_tol=1e-15)
         assert abs(rec.mean_lambda[i] - rec.true_lambda[i]) < 0.15
         assert rec.lo[i] <= rec.mean_lambda[i] <= rec.hi[i]
+
+
+@pytest.mark.parametrize("model", [
+    cp.BivariateNormal(0.5),
+    cp.BivariateNormal(-0.3),
+    cp.InvertedLogistic(ETA_075_ALPHA),
+    cp.InvertedLogistic(1.0),
+    cp.Morgenstern(1.0),
+    cp.LogisticBEV(0.5),
+    cp.ClaytonLowerTail(2.0),
+])
+@pytest.mark.parametrize("grid", [None, [1e-300, 0.3, 0.5, 0.7, 1.0 - 2**-53]])
+def test_lambda_recovery_true_lambda_bitwise_equals_model_lam(monkeypatch, model, grid):
+    monkeypatch.setenv("RAYTAIL_THREADS", "1")
+    rec = bench.lambda_recovery(bench.BenchmarkConfig(model, reps=1, m=200), omega_grid=grid)
+    want = np.array([model.lam(w) for w in rec.omegas])
+    assert rec.true_lambda.tobytes() == want.tobytes()
 
 
 def test_lambda_recovery_dict_writes_null_for_a_ray_that_always_fails():

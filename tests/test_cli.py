@@ -539,13 +539,13 @@ def test_estimate_numeric_failure_exit_code(tmp_path, capsys):
     assert "exceedances" in err
 
 
-def _scipy_modules_after(code, **env_vars):
-    """The scipy modules in sys.modules after ``code`` runs in a fresh
-    interpreter that imports raytail from this checkout."""
+def _modules_after(code, tops=("scipy",), **env_vars):
+    """The modules of the packages ``tops`` in sys.modules after ``code``
+    runs in a fresh interpreter that imports raytail from this checkout."""
     src = os.path.dirname(os.path.dirname(raytail.__file__))
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    report = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    report = f"\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {tops!r}))"
     out = subprocess.run(
         [sys.executable, "-c", code + report], env=env, capture_output=True, text=True, check=True
     )
@@ -554,7 +554,7 @@ def _scipy_modules_after(code, **env_vars):
 
 def test_cli_import_leaves_optimize_and_integrate_unloaded():
     # no path of the package loads scipy, so importing the CLI cannot
-    assert _scipy_modules_after("import raytail.cli") == "[]"
+    assert _modules_after("import raytail.cli") == "[]"
 
 
 def test_study_and_ht_estimate_leave_optimize_and_integrate_unloaded(tmp_path):
@@ -567,7 +567,7 @@ def test_study_and_ht_estimate_leave_optimize_and_integrate_unloaded(tmp_path):
         f" '--out', {str(path)!r}])\n"
         "assert code == 0, code\n"
     )
-    assert _scipy_modules_after(simulate) == "[]"
+    assert _modules_after(simulate) == "[]"
     study = (
         "from raytail import bench, copulas\n"
         "cfg = bench.BenchmarkConfig(copulas.BivariateNormal(0.5), reps=2, m=2000,"
@@ -586,6 +586,19 @@ def test_study_and_ht_estimate_leave_optimize_and_integrate_unloaded(tmp_path):
         "assert code == 0, code\n"
     )
     for code in (study, survivor, estimate):
-        assert _scipy_modules_after(code, RAYTAIL_THREADS="1") == "[]"
-    # the study again on a pool of two workers
-    assert _scipy_modules_after(study, RAYTAIL_THREADS="2") == "[]"
+        assert _modules_after(code, RAYTAIL_THREADS="1") == "[]"
+    # the study again on two processes: the caller and one worker
+    assert _modules_after(study, RAYTAIL_THREADS="2") == "[]"
+
+
+def test_cli_import_and_a_pooled_study_load_no_executor():
+    # the pool forks on os.pipe; concurrent.futures is imported only to
+    # raise BrokenProcessPool for a dead worker
+    tops = ("concurrent", "multiprocessing")
+    assert _modules_after("import raytail.cli", tops) == "[]"
+    study = (
+        "from raytail import bench, copulas\n"
+        "cfg = bench.BenchmarkConfig(copulas.InvertedLogistic(0.5), reps=3, m=300)\n"
+        "bench.run_benchmark(cfg)\n"
+    )
+    assert _modules_after(study, tops, RAYTAIL_THREADS="3") == "[]"
