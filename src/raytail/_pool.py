@@ -10,9 +10,11 @@ each worker sees module state as of the map that forked it. A platform
 that cannot fork, or p <= 1, runs the calls serially in the caller.
 
 A worker talks to the caller over two pipes, one each way, and each
-message is a pickle prefixed by its length. It leaves by ``os._exit`` when
-its request pipe reaches end of file, so no worker outlives a caller that
-dies. The caller kills and reaps its workers at exit.
+message is one pickle, read by ``pickle.load``. A worker sends back the
+error of a request it cannot rebuild, as of a chunk that raises, and a
+typed error reaches the caller with its own class. A worker exits at end
+of file on its request pipe, so none outlives a caller that dies. The
+caller kills and reaps its workers at exit.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def map(fn, *iterables) -> list:
             _send(request, pickle.dumps((fn, calls[lo:hi]), pickle.HIGHEST_PROTOCOL))
         out = [fn(*args) for args in calls[: cuts[1]]]
         for _, _, reply in _workers[: p - 1]:
-            ok, value, text = pickle.loads(_receive(reply))
+            ok, value, text = _receive(reply)
             if not ok:
                 raise value from _RemoteTraceback(text)
             out += value
@@ -99,7 +101,7 @@ def _fork():
         try:
             os.close(request_w)
             os.close(reply_r)
-            _serve(request_r, reply_w)
+            _serve(open(request_r, "rb"), reply_w)
         finally:
             os._exit(1)
     os.close(request_r)
@@ -110,13 +112,9 @@ def _fork():
 def _serve(request, reply):
     """A worker's loop: run each chunk it receives and send back its results
     or the first exception, until the caller closes the request pipe."""
-    while True:
+    while request.peek(1):
         try:
-            message = _read(request, 8)
-        except EOFError:
-            os._exit(0)
-        try:
-            fn, calls = pickle.loads(_read(request, int.from_bytes(message, "little")))
+            fn, calls = pickle.load(request)
             answer = (True, [fn(*args) for args in calls], None)
             data = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # the caller re-raises it
@@ -129,21 +127,25 @@ def _serve(request, reply):
             except Exception as err:
                 data = pickle.dumps((False, err, text), pickle.HIGHEST_PROTOCOL)
         _send(reply, data)
+    os._exit(0)
 
 
 def _send(fd, data):
-    # the length, then the pickle
+    # raw writes: closing a BufferedWriter after a BrokenPipeError raises again
+    view = memoryview(data)
     try:
-        _write(fd, len(data).to_bytes(8, "little"))
-        _write(fd, data)
+        while view:
+            view = view[os.write(fd, view):]
     except BrokenPipeError:
         raise _broken() from None
 
 
-def _receive(fd) -> bytearray:
+def _receive(fd):
+    # a reader per reply loses no bytes, as one reply at a time is in flight,
+    # and leaves _forget only fds to close, which no waiting map has locked
     try:
-        return _read(fd, int.from_bytes(_read(fd, 8), "little"))
-    except EOFError:
+        return pickle.load(open(fd, "rb", closefd=False))
+    except (EOFError, pickle.UnpicklingError):
         raise _broken() from None
 
 
@@ -151,24 +153,6 @@ def _broken():
     from concurrent.futures.process import BrokenProcessPool
 
     return BrokenProcessPool("a worker of the process pool terminated abruptly")
-
-
-def _write(fd, data):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd, n) -> bytearray:
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        k = os.readv(fd, [view[got:]])
-        if not k:
-            raise EOFError
-        got += k
-    return buf
 
 
 @atexit.register

@@ -41,13 +41,19 @@ class QuadratureError(NumericError):
 
     Attributes
     ----------
+    message : str
+        What failed, without the tolerance.
     achieved : float
         Error estimate reported by the integrator.
     """
 
     def __init__(self, message, achieved):
-        super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
+        super().__init__(message, achieved)
+        self.message = message
         self.achieved = achieved
+
+    def __str__(self):
+        return f"{self.message} (achieved tolerance {self.achieved:.3e})"
 
 
 class InsufficientExceedancesError(RaytailError, ValueError):
@@ -60,11 +66,15 @@ class InsufficientExceedancesError(RaytailError, ValueError):
     """
 
     def __init__(self, count, required):
-        super().__init__(
-            f"only {count} exceedances above threshold, need at least {required}"
-        )
+        super().__init__(count, required)
         self.count = count
         self.required = required
+
+    def __str__(self):
+        return (
+            f"only {self.count} exceedances above threshold, "
+            f"need at least {self.required}"
+        )
 
 
 class NonDifferentiableError(RaytailError, ValueError):
@@ -76,13 +86,19 @@ class OptimizerError(NumericError):
 
     Attributes
     ----------
+    message : str
+        What failed, without the best point.
     best_point : tuple or None
         Best parameter vector found, if any.
     """
 
     def __init__(self, message, best_point):
-        super().__init__(f"{message} (best point {best_point})")
+        super().__init__(message, best_point)
+        self.message = message
         self.best_point = best_point
+
+    def __str__(self):
+        return f"{self.message} (best point {self.best_point})"
 
 
 class ExtrapolationError(RaytailError, ValueError):

@@ -717,8 +717,6 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
         raise InsufficientExceedancesError(n_exc, _MIN_HT_EXCEEDANCES)
     x = sample.x[mask]
     y = sample.y[mask]
-    if np.min(y) <= 0.0:
-        raise DomainError("conditioning threshold must keep Y_E positive")
     logy = np.log(y)
     logy_stats = (float(np.max(logy)), float(np.min(logy)), float(np.sum(logy)))
 

@@ -733,3 +733,31 @@ def test_ht_limit(model, limit):
             model.ht_limit()
     else:
         assert model.ht_limit() == limit
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        cp.BivariateNormal(0.5),
+        cp.BivariateNormal(0.8),
+        cp.InvertedLogistic(0.5),
+        cp.InvertedLogistic(2.0 - math.log2(3.0)),
+        cp.Morgenstern(1.0),
+        cp.Morgenstern(-0.5),
+        cp.LogisticBEV(0.5),
+        cp.ClaytonLowerTail(2.0),
+    ],
+    ids=repr,
+)
+def test_lam_leaves_its_lower_bound_where_ht_limit_says(model):
+    # one limit set gives both (Nolde & Wadsworth 2022): lambda(w) = 1 - w
+    # up to w = a/(1+a), and by exchangeability lambda(w) = w from 1/(1+a)
+    a, _ = model.ht_limit()
+    for w in np.arange(1001) / 1000:
+        lam = model.lam(w)
+        if w <= a / (1.0 + a):
+            assert abs(lam - (1.0 - w)) <= 1e-12, w
+        if w >= 1.0 / (1.0 + a):
+            assert abs(lam - w) <= 1e-12, w
+        if a / (1.0 + a) < w < 1.0 / (1.0 + a):
+            assert lam > max(w, 1.0 - w), w

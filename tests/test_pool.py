@@ -1,13 +1,16 @@
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import raytail
 from raytail import _pool
+from raytail.errors import InsufficientExceedancesError
 
 
 def _pid(i):
@@ -91,6 +94,53 @@ def test_an_unpicklable_function_drops_the_pool(fresh_pool):
     assert _pool.map(_fail_at, range(4), [set()] * 4) == [0, 1, 4, 9]
 
 
+def test_a_function_defined_after_the_fork_raises_its_attribute_error(fresh_pool):
+    # the worker cannot rebuild the request, and sends back why
+    fresh_pool.setenv("RAYTAIL_THREADS", "2")
+    assert _pool.map(_pid, range(2))[1] != os.getpid()
+
+    def late(i):
+        return i
+
+    late.__qualname__ = "_late"
+    fresh_pool.setattr(sys.modules[__name__], "_late", late, raising=False)
+    with pytest.raises(AttributeError, match="_late"):
+        _pool.map(late, range(2))
+    assert _pool._workers == []
+    assert _pool.map(late, range(2)) == [0, 1]
+
+
+@pytest.mark.parametrize("end", [0, 1000, -1])
+def test_a_reply_cut_short_breaks_the_pool(end):
+    # what a worker that dies before or while it replies leaves in its pipe:
+    # nothing, half a pickle, or all of one but its stop code
+    data = pickle.dumps((True, list(range(1000)), None), pickle.HIGHEST_PROTOCOL)
+    assert len(data) > 2000
+    r, w = os.pipe()
+    try:
+        os.write(w, data[:end])
+        os.close(w)
+        with pytest.raises(BrokenProcessPool):
+            _pool._receive(r)
+    finally:
+        os.close(r)
+
+
+def _insufficient_from(i, first):
+    if i >= first:
+        raise InsufficientExceedancesError(i, first)
+    return i
+
+
+def test_a_typed_error_in_a_worker_keeps_its_class(fresh_pool):
+    fresh_pool.setenv("RAYTAIL_THREADS", "2")
+    # calls 2 and 3 run in the worker
+    with pytest.raises(InsufficientExceedancesError) as excinfo:
+        _pool.map(_insufficient_from, range(4), [2] * 4)
+    assert (excinfo.value.count, excinfo.value.required) == (2, 2)
+    assert isinstance(excinfo.value.__cause__, _pool._RemoteTraceback)
+
+
 def _nested_pids(i):
     return os.getpid(), _pool.map(_pid, range(3))
 
@@ -147,6 +197,41 @@ def test_no_worker_outlives_its_interpreter():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_a_fork_from_another_thread_while_a_map_waits():
+    # the fork's child runs _forget while the map's thread waits for a
+    # reply; nothing it closes may be locked by that thread
+    env = _env_on_three_processes()
+    code = (
+        "import os, signal, threading, time\n"
+        "from raytail import _pool\n"
+        "started = threading.Event()\n"
+        "def nap(i):\n"
+        "    started.set()\n"
+        "    time.sleep(0.5 * i)\n"
+        "    return i\n"
+        "thread = threading.Thread(target=lambda: print(_pool.map(nap, range(2))))\n"
+        "thread.start()\n"
+        "started.wait()\n"
+        "time.sleep(0.1)\n"
+        "child = os.fork()\n"
+        "if child == 0:\n"
+        "    os._exit(0)\n"
+        "deadline = time.monotonic() + 10.0\n"
+        "while not os.waitpid(child, os.WNOHANG)[0]:\n"
+        "    if time.monotonic() > deadline:\n"
+        "        os.kill(child, signal.SIGKILL)\n"
+        "        os.waitpid(child, 0)\n"
+        "        print('the child hung')\n"
+        "        break\n"
+        "    time.sleep(0.01)\n"
+        "thread.join()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (out.returncode, out.stdout) == (0, "[0, 1]\n"), out.stderr
 
 
 def _running(pid):
