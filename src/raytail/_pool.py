@@ -1,13 +1,14 @@
 """The package's one process pool.
 
-Replication studies and the CSV reader run their calls here. The
-environment variable RAYTAIL_THREADS sets how many processes share a map,
-the caller included (default: the usable cores). A map of n calls splits
-them into p = min(RAYTAIL_THREADS, n) contiguous chunks: the caller runs
-the first chunk itself while p - 1 forked workers run the others. Workers
-are forked when a map first needs them and reused by every later map, so
-each worker sees module state as of the map that forked it. A platform
-that cannot fork, or p <= 1, runs the calls serially in the caller.
+Replication studies, the CSV reader and the rank transform of large
+columns run their calls here. The environment variable RAYTAIL_THREADS sets
+how many processes share a map, the caller included (default: the usable
+cores). A map of n calls splits them into p = min(RAYTAIL_THREADS, n)
+contiguous chunks: the caller runs the first chunk itself while p - 1
+forked workers run the others. Workers are forked when a map first needs
+them and reused by every later map, so each worker sees module state as of
+the map that forked it. A platform that cannot fork, or p <= 1, runs the
+calls serially in the caller.
 
 A worker talks to the caller over two pipes, one each way, and each
 message is one pickle, read by ``pickle.load``. A worker sends back the

@@ -18,7 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import bench, estimators, kappa, margins
+from . import estimators, margins
 from .copulas import FAMILIES, make_model
 from .errors import (
     ConfigError,
@@ -141,6 +141,8 @@ def _cmd_kappa(args):
     }
     result = {}
     if args.suite:
+        from . import kappa
+
         resolved.update({"grid_size": args.grid_size, "grid_seed": args.grid_seed})
         kf = kappa.KappaFunction.of_model(model)
         report = kappa.property_suite(
@@ -245,7 +247,9 @@ def _cmd_diagnose(args):
     return 0
 
 
-def _config_from_json(doc) -> bench.BenchmarkConfig:
+def _config_from_json(doc):
+    from . import bench
+
     if not isinstance(doc, dict):
         raise ConfigError("", "top level must be an object")
     known = [f.name for f in fields(bench.BenchmarkConfig)]
@@ -271,6 +275,8 @@ def _cmd_benchmark(args):
         raise ConfigError("", f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}")
+    from . import bench
+
     config = _config_from_json(doc)
     if args.quick:
         config = config.quick()

@@ -9,7 +9,9 @@ scale: the empirical rank transform of raw data.
 A large CSV body is parsed in line-aligned byte ranges on the package's
 process pool, one range per process (RAYTAIL_THREADS, the caller included,
 default the usable cores); the caller parses the first range itself. The
-values and error messages are those of a serial read.
+columns of a rank transform of ``_PART_BYTES`` or more each are ranked
+there too, one column per process. The values and error messages are those
+of a serial run.
 """
 
 from __future__ import annotations
@@ -130,7 +132,10 @@ def rank_transform(raw) -> ExponentialSample:
 
     Within each column the rank-i largest value becomes -log(i/(n+1)).
     Ties are broken by ascending input index, so the output is a
-    deterministic function of the input. Row order is preserved.
+    deterministic function of the input. Row order is preserved. Each
+    column is ranked by :func:`_rank_column`, on the package's process pool
+    where a column holds ``_PART_BYTES`` or more; the values are those of a
+    serial run.
     """
     arr = raw.data if isinstance(raw, RawSample) else np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
@@ -138,20 +143,40 @@ def rank_transform(raw) -> ExponentialSample:
     if np.any(np.isnan(arr)):
         bad = np.argwhere(np.isnan(arr))[0]
         raise DomainError(f"NaN at row {bad[0]}, column {bad[1]}")
-    n, d = arr.shape
-    grid = -np.log(np.arange(1, n + 1) / (n + 1.0))
-    out = np.empty_like(arr)
-    for j in range(d):
-        # among ties the earlier index receives the smaller (more extreme)
-        # rank, as a stable argsort of the negated column gives; without
-        # ties the permutation is unique, so the faster default sort agrees
-        key = -arr[:, j]
-        order = np.argsort(key)
-        ordered = key[order]
-        if not np.all(ordered[1:] > ordered[:-1]):
-            order = np.argsort(key, kind="stable")
-        out[order, j] = grid
-    return ExponentialSample(out, provenance="rank-transform")
+    if arr.shape[1] not in (2, 3):
+        raise DomainError(
+            f"exponential sample must have shape (n, 2|3), got {arr.shape}"
+        )
+    # A column of _PART_BYTES or more is ranked on the pool, one column per
+    # process, and a shorter one in the caller. Two columns on 2 cores,
+    # serial against pooled: with the worker already forked, 3.4 against
+    # 2.6 ms at 65536 rows, 7.3 against 5.5 ms at 131072 and 98 against
+    # 64 ms at 2^20 (in process, best of 7 x 10 calls); as the first call of
+    # a fresh process, which must fork the worker, 8.7 against 8.5 ms at
+    # 131072 rows, 19.0 against 15.9 ms at 262144 and 74 against 58 ms at
+    # 10^6 (medians of 9). A pooled column and its ranks each cross a pipe.
+    if arr.shape[0] * arr.itemsize >= _PART_BYTES:
+        ranked = _pool.map(_rank_column, arr.T)
+    else:
+        ranked = [_rank_column(col) for col in arr.T]
+    return ExponentialSample(np.column_stack(ranked), provenance="rank-transform")
+
+
+def _rank_column(col):
+    """The exponential rank scores of one column, as :func:`rank_transform`
+    defines them."""
+    n = col.shape[0]
+    # among ties the earlier index receives the smaller (more extreme) rank,
+    # as a stable argsort of the negated column gives; without ties the
+    # permutation is unique, so the faster default sort agrees
+    key = -col
+    order = np.argsort(key)
+    ordered = key[order]
+    if not np.all(ordered[1:] > ordered[:-1]):
+        order = np.argsort(key, kind="stable")
+    out = np.empty(n)
+    out[order] = -np.log(np.arange(1, n + 1) / (n + 1.0))
+    return out
 
 
 # A body shorter than two parts parses in one range in the caller. A second

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from raytail import bench
+from raytail import bench, margins
 from raytail import copulas as cp
 from raytail import estimators as est
 from raytail.errors import (
@@ -412,6 +413,19 @@ def test_process_pool_matches_serial(monkeypatch):
     assert _reports_with_threads(monkeypatch, None) == serial
     assert _reports_with_threads(monkeypatch, "2") == serial
     assert _reports_with_threads(monkeypatch, "3") == serial
+
+
+def test_a_rank_transform_study_matches_serial(monkeypatch):
+    # with every column long enough for the pool, the rank transform of each
+    # replication maps inside a study's chunk, which runs it serially
+    monkeypatch.setattr(margins, "_PART_BYTES", 8)
+    cfg = tiny_config(reps=4, rank_transform=True)
+    digests = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RAYTAIL_THREADS", threads)
+        doc = json.dumps(bench.run_benchmark(cfg).as_dict(), sort_keys=True)
+        digests[threads] = hashlib.sha256(doc.encode()).hexdigest()
+    assert digests["1"] == digests["2"]
 
 
 def _exit_on_rep_three(config, rep):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -602,3 +603,19 @@ def test_cli_import_and_a_pooled_study_load_no_executor():
         "bench.run_benchmark(cfg)\n"
     )
     assert _modules_after(study, tops, RAYTAIL_THREADS="3") == "[]"
+
+
+def test_cli_import_leaves_bench_and_kappa_unloaded(tmp_path):
+    # no estimate call runs a study or the property suite; the subcommands
+    # that do import their modules themselves
+    loaded = ast.literal_eval(_modules_after("import raytail.cli", ("raytail",)))
+    assert "raytail.margins" in loaded
+    assert not {"raytail.bench", "raytail.kappa"} & set(loaded)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model": {"family": "invlog", "alpha": 0.5}}))
+    for argv, module in (
+        (["kappa", "--model", "invlog", "--alpha", "0.5", "--suite"], "raytail.kappa"),
+        (["benchmark", "--quick", "--config", str(config)], "raytail.bench"),
+    ):
+        code = f"from raytail import cli\nassert cli.main({argv!r}) == 0\n"
+        assert module in ast.literal_eval(_modules_after(code, ("raytail",)))

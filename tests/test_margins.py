@@ -112,6 +112,64 @@ def test_rank_transform_bitwise_equal_to_stable_sort_reference():
     assert out.tobytes() == _stable_rank_reference(tied).tobytes()
 
 
+def _record_maps(monkeypatch):
+    # the calls of every pool map, such as the byte ranges read_raw_csv
+    # hands to the pool, passed through
+    seen = []
+    pool_map = margins._pool.map
+
+    def recording_map(fn, *iterables):
+        seen.append(list(zip(*iterables)))
+        return pool_map(fn, *iterables)
+
+    monkeypatch.setattr(margins._pool, "map", recording_map)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_pooled_rank_transform_is_bitwise_the_stable_reference(monkeypatch, threads, d):
+    # columns of 2^18 rows (2 MiB each) go to the pool, one per process
+    monkeypatch.setenv("RAYTAIL_THREADS", str(threads))
+    seen = _record_maps(monkeypatch)
+    rng = np.random.default_rng(27)
+    arr = rng.normal(size=(1 << 18, d))
+    for value in (0.0, 1.5, -2.25):
+        arr[rng.choice(arr.shape[0], size=40, replace=False), 1] = value
+    out = rank_transform(arr).points
+    assert out.tobytes() == _stable_rank_reference(arr).tobytes()
+    assert out.flags.c_contiguous
+    assert [len(calls) for calls in seen] == [d]
+
+    arr[5, 1] = arr[9, 0] = np.nan
+    with pytest.raises(DomainError, match=r"^NaN at row 5, column 1$"):
+        rank_transform(arr)
+
+
+def test_a_short_column_ranks_in_the_caller(monkeypatch):
+    monkeypatch.setenv("RAYTAIL_THREADS", "2")
+    seen = _record_maps(monkeypatch)
+    arr = np.random.default_rng(5).normal(size=(margins._PART_BYTES // 8 - 1, 2))
+    assert rank_transform(arr).points.tobytes() == _stable_rank_reference(arr).tobytes()
+    assert seen == []
+
+
+@pytest.mark.parametrize("shape", [(1000, 1), (1000, 4), (1 << 18, 4)])
+def test_rank_transform_checks_the_column_count_before_it_sorts(monkeypatch, shape):
+    monkeypatch.setattr(margins, "_rank_column", None)
+    with pytest.raises(DomainError) as excinfo:
+        rank_transform(np.ones(shape))
+    assert str(excinfo.value) == f"exponential sample must have shape (n, 2|3), got {shape}"
+
+
+def test_rank_transform_of_no_rows_and_of_one_dimension():
+    empty = rank_transform(np.empty((0, 2)))
+    assert empty.points.shape == (0, 2)
+    assert empty.provenance == "rank-transform"
+    with pytest.raises(DomainError, match=r"^expected 2-d array, got shape \(3,\)$"):
+        rank_transform(np.ones(3))
+
+
 def test_raw_sample_validation():
     with pytest.raises(DomainError, match="2 or 3 columns"):
         RawSample(np.ones((4, 4)))
@@ -275,19 +333,6 @@ def test_read_raw_csv_in_ranges_matches_the_row_loop(tmp_path_factory, threads, 
     assert got == _read_outcome(margins._read_raw_csv_rows, path)
 
 
-def _record_ranges(monkeypatch):
-    # the byte ranges read_raw_csv hands to the pool, passed through
-    seen = []
-    pool_map = margins._pool.map
-
-    def recording_map(fn, *iterables):
-        seen.append(list(zip(*iterables)))
-        return pool_map(fn, *iterables)
-
-    monkeypatch.setattr(margins._pool, "map", recording_map)
-    return seen
-
-
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_a_header_with_a_quoted_carriage_return_keeps_the_first_row(tmp_path, monkeypatch, threads):
     # csv counts two lines for this header, the binary view one: the reader
@@ -309,7 +354,7 @@ def test_a_bad_row_in_the_last_range_names_its_file_line(tmp_path, monkeypatch, 
     path.write_bytes(("x,y\r\n" + "\n".join(rows) + "\n7,abc\n").encode())
     monkeypatch.setenv("RAYTAIL_THREADS", str(threads))
     monkeypatch.setattr(margins, "_PART_BYTES", 16)
-    seen = _record_ranges(monkeypatch)
+    seen = _record_maps(monkeypatch)
     with pytest.raises(DomainError) as excinfo:
         read_raw_csv(path)
     assert str(excinfo.value) == f"{path}:44: could not convert string to float: 'abc'"
