@@ -14,12 +14,11 @@ cell's own np.mean and quantile.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
-execution order of replications is irrelevant. ``wt`` and ``lt`` share one
-ray batch per sample: the rays through the corners, which include the
-diagonal of ``lt`` at the default rays, are fitted once, and each method
-reads its slots through the estimators' own kernels. The angular curve of
-``lambda_recovery`` reads the ray kernel's arrays directly. The ``ht``
-draws of seed s are one set, seeded by (s, 7919) and shared by its rays.
+execution order of replications is irrelevant. Each sample's estimates
+come from one ``estimators.probabilities`` call, in which ``wt`` and ``lt``
+share one ray batch; the angular curve of ``lambda_recovery`` reads the ray
+kernel's arrays directly. The ``ht`` draws of seed s are one set, seeded by
+(s, 7919) and shared by its rays.
 Replications run in the package's one process pool (``_pool``), shared
 with the CSV reader: the environment variable RAYTAIL_THREADS says how many
 processes share a study, the caller included (default: the usable cores).
@@ -41,9 +40,9 @@ from . import _pool, margins
 from . import estimators as est
 from .copulas import CopulaModel, _corners
 from .errors import ConfigError, DomainError, NumericError, RaytailError
+from .estimators import METHODS
 
 DEFAULT_OMEGAS = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
-METHODS = ("wt", "lt", "ht")
 
 
 def _integer(name, value, lo):
@@ -245,31 +244,21 @@ def _sample(config: BenchmarkConfig, seed: int):
 def _run_single_rep(config: BenchmarkConfig, rep: int) -> np.ndarray:
     """One replication: a (2, methods, rays) array of log estimates and of
     fitted lambdas, NaN where an estimate failed and for ht's lambda, so
-    aggregation stays order-independent. ``wt`` and ``lt`` read one batch
-    of ray fits: the rays through the corners, and the diagonal after them
-    where no corner lies on it."""
+    aggregation stays order-independent."""
     seed = config.seed_base + rep
-    sample = _sample(config, seed)
-    targets = config.targets()
-    corners = targets.tolist()
-    radii, rays = est._wt_rays(corners)
-    if "wt" not in config.methods:
-        rays = []
-    if "lt" in config.methods and 0.5 not in rays:
-        rays.append(0.5)
-    fits = est.fit_lambda_rays(sample, rays, frac=config.frac)
-    out = np.full((2, len(config.methods), len(targets)), np.nan)
-    for j, mth in enumerate(config.methods):
-        if mth == "wt":
-            ests, lam = est._wt_estimates(sample, radii, fits), "lambda_hat"
-        elif mth == "lt":
-            diag = fits[rays.index(0.5)]
-            ests, lam = est._lt_estimates(sample, corners, diag, config.frac, None), "lambda_half"
-        else:
-            ests, lam = est.ht_probabilities(
-                sample, targets, config.ht_quantile, config.r_draws, seed=(int(seed), 7919)
-            ), None
+    batch = est.probabilities(
+        _sample(config, seed),
+        config.targets(),
+        methods=config.methods,
+        frac=config.frac,
+        quantile=config.ht_quantile,
+        r=config.r_draws,
+        seed=(int(seed), 7919),
+    )
+    out = np.full((2, len(config.methods), len(config.omegas)), np.nan)
+    for j, (mth, ests) in enumerate(batch.items()):
         out[0, j] = _slots(ests, lambda p: p.log_value)
+        lam = {"wt": "lambda_hat", "lt": "lambda_half"}.get(mth)
         if lam:
             out[1, j] = _slots(ests, lambda p: p.meta[lam])
     return out

@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lam.set_defaults(func=_cmd_estimate_lambda)
 
     p_prob = est_sub.add_parser("prob", help="joint tail probability at a corner")
-    p_prob.add_argument("--method", required=True, choices=["wt", "lt", "ht"])
+    p_prob.add_argument("--method", required=True, choices=estimators.METHODS)
     p_prob.add_argument("--input", required=True)
     p_prob.add_argument("--x", type=float, required=True)
     p_prob.add_argument("--y", type=float, required=True)

@@ -25,12 +25,12 @@ the joint tail, all operating on standard exponential margins:
     exceedance term and a Monte Carlo estimate over resampled residuals.
 
 Every angular fit runs through ``fit_lambda_rays``, which fits all the
-rays of a sample from one (rays x m) structure matrix, and the estimates
-through ``wt_probabilities_at``, ``lt_probabilities`` and
-``ht_probabilities``, which take a sequence of corners. They return one slot
-per ray or corner: the result of the one-item call (``fit_lambda``,
-``wt_probability_at``, ``lt_probability``, ``ht_probability``) or the typed
-error it raises, so a failed ray does not stop the others.
+rays of a sample from one (rays x m) structure matrix, and every estimate
+through ``probabilities``, which takes a sequence of corners and the methods
+to run. They return one slot per ray or corner: the result of the one-item
+call (``fit_lambda``, ``wt_probability_at``, ``lt_probability``,
+``ht_probability``) or the typed error it raises, so a failed ray does not
+stop the others.
 
 The ray fits are one array kernel, ``_hill_rays``, which returns each ray's
 threshold, exceedance count k and summed excess as arrays; the slots of
@@ -48,13 +48,13 @@ finds most such points, and they are dropped before the matrix is built;
 about a quarter of a sample stays at frac=0.1. Every fit is bitwise the
 one on the full sample.
 
-The ``wt`` and ``lt`` estimates are "fit, then kernel": one ray batch, then
-``_wt_estimates`` or ``_lt_estimates``, which the benchmark calls on one
-batch per sample shared by both methods. Every empirical joint count, the
-``wt`` base sets, the ``lt`` slid corners and ``diagnose_linearity``'s
-nested corners, goes through one count kernel, ``_joint_counts``: exact
-integer counts of #{x > a, y > b} for a batch of corners, a -inf
-coordinate standing for a zero weight.
+The ``wt`` and ``lt`` estimates are "fit, then kernel": ``probabilities``
+fits one ray batch shared by both methods, then runs ``_wt_estimates`` and
+``_lt_estimates`` on it; the benchmark calls it once per sample. Every
+empirical joint count, the ``wt`` base sets, the ``lt`` slid corners and
+``diagnose_linearity``'s nested corners, goes through one count kernel,
+``_joint_counts``: exact integer counts of #{x > a, y > b} for a batch of
+corners, a -inf coordinate standing for a zero weight.
 
 Every interpolated order statistic goes through ``_quantile``, numpy's
 default linear quantile from one partition and bitwise np.quantile's value:
@@ -69,6 +69,7 @@ downstream benchmarking counts them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -84,6 +85,7 @@ from .errors import (
 )
 from .margins import ExponentialSample
 
+METHODS = ("wt", "lt", "ht")
 _MIN_EXCEEDANCES = 5
 _MIN_HT_EXCEEDANCES = 50
 # The beta grid only brackets the profile minimum for the Brent refinement,
@@ -190,7 +192,7 @@ class ProbEstimate:
             raise DomainError(f"probability estimate outside [0, 1]: {self.value}")
         if not self.log_value <= 0.0:
             raise DomainError(f"log probability estimate must be <= 0: {self.log_value}")
-        if self.method not in ("wt", "lt", "ht"):
+        if self.method not in METHODS:
             raise DomainError(f"unknown method tag {self.method!r}")
 
     @property
@@ -216,13 +218,6 @@ def _log_prob(log_factor, count, n):
 def _require_bivariate(sample: ExponentialSample):
     if sample.dim != 2:
         raise DomainError("estimators operate on bivariate samples only")
-
-
-def structure_variable(sample: ExponentialSample, omega) -> np.ndarray:
-    """T_i = min(x_i/w, y_i/(1-w)); by convention T = Y_E at w = 0 and
-    T = X_E at w = 1."""
-    _require_bivariate(sample)
-    return _structure(sample.x, sample.y, _as_omegas(omega))[0]
 
 
 def _as_omegas(omegas) -> np.ndarray:
@@ -423,13 +418,6 @@ def _joint_counts(x, y, corners) -> np.ndarray:
     return counts
 
 
-def _wt_rays(corners):
-    """Each corner's radius s = x0 + y0, and the ray x0 / s through each
-    corner with 0 < s < inf, in corner order."""
-    radii = [x0 + y0 for x0, y0 in corners]
-    return radii, [c[0] / s for c, s in zip(corners, radii) if 0.0 < s < math.inf]
-
-
 def _wt_estimates(sample, radii, fits) -> list:
     """Ray estimates at radius s on the ray of a fit: exp(-lambda_hat * v)
     times the empirical probability of the base set {X_E > w*u_n,
@@ -477,30 +465,8 @@ def _wt_estimates(sample, radii, fits) -> list:
     return out
 
 
-def _wt_estimate(sample, fit, s) -> ProbEstimate:
-    """The ray estimate at radius s > 0 on the ray of ``fit``; see
-    :func:`_wt_estimates`."""
-    return _one(_wt_estimates(sample, [s], [fit]))
-
-
-def wt_probabilities_at(sample, targets, frac=0.10) -> list:
-    """Ray estimates at a sequence of corners from one batch of Hill fits,
-    one ray through each corner (x0, y0) at radius s = x0 + y0: v = s - u
-    beyond the fit threshold u, or v = 0 and the empirical probability at
-    the corner inside it. One slot per corner: a ProbEstimate or a typed
-    error."""
-    radii, rays = _wt_rays(_corners(targets, 2).tolist())
-    return _wt_estimates(sample, radii, fit_lambda_rays(sample, rays, frac=frac))
-
-
-def wt_probability_at(sample, target, frac=0.10) -> ProbEstimate:
-    """Ray estimate at an explicit corner: the ray is the one through the
-    corner, and v is the outward distance from the fit threshold."""
-    return _one(wt_probabilities_at(sample, [target], frac=frac))
-
-
 def _lt_estimates(sample, corners, diag_fit, frac, baseline) -> list:
-    """The estimates of ``lt_probabilities`` from its diagonal fit, a slot
+    """The ``lt`` estimates of ``probabilities`` from its diagonal fit, a slot
     of ``fit_lambda_rays`` at w = 1/2: one slot per corner, every one the
     fit's error where it failed. One ``_joint_counts`` counts every slid
     corner."""
@@ -530,28 +496,6 @@ def _lt_estimates(sample, corners, diag_fit, frac, baseline) -> list:
         )
         for v, base_corner, base in zip(vs, slid, counts.tolist())
     ]
-
-
-def lt_probabilities(sample, targets, frac=0.10, baseline=None) -> list:
-    """Diagonal-extrapolation estimates at a sequence of corners.
-
-    Each corner is slid back along the diagonal by the largest v keeping
-    both coordinates at or above the baseline; the empirical probability
-    of the slid set is scaled by exp(-v / eta_hat) with
-    1/eta_hat = 2*lambda_hat(1/2). The diagonal fit and the baseline (by
-    default the per-margin empirical (1 - frac) quantiles) are computed
-    once. One slot per corner; a failed diagonal fit fills every slot.
-    """
-    _require_bivariate(sample)
-    corners = _corners(targets, 2).tolist()
-    (diag_fit,) = fit_lambda_rays(sample, [0.5], frac=frac)
-    return _lt_estimates(sample, corners, diag_fit, frac, baseline)
-
-
-def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
-    """Diagonal-extrapolation estimate of the corner probability; see
-    :func:`lt_probabilities`."""
-    return _one(lt_probabilities(sample, [target], frac=frac, baseline=baseline))
 
 
 def _ht_feasible(betas, logy_stats):
@@ -820,27 +764,73 @@ def _ht_estimates(fit: HTFit, corners, r, seed, rng=None) -> list:
     return out
 
 
-def ht_probabilities(sample, targets, quantile=0.90, r=10_000, seed=0) -> list:
-    """Conditional-simulation estimates at a sequence of corners from one
-    ``fit_ht`` and one set of r draws seeded by ``seed``, which every corner
-    shares. One slot per corner: a ProbEstimate, or the ExtrapolationError
-    of a corner whose y0 lies below the fit's conditioning threshold. A
-    failed fit fills every slot."""
+def probabilities(
+    sample, targets, methods=METHODS, frac=0.10, baseline=None, quantile=0.90, r=10_000, seed=0
+) -> dict:
+    """Estimates at a sequence of corners: ``{method: one slot per corner}``
+    for each of ``methods``, a slot holding a ProbEstimate or the typed
+    error of its corner. The sample, the corners, the methods, a
+    ``baseline`` for ``lt`` and ``r`` and ``seed`` for ``ht`` are checked
+    before any fit.
+
+    ``wt`` and ``lt`` read one batch of Hill fits: the ray x0 / s through
+    each corner with 0 < s = x0 + y0 < inf, in corner order, then the
+    diagonal where no corner lies on it. ``wt`` extrapolates v = s - u
+    beyond its ray's threshold u. ``lt`` slides each corner back along the
+    diagonal to ``baseline`` (by default the per-margin (1 - frac)
+    quantiles) and scales by exp(-v / eta_hat), 1/eta_hat = 2*lambda_hat(1/2).
+    ``ht`` fits the conditional model once, and its corners share one set
+    of r draws from ``seed``. A failed ``lt`` or ``ht`` fit fills every slot
+    of its method.
+    """
+    _require_bivariate(sample)
     corners = _corners(targets, 2).tolist()
-    if r < 1:
-        raise DomainError(f"draw count must be >= 1, got {r}")
-    rng = _rng(seed)  # a bad seed fails before the fit
-    try:
-        fit = fit_ht(sample, quantile=quantile)
-    except RaytailError as exc:
-        return [exc] * len(corners)
-    return _ht_estimates(fit, corners, r, seed, rng)
+    if not all(m in METHODS for m in methods):
+        raise DomainError(f"methods must be a sequence of {METHODS}, got {methods!r}")
+    if "lt" in methods and baseline is not None:
+        baseline = _corners([baseline], 2)[0].tolist()
+    if "ht" in methods:
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
+            raise DomainError(f"draw count must be an integer >= 1, got {r!r}")
+        rng = _rng(seed)
+    out = {}
+    if "wt" in methods or "lt" in methods:
+        radii = [x0 + y0 for x0, y0 in corners]
+        rays = [
+            x0 / s for (x0, _), s in zip(corners, radii) if 0.0 < s < math.inf
+        ] if "wt" in methods else []
+        if "lt" in methods and 0.5 not in rays:
+            rays.append(0.5)
+        fits = fit_lambda_rays(sample, rays, frac=frac)
+        if "wt" in methods:
+            out["wt"] = _wt_estimates(sample, radii, fits)
+        if "lt" in methods:
+            out["lt"] = _lt_estimates(sample, corners, fits[rays.index(0.5)], frac, baseline)
+    if "ht" in methods:
+        try:
+            fit = fit_ht(sample, quantile=quantile)
+        except RaytailError as exc:
+            out["ht"] = [exc] * len(corners)
+        else:
+            out["ht"] = _ht_estimates(fit, corners, r, seed, rng)
+    return {m: out[m] for m in methods}
+
+
+def wt_probability_at(sample, target, frac=0.10) -> ProbEstimate:
+    """Ray estimate at an explicit corner; see :func:`probabilities`."""
+    return _one(probabilities(sample, [target], ("wt",), frac=frac)["wt"])
+
+
+def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
+    """Diagonal-extrapolation estimate at a corner; see :func:`probabilities`."""
+    return _one(probabilities(sample, [target], ("lt",), frac=frac, baseline=baseline)["lt"])
 
 
 def ht_probability(sample, target, quantile=0.90, r=10_000, seed=0) -> ProbEstimate:
-    """Conditional-simulation estimate of the corner probability; see
-    :func:`ht_probabilities`."""
-    return _one(ht_probabilities(sample, [target], quantile=quantile, r=r, seed=seed))
+    """Conditional-simulation estimate at a corner; see :func:`probabilities`."""
+    return _one(
+        probabilities(sample, [target], ("ht",), quantile=quantile, r=r, seed=seed)["ht"]
+    )
 
 
 def diagnose_linearity(sample, omega, c_grid) -> dict:

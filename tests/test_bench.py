@@ -297,7 +297,7 @@ def test_ht_failures_recorded_not_raised():
 def test_a_failed_ht_fit_fills_every_slot():
     # 30 conditioning exceedances < 50 in every replication
     cfg = bench.BenchmarkConfig(cp.InvertedLogistic(0.5), reps=2, m=300)
-    slots = est.ht_probabilities(bench._sample(cfg, cfg.seed_base), cfg.targets())
+    slots = est.probabilities(bench._sample(cfg, cfg.seed_base), cfg.targets(), ("ht",))["ht"]
     assert len(slots) == len(cfg.omegas)
     assert isinstance(slots[0], InsufficientExceedancesError)
     assert all(p is slots[0] for p in slots)

@@ -305,11 +305,12 @@ def test_a_bad_corner_raises_a_domain_error(tmp_path, capsys, corner):
     s = copulas.BivariateNormal(0.5).sample(2000, 2)
     calls = [
         lambda: estimators.wt_probability_at(s, corner),
-        lambda: estimators.wt_probabilities_at(s, [(1.0, 2.0), corner]),
         lambda: estimators.lt_probability(s, corner),
-        lambda: estimators.lt_probabilities(s, [(1.0, 2.0), corner]),
         lambda: estimators.ht_probability(s, corner),
-        lambda: estimators.ht_probabilities(s, [(1.0, 2.0), corner]),
+    ]
+    calls += [
+        lambda m=m: estimators.probabilities(s, [(1.0, 2.0), corner], (m,))
+        for m in estimators.METHODS
     ]
     calls += [lambda m=m: m.log_survivor(corner) for m in BIVARIATE_MODELS]
     # the trivariate corner: the bad coordinate and a third one, or two

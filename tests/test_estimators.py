@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,17 +28,19 @@ def make_sample(points):
 # ---------------------------------------------------------------------------
 
 def test_structure_variable_fixtures():
-    s = make_sample([[2.0, 2.0], [3.0, 1.0], [1.0, 3.0]])
-    assert np.array_equal(est.structure_variable(s, 0.5), [4.0, 2.0, 2.0])
-    assert np.array_equal(est.structure_variable(s, 0.0), [2.0, 1.0, 3.0])
-    assert np.array_equal(est.structure_variable(s, 1.0), [2.0, 3.0, 1.0])
-    assert est.structure_variable(s, 0.25)[2] == 4.0  # min(1/0.25, 3/0.75)
+    # a zero weight drops its coordinate: T = Y_E at w = 0 and X_E at w = 1
+    x, y = np.array([2.0, 3.0, 1.0]), np.array([2.0, 1.0, 3.0])
+    t = est._structure(x, y, np.array([0.5, 0.0, 1.0, 0.25]))
+    assert np.array_equal(t[0], [4.0, 2.0, 2.0])
+    assert np.array_equal(t[1], [2.0, 1.0, 3.0])
+    assert np.array_equal(t[2], [2.0, 3.0, 1.0])
+    assert t[3, 2] == 4.0  # min(1/0.25, 3/0.75)
 
 
 def test_structure_variable_rejects_bad_omega():
     s = make_sample([[1.0, 1.0]])
     with pytest.raises(DomainError):
-        est.structure_variable(s, 1.5)
+        est.fit_lambda_rays(s, [0.5, 1.5])
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +64,7 @@ def sample(arrays):
 def test_structure_min_matches_numpy_reference(arrays, sample):
     x, y = arrays
     ref = np.minimum(x / 0.3, y / (1.0 - 0.3))
-    out = est.structure_variable(sample, 0.3)
+    (out,) = est._structure(x, y, np.array([0.3]))
     assert np.array_equal(out, ref)
 
 
@@ -80,7 +83,7 @@ def test_count_joint_exceedances(arrays, sample):
     omega, u_n = 0.4, 2.0
     fit = est.fit_lambda(sample, omega)
     assert fit.u > u_n  # so u_n is the base level and v = 0
-    p = est._wt_estimate(sample, fit, u_n)
+    (p,) = est._wt_estimates(sample, [u_n], [fit])
     ref = int(np.sum((x > omega * u_n) & (y > (1.0 - omega) * u_n)))
     assert p.value == ref / sample.n
 
@@ -518,7 +521,7 @@ def test_wt_probability_closed_fixture():
     pts = [[0.1, 0.1]] * 9 + [[5.0, 5.0]]
     s = make_sample(pts)
     fit = est.AngularFit(omega=0.5, lambda_hat=1.0, u=4.0, k=1, se=1.0)
-    p = est._wt_estimate(s, fit, 4.0 + math.log(2.0))
+    (p,) = est._wt_estimates(s, [4.0 + math.log(2.0)], [fit])
     assert p.meta["u_n"] == 4.0
     assert math.isclose(p.value, 0.05, rel_tol=1e-15)
     assert math.isclose(p.log_value, math.log(0.05), rel_tol=1e-15)
@@ -528,7 +531,7 @@ def test_wt_probability_closed_fixture():
 def test_wt_probability_v_zero_is_empirical():
     s = cp.InvertedLogistic(0.5).sample(2000, 9)
     fit = est.fit_lambda(s, 0.4)
-    p = est._wt_estimate(s, fit, fit.u)
+    (p,) = est._wt_estimates(s, [fit.u], [fit])
     assert p.meta["v"] == 0.0
     base = np.mean((s.x > 0.4 * fit.u) & (s.y > 0.6 * fit.u))
     assert p.value == base
@@ -540,7 +543,7 @@ def test_wt_probability_v_zero_is_empirical():
 def test_wt_probability_zero_outcome_never_raises():
     s = make_sample([[0.5, 0.5]] * 50)
     fit = est.AngularFit(omega=0.5, lambda_hat=1.0, u=10.0, k=1, se=1.0)
-    p = est._wt_estimate(s, fit, 11.0)
+    (p,) = est._wt_estimates(s, [11.0], [fit])
     assert p.is_zero and p.value == 0.0 and p.log_value == -math.inf
     assert p.as_dict()["log_value"] is None
 
@@ -563,45 +566,67 @@ def test_wt_probability_at_inside_threshold_is_empirical():
 
 
 def test_corner_sequence_forms_match_one_corner_calls():
+    # the corner (6, 6) lies on the diagonal; without it lt adds the
+    # diagonal ray to the batch. A batch of 8 rays prunes candidates: wt's
+    # with that corner, and wt and lt's without it
     s = cp.InvertedLogistic(0.5).sample(5000, 123)
     corners = [(4.0, 12.0), (0.25, 0.75), (0.0, 0.0), (9.0, 0.0), (0.0, 7.0),
-               np.array([6.0, 6.0]), (9.0, 12.0)]
+               np.array([6.0, 6.0]), (9.0, 12.0), (2.0, 9.0), (5.0, 8.0)]
     seed = (1, 5)
-    for batch, one in (
-        (est.wt_probabilities_at(s, corners), lambda c: est.wt_probability_at(s, c)),
-        (est.lt_probabilities(s, corners), lambda c: est.lt_probability(s, c)),
-        (est.lt_probabilities(s, corners, baseline=(1.0, 2.0)),
-         lambda c: est.lt_probability(s, c, baseline=(1.0, 2.0))),
-        (est.ht_probabilities(s, corners, r=2000, seed=seed),
-         lambda c: est.ht_probability(s, c, r=2000, seed=seed)),
+    one = {
+        "wt": lambda c, baseline: est.wt_probability_at(s, c),
+        "lt": lambda c, baseline: est.lt_probability(s, c, baseline=baseline),
+        "ht": lambda c, baseline: est.ht_probability(s, c, r=2000, seed=seed),
+    }
+    methods_sets = (("wt",), ("lt",), ("wt", "lt"), ("lt", "ht"), est.METHODS)
+    for targets, methods, baseline in itertools.product(
+        (corners, corners[:5] + corners[6:]), methods_sets, (None, (1.0, 2.0))
     ):
-        assert len(batch) == len(corners)
-        for c, got in zip(corners, batch):
-            if isinstance(got, est.ProbEstimate):
-                want = one(c)
-                assert got == want
-                _same_bits([got.value, got.log_value], [want.value, want.log_value])
-            else:
-                with pytest.raises(type(got)):
-                    one(c)
-    assert isinstance(est.wt_probabilities_at(s, corners)[2], DomainError)
+        batch = est.probabilities(s, targets, methods, baseline=baseline, r=2000, seed=seed)
+        assert tuple(batch) == methods
+        for mth, slots in batch.items():
+            assert len(slots) == len(targets)
+            for c, got in zip(targets, slots):
+                if isinstance(got, est.ProbEstimate):
+                    want = one[mth](c, baseline)
+                    assert got == want
+                    _same_bits([got.value, got.log_value], [want.value, want.log_value])
+                else:
+                    with pytest.raises(type(got)):
+                        one[mth](c, baseline)
+    batch = est.probabilities(s, corners, r=2000, seed=seed)
+    assert isinstance(batch["wt"][2], DomainError)
     # ht conditions on Y_E > y0: the corners with y0 below its threshold
     # fail; the others share one draw set, so at the shared y0 = 12 the
     # farther corner counts a subset of the nearer one's draws
-    ht = est.ht_probabilities(s, corners, r=2000, seed=seed)
-    assert [isinstance(p, ExtrapolationError) for p in ht] == [
-        False, True, True, True, False, False, False
-    ]
+    ht = batch["ht"]
+    assert [isinstance(p, ExtrapolationError) for p in ht[:5]] == [False, True, True, True, False]
+    assert not any(isinstance(p, ExtrapolationError) for p in ht[5:])
     assert all(p.meta["seed"] == seed for p in ht if isinstance(p, est.ProbEstimate))
-    assert 0.0 < ht[6].value < ht[0].value
+    assert 0.0 < ht[-3].value < ht[0].value
     # a failed diagonal fit fills every lt slot with its error
     tied = _tied_diagonal_sample()
     assert all(
         isinstance(p, InsufficientExceedancesError)
-        for p in est.lt_probabilities(tied, corners)
+        for p in est.probabilities(tied, corners, ("lt",))["lt"]
     )
     with pytest.raises(InsufficientExceedancesError):
         est.lt_probability(tied, corners[0])
+
+
+@pytest.mark.parametrize(
+    "methods", ["wt", ("wt", "xt"), ("ht", None)], ids=["bare-string", "unknown", "none"]
+)
+def test_probabilities_rejects_a_bad_method_before_any_fit(monkeypatch, methods):
+    s = make_sample(cp.BivariateNormal(0.5).sample(20, 4).points)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the methods were checked")
+
+    monkeypatch.setattr(est, "fit_lambda_rays", no_fit)
+    monkeypatch.setattr(est, "fit_ht", no_fit)
+    with pytest.raises(DomainError, match="methods"):
+        est.probabilities(s, [(3.0, 7.0)], methods)
 
 
 def test_wt_axis_corners_match_marginal_reference():
@@ -656,6 +681,17 @@ def test_lt_probability_independence_rate():
     assert abs(p.value - expected) / expected < 0.08
 
 
+@pytest.mark.parametrize(
+    "baseline",
+    [(1.0,), "ab", (-5.0, -5.0), (math.nan, math.nan), (math.inf, 1.0)],
+    ids=["wrong-width", "str", "negative", "nan", "inf"],
+)
+def test_lt_rejects_a_bad_baseline(baseline):
+    s = cp.InvertedLogistic(0.5).sample(2000, 1)
+    with pytest.raises(DomainError):
+        est.lt_probability(s, (6.0, 6.0), baseline=baseline)
+
+
 def test_lt_probability_zero_outcome_recorded():
     s = cp.BivariateNormal(0.5).sample(500, 4)
     p = est.lt_probability(s, (2.0, 40.0))
@@ -683,7 +719,7 @@ def test_an_estimate_that_underflows_is_a_recorded_zero():
 
 def test_a_corner_whose_radius_overflows_is_rejected():
     s = cp.BivariateNormal(0.5).sample(3000, 1)
-    far, near = est.wt_probabilities_at(s, [(1e308, 1e308), (1.0, 2.0)])
+    far, near = est.probabilities(s, [(1e308, 1e308), (1.0, 2.0)], ("wt",))["wt"]
     assert isinstance(far, DomainError)
     assert near == est.wt_probability_at(s, (1.0, 2.0))
     # ht has no radius: its estimate at that corner is a zero
@@ -696,7 +732,7 @@ def test_lt_equals_wt_on_diagonal_with_matching_base():
     fit = est.fit_lambda(s, 0.5, frac=0.10)
     v = 9.0
     t0 = (fit.u + v) / 2.0
-    wt = est._wt_estimate(s, fit, fit.u + v)
+    (wt,) = est._wt_estimates(s, [fit.u + v], [fit])
     lt = est.lt_probability(s, (t0, t0), baseline=(fit.u / 2.0, fit.u / 2.0))
     assert math.isclose(wt.value, lt.value, rel_tol=1e-12)
     assert math.isclose(
@@ -1141,7 +1177,14 @@ def test_ht_rejects_a_seed_that_numpy_rejects(seed):
         est.ht_probability(s, (3.0, 7.0), seed=seed)
     # checked before the fit: a sample too small to fit still rejects it
     with pytest.raises(DomainError, match="seed must be an integer >= 0"):
-        est.ht_probabilities(make_sample(s.points[:20]), [(3.0, 7.0)], seed=seed)
+        est.probabilities(make_sample(s.points[:20]), [(3.0, 7.0)], seed=seed)
+
+
+@pytest.mark.parametrize("r", [0, 1.5, True, "3"], ids=["zero", "float", "bool", "str"])
+def test_ht_rejects_a_draw_count_that_is_not_a_positive_integer(r):
+    s = cp.BivariateNormal(0.5).sample(2000, 4)
+    with pytest.raises(DomainError, match="draw count must be an integer >= 1"):
+        est.ht_probability(s, (1.0, 6.0), r=r)
 
 
 def test_ht_tuple_seed_draws_from_its_generator():
@@ -1149,7 +1192,7 @@ def test_ht_tuple_seed_draws_from_its_generator():
     s = cp.BivariateNormal(0.5).sample(2000, 4)
     targets = [(3.0, 7.0), (1.0, 9.0)]
     fit = est.fit_ht(s)
-    got = est.ht_probabilities(s, targets, seed=(4, 7919))
+    got = est.probabilities(s, targets, ("ht",), seed=(4, 7919))["ht"]
     want = est._ht_estimates(fit, targets, 10_000, (4, 7919))
     assert [p.log_value for p in got] == [p.log_value for p in want]
     assert got[0].meta["seed"] == (4, 7919)
