@@ -5,7 +5,9 @@ including the seed) in its output, so any run can be reproduced from the
 artifact alone. Structured output is a single JSON document on stdout
 unless --out is given; bulk data goes to CSV.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure,
+4 standard output closed before all output was written (the CLI exits
+quietly, as a pipe into ``head`` closes it).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -31,6 +34,7 @@ from .errors import (
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 4
 # diagnose fits one count per --c-grid value and echoes the grid in its JSON
 MAX_C_GRID = 10_000
 
@@ -79,6 +83,9 @@ def _emit(document, out_path):
             fh.write(text + "\n")
     else:
         print(text)
+        # a closed stdout raises here, inside main, and not in the
+        # interpreter's last flush
+        sys.stdout.flush()
 
 
 def _load_sample(args) -> margins.ExponentialSample:
@@ -117,6 +124,7 @@ def _cmd_simulate(args):
         writer_rows = [",".join(names)]
         writer_rows += [",".join(repr(float(v)) for v in row) for row in sample.points]
         print("\n".join(writer_rows))
+        sys.stdout.flush()
     return 0
 
 
@@ -389,6 +397,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's reader is gone; what is left in its buffer goes to
+        # devnull, so the interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

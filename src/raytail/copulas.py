@@ -43,7 +43,6 @@ with rho > 0, (0, 1 - alpha) for invlog, (0, 0) for morgenstern and
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -64,11 +63,46 @@ _EPS = sys.float_info.epsilon
 # the bvn quadrature, _log_quad: a 10-point Gauss-Legendre rule checked
 # against the 21-point one, the relative accuracy and interval limit of the
 # earlier quad form, and the initial partition's steps away from the
-# breakpoint, in units of 1/|t|
+# breakpoint, in units of 1/|t|. The rules are literals (below), so a bvn
+# truth loads no numpy.polynomial.
 _GAUSS_LO = 10
 _QUAD_RTOL = 1e-11
 _QUAD_LIMIT = 300
 _QUAD_STEPS = 2.0 ** np.arange(12)
+# The nodes of the 10- and 21-point Gauss-Legendre rules on [-1, 1], the
+# 10-point rule's first, and the weights of each rule: the repr of what
+# numpy.polynomial.legendre.leggauss(10) and leggauss(21) return at numpy
+# 2.4.6, bit for bit. Correctly rounded weights differ from these by up to
+# 7 ulp (10 points) and 88 ulp (21 points) and would move every bvn truth.
+# test_gauss_rules_match_leggauss_and_integrate_polynomials pins them.
+_GAUSS_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+    -0.9937521706203895, -0.9672268385663063, -0.9200993341504008,
+    -0.8533633645833173, -0.7684399634756779, -0.6671388041974123,
+    -0.5516188358872198, -0.4243421202074388, -0.2880213168024011,
+    -0.1455618541608951, 0.0, 0.1455618541608951, 0.2880213168024011,
+    0.4243421202074388, 0.5516188358872198, 0.6671388041974123,
+    0.7684399634756779, 0.8533633645833173, 0.9200993341504008,
+    0.9672268385663063, 0.9937521706203895,
+])
+_GAUSS_W_LO = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814,
+])
+_GAUSS_W_HI = np.array([
+    0.01601722825777436, 0.03695378977085188, 0.05713442542685717,
+    0.07610011362837911, 0.09344442345603395, 0.1087972991671484,
+    0.12183141605372864, 0.13226893863333763, 0.1398873947910734,
+    0.14452440398997027, 0.1460811336496907, 0.14452440398997027,
+    0.1398873947910734, 0.13226893863333763, 0.12183141605372864,
+    0.1087972991671484, 0.09344442345603395, 0.07610011362837911,
+    0.05713442542685717, 0.03695378977085188, 0.01601722825777436,
+])
 
 
 def _corners(targets, dim):
@@ -123,17 +157,6 @@ def _positive_stable(alpha, n, rng):
     ) ** ((1.0 - alpha) / alpha)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_pair():
-    # nodes of the 10- and 21-point Gauss-Legendre rules on [-1, 1], side by
-    # side, and the weights of each; built on first use, since the CLI's
-    # wt/lt path never loads numpy.polynomial
-    from numpy.polynomial.legendre import leggauss
-
-    (x1, w1), (x2, w2) = leggauss(_GAUSS_LO), leggauss(2 * _GAUSS_LO + 1)
-    return np.concatenate((x1, x2)), w1, w2
-
-
 def _log_quad(log_f, edges):
     """Logs of the integrals of exp(log_f(z)) over [edges[k, 0], edges[k, -1]],
     one for each row k of the row-sorted (integrals, points) array ``edges``.
@@ -149,7 +172,6 @@ def _log_quad(log_f, edges):
     ``log_f(z, k)`` maps an (intervals, nodes) array elementwise, given the
     row ``k`` of each interval.
     """
-    nodes, w_lo, w_hi = _gauss_pair()
     n = edges.shape[0]
     is_open = edges[:, 1:] > edges[:, :-1]
     k = np.nonzero(is_open)[0]
@@ -159,7 +181,7 @@ def _log_quad(log_f, edges):
     while True:
         half = 0.5 * (b - a)
         mid = a + half
-        g = log_f(mid[:, None] + half[:, None] * nodes, k)
+        g = log_f(mid[:, None] + half[:, None] * _GAUSS_NODES, k)
         row_max = g.max(axis=1)
         top = np.full(n, -np.inf)
         np.fmax.at(top, k, row_max)
@@ -170,8 +192,8 @@ def _log_quad(log_f, edges):
         acc *= np.exp(shift - new)
         shift = new
         f = np.exp(g - shift[k, None])
-        lo = f[:, :_GAUSS_LO] @ w_lo * half
-        hi = f[:, _GAUSS_LO:] @ w_hi * half
+        lo = f[:, :_GAUSS_LO] @ _GAUSS_W_LO * half
+        hi = f[:, _GAUSS_LO:] @ _GAUSS_W_HI * half
         err = np.abs(hi - lo)
         total = acc + np.bincount(k, hi, n)
         ok = err <= ((_QUAD_RTOL + 16.0 * _EPS * np.abs(shift)) * total)[k]

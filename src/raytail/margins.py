@@ -155,16 +155,25 @@ def rank_transform(raw) -> ExponentialSample:
     # a fresh process, which must fork the worker, 8.7 against 8.5 ms at
     # 131072 rows, 19.0 against 15.9 ms at 262144 and 74 against 58 ms at
     # 10^6 (medians of 9). A pooled column and its ranks each cross a pipe.
+    # The caller's columns share one grid of scores; a pooled column
+    # computes its own in its worker, so no grid crosses a pipe.
     if arr.shape[0] * arr.itemsize >= _PART_BYTES:
         ranked = _pool.map(_rank_column, arr.T)
     else:
-        ranked = [_rank_column(col) for col in arr.T]
+        grid = _rank_grid(arr.shape[0])
+        ranked = [_rank_column(col, grid) for col in arr.T]
     return ExponentialSample(np.column_stack(ranked), provenance="rank-transform")
 
 
-def _rank_column(col):
+def _rank_grid(n):
+    """The n exponential rank scores -log(i/(n+1)), rank 1 first."""
+    return -np.log(np.arange(1, n + 1) / (n + 1.0))
+
+
+def _rank_column(col, grid=None):
     """The exponential rank scores of one column, as :func:`rank_transform`
-    defines them."""
+    defines them; ``grid`` is ``_rank_grid`` of its length, computed here
+    when not given."""
     n = col.shape[0]
     # among ties the earlier index receives the smaller (more extreme) rank,
     # as a stable argsort of the negated column gives; without ties the
@@ -175,7 +184,7 @@ def _rank_column(col):
     if not np.all(ordered[1:] > ordered[:-1]):
         order = np.argsort(key, kind="stable")
     out = np.empty(n)
-    out[order] = -np.log(np.arange(1, n + 1) / (n + 1.0))
+    out[order] = _rank_grid(n) if grid is None else grid
     return out
 
 

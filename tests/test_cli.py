@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import raytail
-from raytail import bench, cli, copulas, estimators
+from raytail import bench, cli, copulas, estimators, margins
 from raytail.errors import DomainError
 
 
@@ -541,15 +541,22 @@ def test_estimate_numeric_failure_exit_code(tmp_path, capsys):
     assert "exceedances" in err
 
 
-def _modules_after(code, tops=("scipy",), **env_vars):
-    """The modules of the packages ``tops`` in sys.modules after ``code``
-    runs in a fresh interpreter that imports raytail from this checkout."""
+def _checkout_env(**env_vars):
+    """os.environ plus ``env_vars``, for a fresh interpreter that imports
+    raytail from this checkout."""
     src = os.path.dirname(os.path.dirname(raytail.__file__))
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _modules_after(code, tops=("scipy",), **env_vars):
+    """The modules of the packages ``tops`` in sys.modules after ``code``
+    runs in a fresh interpreter that imports raytail from this checkout."""
     report = f"\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {tops!r}))"
     out = subprocess.run(
-        [sys.executable, "-c", code + report], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code + report],
+        env=_checkout_env(**env_vars), capture_output=True, text=True, check=True,
     )
     return out.stdout.strip().splitlines()[-1]
 
@@ -591,6 +598,58 @@ def test_study_and_ht_estimate_leave_optimize_and_integrate_unloaded(tmp_path):
         assert _modules_after(code, RAYTAIL_THREADS="1") == "[]"
     # the study again on two processes: the caller and one worker
     assert _modules_after(study, RAYTAIL_THREADS="2") == "[]"
+
+
+def test_a_bvn_truth_and_a_pooled_study_load_no_numpy_polynomial():
+    # the bvn quadrature's Gauss-Legendre rules are literals, so no truth
+    # builds them with numpy.polynomial.legendre.leggauss
+    survivor = (
+        "from raytail import copulas\n"
+        "assert copulas.BivariateNormal(0.5).log_survivor((1e-6, 3.0)) < 0.0\n"
+    )
+    study = (
+        "from raytail import bench, copulas\n"
+        "cfg = bench.BenchmarkConfig(copulas.BivariateNormal(0.5), reps=2, m=2000)\n"
+        "bench.run_benchmark(cfg)\n"
+    )
+    for code, env in ((survivor, {}), (study, {"RAYTAIL_THREADS": "2"})):
+        loaded = ast.literal_eval(_modules_after(code, ("numpy",), **env))
+        assert "numpy.linalg" in loaded
+        assert [m for m in loaded if m.startswith("numpy.polynomial")] == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--model", "invlog", "--alpha", "0.5", "--omega", "0.3"],
+        ["estimate", "prob", "--method", "wt", "--input", "{csv}", "--x", "3", "--y", "7"],
+    ],
+    ids=["kappa", "estimate"],
+)
+def test_a_closed_stdout_ends_the_cli_quietly(tmp_path, argv, unbuffered):
+    # the read end is closed before the CLI starts, so its first write meets
+    # a closed pipe: in print when unbuffered, else in the flush after it
+    path = tmp_path / "s.csv"
+    sample = copulas.BivariateNormal(0.5).sample(3000, 0)
+    margins.write_csv(path, sample.points, ("x", "y"))
+    argv = [a.format(csv=path) for a in argv]
+    env = _checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "raytail.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in out.stderr
+    assert "Exception ignored" not in out.stderr
+    assert out.returncode == cli.EXIT_PIPE, out.stderr
 
 
 def test_cli_import_and_a_pooled_study_load_no_executor():

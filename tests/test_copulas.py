@@ -429,6 +429,28 @@ def test_log_quad_closed_forms_and_failures():
         cp._log_quad(lambda z, k: np.log(2.0 + np.sin(1e5 * z)), edges)
 
 
+def test_gauss_rules_match_leggauss_and_integrate_polynomials():
+    # the literal rules are leggauss's output at one numpy version; another
+    # version may differ in the last bits, so both checks carry a tolerance
+    from numpy.polynomial.legendre import leggauss
+
+    lo = cp._GAUSS_LO
+    assert cp._GAUSS_NODES.shape == (3 * lo + 1,)
+    rules = (
+        (cp._GAUSS_NODES[:lo], cp._GAUSS_W_LO),
+        (cp._GAUSS_NODES[lo:], cp._GAUSS_W_HI),
+    )
+    for (nodes, weights), n in zip(rules, (lo, 2 * lo + 1)):
+        assert nodes.shape == weights.shape == (n,)
+        want_nodes, want_weights = leggauss(n)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-13, atol=0.0)
+        # an n-point rule integrates x^k over [-1, 1] exactly for k < 2n
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ nodes**k - exact) <= 1e-13, (n, k)
+
+
 def _quad_log_survivor(rho, x, y):
     # the earlier scipy.integrate.quad form of the bvn survivor; None where it
     # found no value, and its IntegrationWarning is an error
