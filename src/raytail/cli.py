@@ -76,16 +76,27 @@ def _seed(text):
     return value
 
 
+class _StdoutClosed(Exception):
+    """stdout's reader went away before all of the output was written."""
+
+
+def _print(text):
+    # the CLI's one writer to stdout: flushing here makes a closed stdout
+    # raise inside main, and not in the interpreter's last flush, and a
+    # broken pipe on any other file is not taken for it
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
 def _emit(document, out_path):
     text = json.dumps(document, indent=2)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
-        # a closed stdout raises here, inside main, and not in the
-        # interpreter's last flush
-        sys.stdout.flush()
+        _print(text)
 
 
 def _load_sample(args) -> margins.ExponentialSample:
@@ -123,8 +134,7 @@ def _cmd_simulate(args):
         sys.stderr.write("\n")
         writer_rows = [",".join(names)]
         writer_rows += [",".join(repr(float(v)) for v in row) for row in sample.points]
-        print("\n".join(writer_rows))
-        sys.stdout.flush()
+        _print("\n".join(writer_rows))
     return 0
 
 
@@ -397,7 +407,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except BrokenPipeError:
+    except _StdoutClosed:
         # stdout's reader is gone; what is left in its buffer goes to
         # devnull, so the interpreter's last flush cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -64,7 +64,7 @@ _EPS = sys.float_info.epsilon
 # against the 21-point one, the relative accuracy and interval limit of the
 # earlier quad form, and the initial partition's steps away from the
 # breakpoint, in units of 1/|t|. The rules are literals (below), so a bvn
-# truth loads no numpy.polynomial.
+# truth does not import numpy.polynomial.
 _GAUSS_LO = 10
 _QUAD_RTOL = 1e-11
 _QUAD_LIMIT = 300
