@@ -374,7 +374,7 @@ def _recover_rep(config: BenchmarkConfig, rep: int, grid) -> np.ndarray:
     arrays of the ray kernel: lambda_hat = k / total excess, NaN where the
     fit fails (fewer than 5 exceedances, or no positive excess)."""
     sample = _sample(config, config.seed_base + rep)
-    _, k, total = est._hill_rays(sample.x, sample.y, grid, config.frac, None)
+    _, k, total = est._hill_rays(sample.x, sample.y, grid, config.frac)
     ok = (k >= est._MIN_EXCEEDANCES) & (total > 0.0)
     lam = np.full(grid.size, math.nan)
     lam[ok] = k[ok] / total[ok]

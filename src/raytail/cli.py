@@ -108,7 +108,7 @@ def _load_sample(args) -> margins.ExponentialSample:
             f"{args.input} contains negative values; these are not "
             "exponential-margin data (use --rank-transform for raw data)"
         )
-    return margins.ExponentialSample(raw.data, provenance="exact-transform")
+    return margins.ExponentialSample(raw.data)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class CopulaModel(ABC):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
         pts = self._draw(n, _rng(seed))
-        return ExponentialSample(pts, provenance="simulated")
+        return ExponentialSample(pts)
 
     def log_survivor(self, s) -> float:
         """log P(X_E > x, Y_E > y) at the corner ``s``."""

@@ -58,7 +58,7 @@ corners, a -inf coordinate standing for a zero weight.
 
 Every interpolated order statistic goes through ``_quantile``, numpy's
 default linear quantile from one partition and bitwise np.quantile's value:
-the ray thresholds, the ``lt`` baselines, ``fit_ht``'s u_y and the
+the ray thresholds, the ``lt`` base corner, ``fit_ht``'s u_y and the
 benchmark's lambda envelopes. Only the staircase of ``_candidates`` reads
 exact k-th largest values, by its own partitions.
 
@@ -290,24 +290,22 @@ def _candidates(x, y, k) -> np.ndarray:
     return keep
 
 
-def _hill_rays(x, y, w, frac, u):
+def _hill_rays(x, y, w, frac):
     """Hill sums along the rays ``w`` of the sample (x, y): the arrays
     (u, k, total_excess) of each ray's threshold, count of exceedances and
     summed excess over the threshold. A ray's sums do not depend on the
     other rays of the batch. ``fit_lambda_rays`` wraps them into slots; the
     benchmark's angular curve reads them directly.
 
-    With u None, each ray's threshold is the (1 - frac) quantile of its m
-    structure values T (see ``_quantile``). Only the top k = m - floor(h)
-    values enter it, h = (m - 1)(1 - frac), and only values above it are
-    exceedances. T is non-decreasing in both coordinates, so a point that k
-    others match or beat in both is never needed: on a batch large enough
-    to pay for it, _candidates drops most such points before the structure
-    matrix is built. The kept points hold every ray's top k values and, in
-    the same order, every exceedance, so each sum is bitwise the one on the
-    full sample. An explicit ``u`` keeps every point, since its exceedances
-    are not limited by rank. An empty sample has k = 0 on every ray, and
-    with u None a NaN threshold.
+    Each ray's threshold is the (1 - frac) quantile of its m structure
+    values T (see ``_quantile``). Only the top k = m - floor(h) values enter
+    it, h = (m - 1)(1 - frac), and only values above it are exceedances. T
+    is non-decreasing in both coordinates, so a point that k others match or
+    beat in both is never needed: on a batch large enough to pay for it,
+    _candidates drops most such points before the structure matrix is
+    built. The kept points hold every ray's top k values and, in the same
+    order, every exceedance, so each sum is bitwise the one on the full
+    sample. An empty sample has k = 0 and a NaN threshold on every ray.
 
     The structure matrix is built in row blocks. In a block one mask and
     one compress leave each row's values above its threshold contiguous and
@@ -320,10 +318,10 @@ def _hill_rays(x, y, w, frac, u):
     m = x.size
     # the staircase costs a sort and a fixed overhead; measured on two cores
     # it pays from about 7 rays at m=5000, 12 at m=2000 and 50 at m=300
-    if u is None and w.size >= _SKYBAND_STEPS and w.size * m >= _PRUNE_MIN_ELEMS:
+    if w.size >= _SKYBAND_STEPS and w.size * m >= _PRUNE_MIN_ELEMS:
         keep = _candidates(x, y, m - math.floor((m - 1) * (1.0 - frac)))
         x, y = x[keep], y[keep]
-    us = np.full(w.size, math.nan if u is None else u)
+    us = np.full(w.size, math.nan)
     ks = np.zeros(w.size, dtype=np.intp)
     totals = np.zeros(w.size)
     if m == 0:
@@ -332,8 +330,7 @@ def _hill_rays(x, y, w, frac, u):
     for start in range(0, w.size, step):
         block = slice(start, start + step)
         t = _structure(x, y, w[block])
-        if u is None:
-            us[block] = _quantile(t, 1.0 - frac, m)
+        us[block] = _quantile(t, 1.0 - frac, m)
         above = t > us[block, None]
         ks[block] = above.sum(axis=1)
         # the flat compress takes the same values in the same order as the
@@ -349,22 +346,22 @@ def _hill_rays(x, y, w, frac, u):
     return us, ks, totals
 
 
-def fit_lambda_rays(sample, omegas, frac=0.10, u=None) -> list:
+def fit_lambda_rays(sample, omegas, frac=0.10) -> list:
     """Hill fits along every ray in ``omegas``: one slot per ray, holding
     its AngularFit or, where the fit fails, the typed error (not raised).
     A ray's fit does not depend on the other rays of the batch.
 
     The threshold, count and summed excess of every ray come from one
-    ``_hill_rays`` call: with u None, the (1 - frac) quantile of the ray's
-    structure values T, else ``u``. lambda_hat = k / total excess; a ray
-    with fewer than 5 exceedances, or whose excesses are all zero, fails.
-    An empty sample fails every ray.
+    ``_hill_rays`` call, the threshold being the (1 - frac) quantile of the
+    ray's structure values T. lambda_hat = k / total excess; a ray with
+    fewer than 5 exceedances, or whose excesses are all zero, fails. An
+    empty sample fails every ray.
     """
     w = _as_omegas(omegas)
     _require_bivariate(sample)
-    if u is None and not 0.0 < frac < 1.0:
+    if not 0.0 < frac < 1.0:
         raise DomainError(f"frac must lie in (0, 1), got {frac}")
-    us, ks, totals = _hill_rays(sample.x, sample.y, w, frac, u)
+    us, ks, totals = _hill_rays(sample.x, sample.y, w, frac)
     fits = []
     for omega, u_r, k_r, total_excess in zip(*(a.tolist() for a in (w, us, ks, totals))):
         if k_r < _MIN_EXCEEDANCES:
@@ -384,14 +381,14 @@ def _one(results):
     return result
 
 
-def fit_lambda(sample, omega, frac=0.10, u=None) -> AngularFit:
+def fit_lambda(sample, omega, frac=0.10) -> AngularFit:
     """Hill fit of the structure-variable tail index along the ray omega.
 
-    The threshold is the empirical (1 - frac) quantile of T unless ``u``
-    is given explicitly; lambda_hat = k / sum(T_i - u over T_i > u) with
-    standard error lambda_hat / sqrt(k).
+    The threshold u is the empirical (1 - frac) quantile of T;
+    lambda_hat = k / sum(T_i - u over T_i > u) with standard error
+    lambda_hat / sqrt(k).
     """
-    return _one(fit_lambda_rays(sample, [omega], frac=frac, u=u))
+    return _one(fit_lambda_rays(sample, [omega], frac=frac))
 
 
 def _joint_counts(x, y, corners) -> np.ndarray:
@@ -465,19 +462,13 @@ def _wt_estimates(sample, radii, fits) -> list:
     return out
 
 
-def _lt_estimates(sample, corners, diag_fit, frac, baseline) -> list:
-    """The ``lt`` estimates of ``probabilities`` from its diagonal fit, a slot
-    of ``fit_lambda_rays`` at w = 1/2: one slot per corner, every one the
-    fit's error where it failed. One ``_joint_counts`` counts every slid
-    corner."""
-    if isinstance(diag_fit, RaytailError):
-        return [diag_fit] * len(corners)
+def _lt_estimates(sample, corners, diag_fit, base) -> list:
+    """The ``lt`` estimates of ``probabilities`` from its diagonal fit, the
+    AngularFit at w = 1/2, and the base corner ``(bx, by)`` each corner
+    slides back towards: one slot per corner. One ``_joint_counts`` counts
+    every slid corner."""
     eta_hat = 1.0 / (2.0 * diag_fit.lambda_hat)
-    if baseline is not None:
-        bx, by = (float(b) for b in baseline)
-    else:
-        bx = float(_quantile(sample.x, 1.0 - frac))
-        by = float(_quantile(sample.y, 1.0 - frac))
+    bx, by = base
     vs = [max(0.0, min(x0 - bx, y0 - by)) for x0, y0 in corners]
     slid = [(x0 - v, y0 - v) for (x0, y0), v in zip(corners, vs)]
     counts = _joint_counts(sample.x, sample.y, np.array(slid).reshape(-1, 2))
@@ -670,7 +661,8 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
         if not _ht_feasible(b, logy_stats):
             return math.inf, math.nan
         nll, al = _ht_block(b, x, y, logy, logy_stats[2])
-        return (nll if math.isfinite(nll) else math.inf), al
+        # a Python float, so Brent's arithmetic and the fitted beta are too
+        return (float(nll) if math.isfinite(nll) else math.inf), al
 
     evals = {}  # beta -> (nll, alpha) at every point Brent evaluates
 
@@ -725,16 +717,15 @@ def fit_ht(sample, quantile=0.90) -> HTFit:
     )
 
 
-def _ht_estimates(fit: HTFit, corners, r, seed, rng=None) -> list:
+def _ht_estimates(fit: HTFit, corners, r, seed, rng) -> list:
     """Estimates of P(X_E > x0, Y_E > y0) at corners with y0 >= fit.u_y (an
     ExtrapolationError below it): the exact survivor P(Y_E > y0) times the
     share of r draws Y* = y0 + E (memorylessness) and resampled residuals z
     with X* > x0. E and then the residual indices are drawn once from
-    default_rng(seed), or from ``rng`` where the caller built that generator
-    already, shared by every corner (common random numbers). Corners run in
+    ``rng``, the generator ``_rng(seed)``, shared by every corner (common
+    random numbers); ``seed`` is recorded in each estimate. Corners run in
     y0 order, so each distinct y0 builds X* once.
     """
-    rng = _rng(seed) if rng is None else rng
     e = rng.standard_exponential(r)
     z = fit.residuals[rng.integers(0, fit.n_exceedances, size=r)]
     out, last = [None] * len(corners), None
@@ -765,30 +756,30 @@ def _ht_estimates(fit: HTFit, corners, r, seed, rng=None) -> list:
 
 
 def probabilities(
-    sample, targets, methods=METHODS, frac=0.10, baseline=None, quantile=0.90, r=10_000, seed=0
+    sample, targets, methods=METHODS, frac=0.10, quantile=0.90, r=10_000, seed=0
 ) -> dict:
     """Estimates at a sequence of corners: ``{method: one slot per corner}``
     for each of ``methods``, a slot holding a ProbEstimate or the typed
-    error of its corner. The sample, the corners, the methods, a
-    ``baseline`` for ``lt`` and ``r`` and ``seed`` for ``ht`` are checked
-    before any fit.
+    error of its corner. The sample, the corners, the methods and ``r`` and
+    ``seed`` for ``ht`` are checked before any fit.
 
     ``wt`` and ``lt`` read one batch of Hill fits: the ray x0 / s through
     each corner with 0 < s = x0 + y0 < inf, in corner order, then the
     diagonal where no corner lies on it. ``wt`` extrapolates v = s - u
     beyond its ray's threshold u. ``lt`` slides each corner back along the
-    diagonal to ``baseline`` (by default the per-margin (1 - frac)
-    quantiles) and scales by exp(-v / eta_hat), 1/eta_hat = 2*lambda_hat(1/2).
+    diagonal towards the corner of the per-margin (1 - frac) quantiles
+    and scales by exp(-v / eta_hat), 1/eta_hat = 2*lambda_hat(1/2).
     ``ht`` fits the conditional model once, and its corners share one set
     of r draws from ``seed``. A failed ``lt`` or ``ht`` fit fills every slot
     of its method.
     """
     _require_bivariate(sample)
     corners = _corners(targets, 2).tolist()
+    # a one-shot iterable would be spent by the check below; a bare string
+    # becomes its letters and fails it
+    methods = tuple(methods)
     if not all(m in METHODS for m in methods):
         raise DomainError(f"methods must be a sequence of {METHODS}, got {methods!r}")
-    if "lt" in methods and baseline is not None:
-        baseline = _corners([baseline], 2)[0].tolist()
     if "ht" in methods:
         if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
             raise DomainError(f"draw count must be an integer >= 1, got {r!r}")
@@ -805,7 +796,12 @@ def probabilities(
         if "wt" in methods:
             out["wt"] = _wt_estimates(sample, radii, fits)
         if "lt" in methods:
-            out["lt"] = _lt_estimates(sample, corners, fits[rays.index(0.5)], frac, baseline)
+            diag = fits[rays.index(0.5)]
+            if isinstance(diag, RaytailError):
+                out["lt"] = [diag] * len(corners)
+            else:
+                base = [float(_quantile(v, 1.0 - frac)) for v in (sample.x, sample.y)]
+                out["lt"] = _lt_estimates(sample, corners, diag, base)
     if "ht" in methods:
         try:
             fit = fit_ht(sample, quantile=quantile)
@@ -821,9 +817,9 @@ def wt_probability_at(sample, target, frac=0.10) -> ProbEstimate:
     return _one(probabilities(sample, [target], ("wt",), frac=frac)["wt"])
 
 
-def lt_probability(sample, target, frac=0.10, baseline=None) -> ProbEstimate:
+def lt_probability(sample, target, frac=0.10) -> ProbEstimate:
     """Diagonal-extrapolation estimate at a corner; see :func:`probabilities`."""
-    return _one(probabilities(sample, [target], ("lt",), frac=frac, baseline=baseline)["lt"])
+    return _one(probabilities(sample, [target], ("lt",), frac=frac)["lt"])
 
 
 def ht_probability(sample, target, quantile=0.90, r=10_000, seed=0) -> ProbEstimate:

@@ -25,6 +25,9 @@ from .errors import DomainError, NonDifferentiableError, NumericError
 #: relative disagreement of one-sided slopes beyond which a ray is
 #: declared a kink rather than averaged over
 _KINK_TOL = 1e-2
+#: central-difference step of lambda_derivative, shrunk near w = 0 and 1 so
+#: that both evaluation points stay inside (0, 1)
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ def lambda_of(kfun: KappaFunction, omega) -> float:
     return kfun((omega, 1.0 - omega))
 
 
-def lambda_derivative(kfun: KappaFunction, omega, h=1e-5) -> float:
+def lambda_derivative(kfun: KappaFunction, omega) -> float:
     """lambda'(w) by central differences with one Richardson step.
 
     Raises
@@ -85,7 +88,7 @@ def lambda_derivative(kfun: KappaFunction, omega, h=1e-5) -> float:
     """
     if not 0.0 < omega < 1.0:
         raise DomainError(f"omega must lie in (0, 1), got {omega}")
-    h = min(h, 0.49 * omega, 0.49 * (1.0 - omega))
+    h = min(_FD_STEP, 0.49 * omega, 0.49 * (1.0 - omega))
     lam = lambda_of(kfun, omega)
     lp = lambda_of(kfun, omega + h)
     lm = lambda_of(kfun, omega - h)
@@ -103,10 +106,10 @@ def lambda_derivative(kfun: KappaFunction, omega, h=1e-5) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def shape_parameters(kfun: KappaFunction, omega, h=1e-5) -> ShapePair:
+def shape_parameters(kfun: KappaFunction, omega) -> ShapePair:
     """Shape pair (k1, k2) = (lambda + (1-w) lambda', lambda - w lambda')."""
     lam = lambda_of(kfun, omega)
-    der = lambda_derivative(kfun, omega, h=h)
+    der = lambda_derivative(kfun, omega)
     k1 = lam + (1.0 - omega) * der
     k2 = lam - omega * der
     # the limits force both >= 0; allow finite-difference dust below zero
@@ -164,6 +167,12 @@ class PropertyReport:
 
 def _growth_grid(rng, size, dim):
     return rng.uniform(0.05, 5.0, size=(size, dim))
+
+
+def _subadditivity_gaps(kfun, a, b) -> np.ndarray:
+    """kappa(a + b) - (kappa(a) + kappa(b)) for each pair of rows of the
+    growth grids ``a`` and ``b``; a positive gap violates subadditivity."""
+    return np.array([kfun(ga + gb) - (kfun(ga) + kfun(gb)) for ga, gb in zip(a, b)])
 
 
 def property_suite(
@@ -237,9 +246,7 @@ def property_suite(
 
     if convex:
         pair = _growth_grid(rng, grid_size, kfun.dim)
-        ksum = np.array([kfun(a) + kfun(b) for a, b in zip(grid, pair)])
-        kjoint = np.array([kfun(a + b) for a, b in zip(grid, pair)])
-        worst = float(np.max(kjoint - ksum))
+        worst = float(np.max(_subadditivity_gaps(kfun, grid, pair)))
         checks.append(PropertyCheck("subadditivity", worst <= tol, worst))
 
     if kfun.dim == 3 and reduced is not None:
@@ -262,14 +269,10 @@ def convexity_check(kfun: KappaFunction, grid_size=200, seed=0, tol=1e-9):
     rng = _rng(seed)
     a = _growth_grid(rng, grid_size, kfun.dim)
     b = _growth_grid(rng, grid_size, kfun.dim)
-    count = 0
-    worst = 0.0
-    worst_pair = None
-    for ga, gb in zip(a, b):
-        gap = kfun(ga + gb) - kfun(ga) - kfun(gb)
+    count, worst, worst_pair = 0, 0.0, None
+    for ga, gb, gap in zip(a, b, _subadditivity_gaps(kfun, a, b).tolist()):
         if gap > tol:
             count += 1
             if gap > worst:
-                worst = float(gap)
-                worst_pair = (tuple(ga), tuple(gb))
+                worst, worst_pair = gap, (tuple(ga), tuple(gb))
     return count, worst, worst_pair

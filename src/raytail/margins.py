@@ -28,8 +28,6 @@ import numpy as np
 from . import _pool
 from .errors import DomainError
 
-PROVENANCES = ("exact-transform", "rank-transform", "simulated")
-
 
 @dataclass(frozen=True)
 class RawSample:
@@ -87,12 +85,9 @@ class ExponentialSample:
     ----------
     points : ndarray, shape (n, d)
         Non-negative, finite coordinates.
-    provenance : str
-        One of ``exact-transform``, ``rank-transform``, ``simulated``.
     """
 
     points: np.ndarray
-    provenance: str = "exact-transform"
 
     def __post_init__(self):
         arr = np.asarray(self.points, dtype=np.float64)
@@ -104,10 +99,6 @@ class ExponentialSample:
             raise DomainError("exponential sample contains non-finite values")
         if np.any(arr < 0.0):
             raise DomainError("exponential-margin coordinates must be >= 0")
-        if self.provenance not in PROVENANCES:
-            raise DomainError(
-                f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
-            )
         object.__setattr__(self, "points", arr)
 
     @property
@@ -162,7 +153,7 @@ def rank_transform(raw) -> ExponentialSample:
     else:
         grid = _rank_grid(arr.shape[0])
         ranked = [_rank_column(col, grid) for col in arr.T]
-    return ExponentialSample(np.column_stack(ranked), provenance="rank-transform")
+    return ExponentialSample(np.column_stack(ranked))
 
 
 def _rank_grid(n):

@@ -520,8 +520,8 @@ def test_lambda_recovery_summaries_bitwise_equal_numpy_nan_reductions(monkeypatc
     # others on some, by leaving them no exceedance
     hill_rays, seen = est._hill_rays, []
 
-    def flaky(x, y, w, frac, u):
-        us, k, total = hill_rays(x, y, w, frac, u)
+    def flaky(x, y, w, frac):
+        us, k, total = hill_rays(x, y, w, frac)
         rep = len(seen)
         seen.append([
             math.nan if j == 0 or (rep + j) % 3 == 0 else k[j] / total[j]

@@ -20,7 +20,7 @@ ETA_075_ALPHA = -math.log(0.75) / math.log(2.0)
 
 
 def make_sample(points):
-    return ExponentialSample(np.asarray(points, dtype=float), provenance="simulated")
+    return ExponentialSample(np.asarray(points, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def arrays():
 
 @pytest.fixture(scope="module")
 def sample(arrays):
-    return ExponentialSample(np.column_stack(arrays), provenance="simulated")
+    return ExponentialSample(np.column_stack(arrays))
 
 
 def test_structure_min_matches_numpy_reference(arrays, sample):
@@ -72,9 +72,9 @@ def test_excess_stats(arrays, sample):
     x, y = arrays
     t = np.minimum(x / 0.3, y / (1.0 - 0.3))
     u = float(np.quantile(t, 0.9))
-    fit = est.fit_lambda(sample, 0.3, u=u)
+    fit = est.fit_lambda(sample, 0.3, frac=0.1)
     exc = t[t > u]
-    assert fit.k == exc.size
+    assert fit.u == u and fit.k == exc.size
     assert np.isclose(fit.lambda_hat, exc.size / np.sum(exc - u), rtol=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_ht_indicator_fraction(arrays):
         nll=0.0,
     )
     omega, u_n, r = 0.4, 5.0, 1000
-    (p,) = est._ht_estimates(fit, [(omega * u_n, (1.0 - omega) * u_n)], r, 7)
+    (p,) = est._ht_estimates(fit, [(omega * u_n, (1.0 - omega) * u_n)], r, 7, est._rng(7))
     rng = np.random.default_rng(7)
     y_thresh = (1.0 - omega) * u_n
     ystar = y_thresh + rng.standard_exponential(r)
@@ -155,18 +155,18 @@ def test_block_size_changes_no_result(monkeypatch, elems):
         return (
             est._ht_profile(betas, x, y, logy, stats),
             est.fit_lambda_rays(s, grid),
-            est.fit_lambda_rays(s, grid, u=1.5),
+            est.fit_lambda_rays(s, grid, frac=0.5),
             est.fit_ht(s),
         )
 
-    (nll, alpha), fits, fits_u, ht = run()
+    (nll, alpha), fits, fits_half, ht = run()
     monkeypatch.setattr(est, "_BLOCK_ELEMS", elems)
-    (nll_b, alpha_b), fits_b, fits_u_b, ht_b = run()
+    (nll_b, alpha_b), fits_b, fits_half_b, ht_b = run()
     _same_bits(nll_b, nll)
     _same_bits(alpha_b, alpha)
     assert np.isfinite(nll).sum() > 100
     _assert_fits_equal(fits_b, fits)
-    _assert_fits_equal(fits_u_b, fits_u)
+    _assert_fits_equal(fits_half_b, fits_half)
     for name in ("alpha", "beta", "u_y", "mu", "sigma", "nll", "residuals"):
         _same_bits(getattr(ht_b, name), getattr(ht, name))
 
@@ -178,7 +178,6 @@ def test_empty_sample_fails_with_a_typed_error():
     assert all(isinstance(f, InsufficientExceedancesError) for f in fits)
     for call in (
         lambda: est.fit_lambda(s, 0.5),
-        lambda: est.fit_lambda(s, 0.5, u=1.0),
         lambda: est.lt_probability(s, (2.0, 2.0)),
         lambda: est.wt_probability_at(s, (2.0, 2.0)),
         lambda: est.fit_ht(s),
@@ -193,10 +192,12 @@ def test_empty_sample_fails_with_a_typed_error():
 # ---------------------------------------------------------------------------
 
 def test_fit_lambda_reciprocal_mean_excess():
-    # excesses {0.5, 1.0, 1.5, 1.0, 1.0} above u=1 have mean 1 -> rate 1
-    t = np.array([0.1] * 10 + [1.5, 2.0, 2.5, 2.0, 2.0])
+    # at m = 11 and frac = 0.5 the threshold is the 6th smallest T, exactly
+    # (h = 10 * 0.5 = 5): u = 1. The excesses {0.5, 1.0, 1.5, 1.0, 1.0}
+    # above it have mean 1 -> rate 1
+    t = np.array([0.1] * 5 + [1.0] + [1.5, 2.0, 2.5, 2.0, 2.0])
     # on the diagonal T = min(x, y) / 0.5, so points (t/2, t/2) give T = t
-    fit = est.fit_lambda(make_sample(np.column_stack((t / 2, t / 2))), 0.5, u=1.0)
+    fit = est.fit_lambda(make_sample(np.column_stack((t / 2, t / 2))), 0.5, frac=0.5)
     assert fit.lambda_hat == 1.0
     assert fit.k == 5
     assert fit.u == 1.0
@@ -204,15 +205,19 @@ def test_fit_lambda_reciprocal_mean_excess():
 
 
 def test_fit_lambda_constant_excesses():
-    t = np.array([0.0] * 5 + [3.0] * 6)  # excesses all equal to 2 above u=1
-    fit = est.fit_lambda(make_sample(np.column_stack((t / 2, t / 2))), 0.5, u=1.0)
+    # u = 1 is the 6th smallest of 11 at frac = 0.5; the excesses above it
+    # all equal 2
+    t = np.array([0.0] * 5 + [1.0] + [3.0] * 5)
+    fit = est.fit_lambda(make_sample(np.column_stack((t / 2, t / 2))), 0.5, frac=0.5)
+    assert fit.u == 1.0 and fit.k == 5
     assert fit.lambda_hat == 0.5
 
 
 def test_fit_lambda_insufficient_exceedances():
+    # every T equals the threshold, so none exceeds it
     s = make_sample([[1.0, 1.0]] * 20)
     with pytest.raises(InsufficientExceedancesError) as exc:
-        est.fit_lambda(s, 0.5, u=100.0)
+        est.fit_lambda(s, 0.5)
     assert exc.value.count == 0
 
 
@@ -223,9 +228,12 @@ def test_fit_lambda_default_threshold_keeps_ten_percent():
 
 
 def test_fit_lambda_positive_and_finite_on_tiny_samples():
+    # at m = 9 and frac = 0.75 the threshold is the 3rd smallest T, exactly
+    # (h = 8 * 0.25 = 2): u = 0, and the six points off the axes exceed it
     s = make_sample([[0.1, 0.2], [0.5, 0.9], [1.0, 1.2], [2.0, 2.5], [3.0, 3.1],
-                     [4.0, 4.4]])
-    fit = est.fit_lambda(s, 0.5, u=0.0)
+                     [4.0, 4.4], [0.0, 0.0], [0.0, 0.3], [0.3, 0.0]])
+    fit = est.fit_lambda(s, 0.5, frac=0.75)
+    assert fit.u == 0.0 and fit.k == 6
     assert 0.0 < fit.lambda_hat < math.inf
 
 
@@ -284,10 +292,9 @@ def _tied_diagonal_sample():
     return make_sample(np.vstack((base, atoms, [[0.0, 3.0], [3.0, 0.0]])))
 
 
-def _hill_reference(s, w, frac=0.10, u=None):
+def _hill_reference(s, w, frac=0.10):
     t = s.y if w == 0.0 else s.x if w == 1.0 else np.minimum(s.x / w, s.y / (1.0 - w))
-    if u is None:
-        u = float(np.quantile(t, 1.0 - frac))
+    u = float(np.quantile(t, 1.0 - frac))
     exc = t[t > u]
     return u, exc.size, float(np.sum(exc - u))
 
@@ -329,9 +336,9 @@ def test_fit_lambda_rays_independent_of_batch():
     assert isinstance(full[49], InsufficientExceedancesError)  # the diagonal
 
 
-def _reference_fit(s, w, frac, u=None):
+def _reference_fit(s, w, frac):
     # the Hill fit on the full sample, threshold by np.quantile
-    u, k, total_excess = _hill_reference(s, w, frac, u)
+    u, k, total_excess = _hill_reference(s, w, frac)
     if k < 5:
         return InsufficientExceedancesError(k, 5)
     lam = k / total_excess
@@ -374,29 +381,25 @@ def test_fit_lambda_rays_bitwise_equals_full_sample_reference(model, tied, m, fr
         )
 
 
-def test_fit_lambda_rays_bitwise_on_tied_atoms_edge_frac_and_explicit_u():
+def test_fit_lambda_rays_bitwise_on_tied_atoms_and_edge_frac():
     s = _tied_diagonal_sample()
     grid = np.linspace(0.0, 1.0, 101)
-    _assert_fits_equal(est.fit_lambda_rays(s, grid), [_reference_fit(s, w, 0.1) for w in grid])
-    # k = 1: 1 - frac rounds to 1 and the threshold is the maximum
-    _assert_fits_equal(
-        est.fit_lambda_rays(s, grid, frac=1e-17), [_reference_fit(s, w, 1e-17) for w in grid]
-    )
-    # an explicit threshold keeps every point
-    u = float(np.quantile(s.x, 0.7))
-    _assert_fits_equal(
-        est.fit_lambda_rays(s, grid, u=u), [_reference_fit(s, w, None, u=u) for w in grid]
-    )
+    # k = 1: 1 - frac rounds to 1 and the threshold is the maximum; at frac
+    # 0.7 the staircase keeps most of the sample
+    for frac in (0.1, 1e-17, 0.7):
+        _assert_fits_equal(
+            est.fit_lambda_rays(s, grid, frac=frac), [_reference_fit(s, w, frac) for w in grid]
+        )
 
 
-def _per_row_hill(s, omegas, frac, u=None):
+def _per_row_hill(s, omegas, frac):
     # the per-row loop the ray kernel replaced, on the full sample: one
     # threshold, one compress and one 1-D np.add.reduce per ray
     w = np.asarray(omegas, dtype=np.float64)
     if s.n == 0:
-        return [(math.nan if u is None else u, 0, 0.0)] * w.size
+        return [(math.nan, 0, 0.0)] * w.size
     t = est._structure(s.x, s.y, w)
-    us = est._quantile(t, 1.0 - frac) if u is None else np.full(w.size, u)
+    us = est._quantile(t, 1.0 - frac)
     out = []
     for row, u_r in zip(t, us.tolist()):
         exc = row[row > u_r]
@@ -415,9 +418,11 @@ def _per_row_slot(omega, u, k, total):
 
 
 def _kernel_batches():
-    # (name, sample, rays, frac, u): axis and interior rays, explicit
-    # thresholds, tied tiny samples whose rays differ in k, and batches on
-    # both sides of the pruning cut-off
+    # (name, sample, rays, frac): axis and interior rays, tied tiny samples
+    # whose rays differ in k, and batches on both sides of the pruning
+    # cut-off. A "-u" batch lowers the threshold u to the median (frac 0.5):
+    # on the tied samples with the mixed rays (axes, repeats), on bvn with
+    # the interior rays
     rng = np.random.default_rng(2023)
     interior = np.linspace(0.0, 1.0, 99)
     mixed = [0.0, 1.0, 0.5, 0.3, 1.0, 0.01, 0.99, 0.0, 0.72]
@@ -425,33 +430,33 @@ def _kernel_batches():
         for scale in (2.0, 5.0):
             pts = np.floor(scale * rng.standard_exponential((m, 2)))
             s = make_sample(pts)
-            yield f"tied{m}x{scale}", s, interior, 0.25, None
-            yield f"tied{m}x{scale}-u", s, mixed, 0.1, 1.0
+            yield f"tied{m}x{scale}", s, interior, 0.25
+            yield f"tied{m}x{scale}-u", s, mixed, 0.5
     bvn = cp.BivariateNormal(0.5).sample(2000, 77)
     tied = make_sample(np.round(bvn.points, 1))
     for name, s in (("bvn", bvn), ("bvn-tied", tied)):
-        yield name + "-pruned", s, interior, 0.1, None
-        yield name + "-few", s, mixed[:5], 0.1, None
-        yield name + "-u", s, interior, 0.1, 1.2
-        yield name + "-one", s, [0.3], 0.1, None  # fit_lambda's one-ray batch
-    yield "diagonal-atoms", _tied_diagonal_sample(), np.linspace(0.0, 1.0, 101), 0.1, None
-    yield "empty", ExponentialSample(np.empty((0, 2))), mixed, 0.1, None
+        yield name + "-pruned", s, interior, 0.1
+        yield name + "-few", s, mixed[:5], 0.1
+        yield name + "-u", s, interior, 0.5
+        yield name + "-one", s, [0.3], 0.1  # fit_lambda's one-ray batch
+    yield "diagonal-atoms", _tied_diagonal_sample(), np.linspace(0.0, 1.0, 101), 0.1
+    yield "empty", ExponentialSample(np.empty((0, 2))), mixed, 0.1
 
 
 @pytest.mark.parametrize(
-    "name, s, rays, frac, u", [pytest.param(*b, id=b[0]) for b in _kernel_batches()]
+    "name, s, rays, frac", [pytest.param(*b, id=b[0]) for b in _kernel_batches()]
 )
-def test_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac, u):
+def test_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac):
     # the kernel sums each run of rows with equal k as one 2-D array; every
     # slot, and every array entry, must be bitwise the per-row loop's
-    ref = _per_row_hill(s, rays, frac, u)
-    us, ks, totals = est._hill_rays(s.x, s.y, np.asarray(rays, dtype=np.float64), frac, u)
+    ref = _per_row_hill(s, rays, frac)
+    us, ks, totals = est._hill_rays(s.x, s.y, np.asarray(rays, dtype=np.float64), frac)
     assert ks.tolist() == [k for _, k, _ in ref]
     _same_bits(totals, np.array([total for _, _, total in ref]))
     _same_bits(us, np.array([u_r for u_r, _, _ in ref]))  # NaN when empty
     if name.startswith("tied"):
         assert len(set(ks.tolist())) > 1  # runs of unequal k
-    fits = est.fit_lambda_rays(s, rays, frac=frac, u=u)
+    fits = est.fit_lambda_rays(s, rays, frac=frac)
     for fit, omega, (u_r, k, total) in zip(fits, rays, ref, strict=True):
         want = _per_row_slot(float(omega), u_r, k, total)
         assert type(fit) is type(want) and str(fit) == str(want)
@@ -574,26 +579,26 @@ def test_corner_sequence_forms_match_one_corner_calls():
                np.array([6.0, 6.0]), (9.0, 12.0), (2.0, 9.0), (5.0, 8.0)]
     seed = (1, 5)
     one = {
-        "wt": lambda c, baseline: est.wt_probability_at(s, c),
-        "lt": lambda c, baseline: est.lt_probability(s, c, baseline=baseline),
-        "ht": lambda c, baseline: est.ht_probability(s, c, r=2000, seed=seed),
+        "wt": lambda c: est.wt_probability_at(s, c),
+        "lt": lambda c: est.lt_probability(s, c),
+        "ht": lambda c: est.ht_probability(s, c, r=2000, seed=seed),
     }
     methods_sets = (("wt",), ("lt",), ("wt", "lt"), ("lt", "ht"), est.METHODS)
-    for targets, methods, baseline in itertools.product(
-        (corners, corners[:5] + corners[6:]), methods_sets, (None, (1.0, 2.0))
+    for targets, methods in itertools.product(
+        (corners, corners[:5] + corners[6:]), methods_sets
     ):
-        batch = est.probabilities(s, targets, methods, baseline=baseline, r=2000, seed=seed)
+        batch = est.probabilities(s, targets, methods, r=2000, seed=seed)
         assert tuple(batch) == methods
         for mth, slots in batch.items():
             assert len(slots) == len(targets)
             for c, got in zip(targets, slots):
                 if isinstance(got, est.ProbEstimate):
-                    want = one[mth](c, baseline)
+                    want = one[mth](c)
                     assert got == want
                     _same_bits([got.value, got.log_value], [want.value, want.log_value])
                 else:
                     with pytest.raises(type(got)):
-                        one[mth](c, baseline)
+                        one[mth](c)
     batch = est.probabilities(s, corners, r=2000, seed=seed)
     assert isinstance(batch["wt"][2], DomainError)
     # ht conditions on Y_E > y0: the corners with y0 below its threshold
@@ -627,6 +632,15 @@ def test_probabilities_rejects_a_bad_method_before_any_fit(monkeypatch, methods)
     monkeypatch.setattr(est, "fit_ht", no_fit)
     with pytest.raises(DomainError, match="methods"):
         est.probabilities(s, [(3.0, 7.0)], methods)
+
+
+def test_probabilities_takes_methods_from_a_one_shot_iterable():
+    # the methods check must not spend a generator before the fits read it
+    s = cp.InvertedLogistic(0.5).sample(2000, 3)
+    corners = [(3.0, 7.0), (6.0, 6.0)]
+    want = est.probabilities(s, corners, ("wt", "lt"))
+    got = est.probabilities(s, corners, iter(("wt", "lt")))
+    assert list(got) == ["wt", "lt"] and got == want
 
 
 def test_wt_axis_corners_match_marginal_reference():
@@ -675,21 +689,11 @@ def test_lt_probability_independence_rate():
     s = make_sample(pts)
     a = 2.0
     v = 1.0
-    p = est.lt_probability(s, (a + v, a + v), baseline=(a, a))
+    fits = est.fit_lambda_rays(s, [0.5])
+    (p,) = est._lt_estimates(s, [(a + v, a + v)], fits[0], (a, a))
     emp_base = np.mean((s.x > a) & (s.y > a))
     expected = math.exp(-2.0 * v) * emp_base
     assert abs(p.value - expected) / expected < 0.08
-
-
-@pytest.mark.parametrize(
-    "baseline",
-    [(1.0,), "ab", (-5.0, -5.0), (math.nan, math.nan), (math.inf, 1.0)],
-    ids=["wrong-width", "str", "negative", "nan", "inf"],
-)
-def test_lt_rejects_a_bad_baseline(baseline):
-    s = cp.InvertedLogistic(0.5).sample(2000, 1)
-    with pytest.raises(DomainError):
-        est.lt_probability(s, (6.0, 6.0), baseline=baseline)
 
 
 def test_lt_probability_zero_outcome_recorded():
@@ -733,7 +737,7 @@ def test_lt_equals_wt_on_diagonal_with_matching_base():
     v = 9.0
     t0 = (fit.u + v) / 2.0
     (wt,) = est._wt_estimates(s, [fit.u + v], [fit])
-    lt = est.lt_probability(s, (t0, t0), baseline=(fit.u / 2.0, fit.u / 2.0))
+    (lt,) = est._lt_estimates(s, [(t0, t0)], fit, (fit.u / 2.0, fit.u / 2.0))
     assert math.isclose(wt.value, lt.value, rel_tol=1e-12)
     assert math.isclose(
         lt.meta["lambda_half"], wt.meta["lambda_hat"], rel_tol=1e-15
@@ -831,7 +835,8 @@ def test_ht_path_bitwise_equals_reference(model, m):
             _same_bits(getattr(fit, name), want)
         for omega in (0.0, 0.3, 0.6):
             u_n = fit.u_y / (1.0 - omega) + 2.0
-            (p,) = est._ht_estimates(fit, [(omega * u_n, (1.0 - omega) * u_n)], 2000, seed)
+            corner = (omega * u_n, (1.0 - omega) * u_n)
+            (p,) = est._ht_estimates(fit, [corner], 2000, seed, est._rng(seed))
             _same_bits(p.value, _ref_ht_value(fit, omega, u_n, 2000, seed))
 
 
@@ -902,6 +907,15 @@ def test_fit_ht_degenerate_residual_scale_raises():
     y = np.random.default_rng(0).standard_exponential(1000)
     with pytest.raises(OptimizerError):
         est.fit_ht(make_sample(np.column_stack((np.ones_like(y), y))))
+
+
+def test_fit_ht_returns_python_floats():
+    # the Brent refinement runs on Python floats, so its beta is one too
+    for model in (cp.BivariateNormal(0.5), cp.InvertedLogistic(ETA_075_ALPHA)):
+        fit = est.fit_ht(model.sample(5000, 21))
+        assert fit.beta < est._HT_BETA_HI  # a refined point, not the bound
+        for name in ("alpha", "beta", "u_y", "mu", "sigma", "nll"):
+            assert type(getattr(fit, name)) is float, name
 
 
 def test_fit_ht_recovers_location_slope_bvn():
@@ -1193,16 +1207,16 @@ def test_ht_tuple_seed_draws_from_its_generator():
     targets = [(3.0, 7.0), (1.0, 9.0)]
     fit = est.fit_ht(s)
     got = est.probabilities(s, targets, ("ht",), seed=(4, 7919))["ht"]
-    want = est._ht_estimates(fit, targets, 10_000, (4, 7919))
+    want = est._ht_estimates(fit, targets, 10_000, (4, 7919), est._rng((4, 7919)))
     assert [p.log_value for p in got] == [p.log_value for p in want]
     assert got[0].meta["seed"] == (4, 7919)
 
 
 def test_ht_probability_deterministic_and_seed_sensitive():
     fit = est.fit_ht(cp.BivariateNormal(0.5).sample(5000, 17))
-    (a,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 42)
-    (b,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 42)
-    (c,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 43)
+    (a,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 42, est._rng(42))
+    (b,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 42, est._rng(42))
+    (c,) = est._ht_estimates(fit, [(0.3 * 15.0, (1.0 - 0.3) * 15.0)], 5000, 43, est._rng(43))
     assert a.value == b.value
     assert a.value != c.value
     # the estimate is the exact marginal factor times the indicator mean
@@ -1227,7 +1241,7 @@ def test_ht_probability_marginal_boundary():
         sigma=0.6,
         nll=0.0,
     )
-    (p,) = est._ht_estimates(fit, [(0.0, 7.0)], 2000, 0)
+    (p,) = est._ht_estimates(fit, [(0.0, 7.0)], 2000, 0, est._rng(0))
     assert p.value == math.exp(-7.0)
     assert p.log_value == -7.0
 
@@ -1251,7 +1265,7 @@ def test_ht_probability_monte_carlo_convergence():
     )
     # x threshold 0.5 sits between the two residual atoms, so the indicator
     # hits exactly when z = +1, with probability 3/4 independent of y
-    (p,) = est._ht_estimates(fit, [(0.05 * 10.0, (1.0 - 0.05) * 10.0)], 200_000, 3)
+    (p,) = est._ht_estimates(fit, [(0.05 * 10.0, (1.0 - 0.05) * 10.0)], 200_000, 3, est._rng(3))
     cond = p.value / math.exp(-9.5)
     assert abs(cond - 0.75) < 0.005
 
