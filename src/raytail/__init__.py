@@ -12,7 +12,7 @@ from .copulas import (
     TrivariateMaxPareto,
     make_model,
 )
-from .margins import ExponentialSample, RawSample
+from .margins import ExponentialSample
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,5 @@ __all__ = [
     "TrivariateMaxPareto",
     "make_model",
     "ExponentialSample",
-    "RawSample",
     "__version__",
 ]

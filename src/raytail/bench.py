@@ -75,18 +75,15 @@ def _method(pointer, value):
 
 
 def _sequence(name, value, item):
-    """``value`` as a non-empty tuple, each element checked by ``item``."""
+    """``value`` as a non-empty tuple without repeats, each element checked
+    by ``item``."""
     if not isinstance(value, (list, tuple, np.ndarray)) or len(value) == 0:
         raise ConfigError(f"/{name}", f"{name} must be a non-empty list, got {value!r}")
-    return tuple(item(f"/{name}/{i}", v) for i, v in enumerate(value))
-
-
-def _methods(value):
-    methods = _sequence("methods", value, _method)
-    for i, mth in enumerate(methods):
-        if mth in methods[:i]:
-            raise ConfigError(f"/methods/{i}", f"methods must not repeat, got {mth!r} twice")
-    return methods
+    checked = tuple(item(f"/{name}/{i}", v) for i, v in enumerate(value))
+    for i, v in enumerate(checked):
+        if v in checked[:i]:
+            raise ConfigError(f"/{name}/{i}", f"{name} must not repeat, got {v!r} twice")
+    return checked
 
 
 def _plain(value):
@@ -149,7 +146,7 @@ class BenchmarkConfig:
             if self.y_corner is None
             else _number("y_corner", self.y_corner, math.inf),
             "seed_base": _integer("seed_base", self.seed_base, 0),
-            "methods": _methods(self.methods),
+            "methods": _sequence("methods", self.methods, _method),
             "rank_transform": _boolean("rank_transform", self.rank_transform),
             "r_draws": _integer("r_draws", self.r_draws, 1),
             "ht_quantile": _number("ht_quantile", self.ht_quantile),

@@ -5,9 +5,10 @@ including the seed) in its output, so any run can be reproduced from the
 artifact alone. Structured output is a single JSON document on stdout
 unless --out is given; bulk data goes to CSV.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure,
-4 standard output closed before all output was written (the CLI exits
-quietly, as a pipe into ``head`` closes it).
+Exit codes: 0 success, 2 usage or configuration error (a named path that
+cannot be opened and an input file that does not decode included), 3
+numeric failure, 4 standard output closed before all output was written
+(the CLI exits quietly, as a pipe into ``head`` closes it).
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ def _load_sample(args) -> margins.ExponentialSample:
     raw = margins.read_raw_csv(args.input)
     if getattr(args, "rank_transform", False):
         return margins.rank_transform(raw)
-    if np.any(raw.data < 0.0):
+    if np.any(raw < 0.0):
         raise DomainError(
             f"{args.input} contains negative values; these are not "
             "exponential-margin data (use --rank-transform for raw data)"
         )
-    return margins.ExponentialSample(raw.data)
+    return margins.ExponentialSample(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +405,8 @@ def main(argv=None) -> int:
     except RaytailError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        # a named path that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except _StdoutClosed:

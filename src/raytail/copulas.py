@@ -108,11 +108,14 @@ _GAUSS_W_HI = np.array([
 def _corners(targets, dim):
     """Upper-orthant corners (x0, y0[, z0]) in exponential margins, a
     sequence of corners or an (n, dim) array, as one checked (n, dim)
-    float64 array: every coordinate finite and >= 0."""
+    float64 array: every coordinate finite and >= 0. An empty sequence is
+    no corners."""
     try:
         c = np.asarray(targets, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"corners must be numbers of {dim} coordinates: {exc}") from None
+    if c.shape == (0,):
+        c = c.reshape(0, dim)
     if c.ndim != 2 or c.shape[1] != dim:
         raise DomainError(f"expected corners of {dim} coordinates, got shape {c.shape}")
     ok = np.all((c >= 0.0) & (c < np.inf), axis=1)

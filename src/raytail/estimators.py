@@ -761,7 +761,7 @@ def probabilities(
     """Estimates at a sequence of corners: ``{method: one slot per corner}``
     for each of ``methods``, a slot holding a ProbEstimate or the typed
     error of its corner. The sample, the corners, the methods and ``r`` and
-    ``seed`` for ``ht`` are checked before any fit.
+    ``seed`` for ``ht`` are checked before any fit, and no corners run none.
 
     ``wt`` and ``lt`` read one batch of Hill fits: the ray x0 / s through
     each corner with 0 < s = x0 + y0 < inf, in corner order, then the
@@ -784,6 +784,8 @@ def probabilities(
         if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
             raise DomainError(f"draw count must be an integer >= 1, got {r!r}")
         rng = _rng(seed)
+    if not corners:
+        return {m: [] for m in methods}
     out = {}
     if "wt" in methods or "lt" in methods:
         radii = [x0 + y0 for x0, y0 in corners]

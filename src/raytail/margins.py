@@ -3,7 +3,7 @@
 All estimation in this package operates on coordinates whose margins are
 standard exponential, so that P(X_E > x) = exp(-x) per component and joint
 tail events live in the positive quadrant (or octant). This module holds
-the container types, the CSV reader and writer, and the one route onto that
+the sample type, the CSV reader and writer, and the one route onto that
 scale: the empirical rank transform of raw data.
 
 A large CSV body is parsed in line-aligned byte ranges on the package's
@@ -20,61 +20,13 @@ import csv
 import io
 import math
 import os
-import warnings
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _pool
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class RawSample:
-    """Named columns of raw observations, two or three of them.
-
-    Parameters
-    ----------
-    data : ndarray, shape (n, d)
-        One row per observation, d in {2, 3}. All entries must be finite.
-    names : tuple of str
-        Column names, one per column.
-    """
-
-    data: np.ndarray
-    names: tuple = ()
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DomainError(f"raw sample must be 2-d, got shape {arr.shape}")
-        n, d = arr.shape
-        if d not in (2, 3):
-            raise DomainError(f"raw sample must have 2 or 3 columns, got {d}")
-        if n < 1:
-            raise DomainError("raw sample must contain at least one row")
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise DomainError(
-                f"non-finite value at row {bad[0]}, column {bad[1]}"
-            )
-        names = tuple(self.names) if self.names else tuple(
-            f"col{j}" for j in range(d)
-        )
-        if len(names) != d:
-            raise DomainError(
-                f"{len(names)} column names for {d} columns"
-            )
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "names", names)
-
-    @property
-    def n(self):
-        return self.data.shape[0]
-
-    @property
-    def dim(self):
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -119,7 +71,8 @@ class ExponentialSample:
 
 
 def rank_transform(raw) -> ExponentialSample:
-    """Replace each margin by its exponential rank scores.
+    """Replace each margin of ``raw``, an (n, 2|3) array-like of raw
+    observations, by its exponential rank scores.
 
     Within each column the rank-i largest value becomes -log(i/(n+1)).
     Ties are broken by ascending input index, so the output is a
@@ -128,7 +81,7 @@ def rank_transform(raw) -> ExponentialSample:
     where a column holds ``_PART_BYTES`` or more; the values are those of a
     serial run.
     """
-    arr = raw.data if isinstance(raw, RawSample) else np.asarray(raw, dtype=np.float64)
+    arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise DomainError(f"expected 2-d array, got shape {arr.shape}")
     if np.any(np.isnan(arr)):
@@ -189,32 +142,33 @@ def _rank_column(col, grid=None):
 _PART_BYTES = 1 << 20
 
 
-def read_raw_csv(path) -> RawSample:
-    """Read a raw sample from CSV: header row of names, float rows.
+def read_raw_csv(path) -> np.ndarray:
+    """Read raw observations from CSV: a first line of 2 or 3 fields, whose
+    names are not kept, then one row of numbers per observation.
 
-    The body is cut into line-aligned byte ranges, at most one per process
-    of the package's pool (the caller included) and each at least
-    ``_PART_BYTES`` long, and every range is parsed by ``np.loadtxt`` (see
-    :func:`_parse_range`). If any range is not taken cleanly (a parse
-    error, a non-ASCII byte, a column count that differs from the header, a
-    non-finite value), or the body has no rows or a header that is not one
-    plain line, the whole file is re-read by the row loop, which accepts
-    every field ``float()`` accepts and words every error message. Where
-    both parse a file they give bitwise the same values. Anything but a
-    regular file, such as a pipe, goes to the row loop directly.
+    Returns the C-contiguous float64 (n, d) array of the rows, with n >= 1,
+    d in {2, 3} and every value finite. The body is cut into line-aligned
+    byte ranges, at most one per process of the package's pool (the caller
+    included) and each at least ``_PART_BYTES`` long, and every range is
+    parsed by ``np.loadtxt`` (see :func:`_parse_range`). If any range is not
+    taken cleanly (a parse error, a non-ASCII byte, a column count that
+    differs from the header, a non-finite value), or the body has no rows or
+    a header that is not one plain line, the whole file is re-read by the
+    row loop, which accepts every field ``float()`` accepts and words every
+    error message. Where both parse a file they give bitwise the same
+    values. Anything but a regular file, such as a pipe, goes to the row
+    loop directly.
     """
     if not os.path.isfile(path):
         # a pipe can be read once only; the row loop reads it in one pass
         return _read_raw_csv_rows(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        one_line = reader.line_num == 1
+        lines, ncols = _read_header(_records(fh, path), path)
     with open(path, "rb") as fh:
         first = fh.readline()
         # the text view ends a line at \r, \r\n or \n, the binary view at \n
         # only: the body starts at len(first) only where the two agree
-        if not one_line or b"\r" in first.removesuffix(b"\n").removesuffix(b"\r"):
+        if lines != 1 or b"\r" in first.removesuffix(b"\n").removesuffix(b"\r"):
             return _read_raw_csv_rows(path)
         start, size = len(first), os.fstat(fh.fileno()).st_size
         parts = max(1, min(_pool._process_count(), (size - start) // _PART_BYTES))
@@ -226,10 +180,10 @@ def read_raw_csv(path) -> RawSample:
             cuts.append(fh.tell())
     cuts.append(size)
     n = len(cuts) - 1
-    ranges = _pool.map(_parse_range, [path] * n, cuts[:-1], cuts[1:], [len(header)] * n)
+    ranges = _pool.map(_parse_range, [path] * n, cuts[:-1], cuts[1:], [ncols] * n)
     if any(r is None for r in ranges) or not sum(len(r) for r in ranges):
         return _read_raw_csv_rows(path)
-    return RawSample(ranges[0] if n == 1 else np.concatenate(ranges), tuple(header))
+    return ranges[0] if n == 1 else np.concatenate(ranges)
 
 
 def _parse_range(path, start, stop, ncols):
@@ -242,17 +196,15 @@ def _parse_range(path, start, stop, ncols):
     with open(path, "rb") as fh:
         fh.seek(start)
         chunk = fh.read(stop - start)
+    if re.fullmatch(rb"[\r\n]*", chunk):
+        # blank lines only are no rows; an empty body is the row loop's error
+        # (the match stops at the first other byte and copies nothing)
+        return np.empty((0, ncols))
     if not chunk.isascii():
         return None
     text = io.TextIOWrapper(io.BytesIO(chunk), encoding="ascii", newline="")
     try:
-        with warnings.catch_warnings():
-            # loadtxt warns on a range without rows
-            warnings.simplefilter("error", UserWarning)
-            data = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except UserWarning:
-        # blank lines only are no rows; an empty body is the row loop's error
-        return None if chunk.strip(b"\r\n") else np.empty((0, ncols))
+        data = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
     if data.shape[1] != ncols or not np.isfinite(data).all():
@@ -260,31 +212,53 @@ def _parse_range(path, start, stop, ncols):
     return data
 
 
-def _read_header(reader, path):
+def _records(fh, path):
+    """(line, fields) for each CSV record of the text file ``fh``, where line
+    is the file line the record ends on: a quoted field may span lines.
+    Bytes that do not decode raise DomainError, at their file line where
+    ``fh`` can seek back (a pipe cannot)."""
+    reader = csv.reader(fh)
     try:
-        header = next(reader)
+        for row in reader:
+            yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        where = ""
+        if fh.seekable():
+            # the text view decodes a chunk at a time, and exc.object is the
+            # chunk that ends at the buffer's position
+            offset = fh.buffer.tell() - len(exc.object) + exc.start
+            fh.buffer.seek(0)
+            head = fh.buffer.read(offset)
+            ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            where = f"{ends + 1}:"
+        bad = exc.object[exc.start:exc.end]
+        raise DomainError(f"{path}:{where} cannot decode {bad!r} as {exc.encoding}") from None
+
+
+def _read_header(records, path):
+    """The file line the first record ends on and its field count, 2 or 3."""
+    try:
+        line, header = next(records)
     except StopIteration:
         raise DomainError(f"{path}: empty file") from None
     if len(header) not in (2, 3):
         raise DomainError(f"{path}: expected 2 or 3 columns, found {len(header)}")
-    return header
+    return line, len(header)
 
 
-def _read_raw_csv_rows(path) -> RawSample:
-    """Row-by-row reader behind :func:`read_raw_csv`; raises on the first bad
-    line with its ``path:line`` location."""
+def _read_raw_csv_rows(path) -> np.ndarray:
+    """Row-by-row reader behind :func:`read_raw_csv`, with the same result;
+    raises on the first bad line with its ``path:line`` location."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
+        records = _records(fh, path)
+        _, ncols = _read_header(records, path)
         rows = []
-        for row in reader:
+        for lineno, row in records:
             if not row:
                 continue
-            # a quoted field may span lines, so count file lines, not records
-            lineno = reader.line_num
-            if len(row) != len(header):
+            if len(row) != ncols:
                 raise DomainError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}:{lineno}: expected {ncols} fields, got {len(row)}"
                 )
             try:
                 values = [float(v) for v in row]
@@ -298,7 +272,7 @@ def _read_raw_csv_rows(path) -> RawSample:
             rows.append(values)
     if not rows:
         raise DomainError(f"{path}: no data rows")
-    return RawSample(np.asarray(rows, dtype=np.float64), tuple(header))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_csv(path, points, names) -> None:

@@ -102,6 +102,12 @@ def test_config_rejects_repeated_methods():
     assert info.value.pointer == "/methods/2"
 
 
+def test_config_rejects_a_repeated_ray():
+    with pytest.raises(ConfigError, match="repeat") as info:
+        tiny_config(omegas=(0.5, 0.3, 0.5))
+    assert info.value.pointer == "/omegas/2"
+
+
 def test_quick_keeps_explicit_y_corner():
     assert tiny_config(y_corner=3.0).quick().y_corner == 3.0
     q = tiny_config(m=5000).quick()

@@ -461,6 +461,8 @@ def test_benchmark_report_reproducible(tmp_path, capsys):
         ({"model": {"family": "bvn", "alpha": 0.4}}, "/model/alpha"),
         ({"model": {"family": "bvn"}}, "/model/rho"),
         ({"model": {"family": "trivariate"}}, "/model:"),
+        ({"model": {"family": "invlog", "alpha": 0.4}, "omegas": [0.5, 0.3, 0.5]},
+         "/omegas/2"),
     ],
 )
 def test_benchmark_malformed_config_pointers(tmp_path, capsys, doc, pointer):
@@ -517,6 +519,37 @@ def test_benchmark_missing_config(tmp_path, capsys):
         ["benchmark", "--config", str(tmp_path / "none.json")], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "lambda", "--input", "{dir}", "--omega", "0.3"],
+        ["kappa", "--model", "bvn", "--rho", "0.5", "--omega", "0.3", "--out", "{dir}"],
+        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "10", "--out", "{dir}"],
+        ["benchmark", "--config", "{dir}"],
+    ],
+    ids=["input", "kappa-out", "simulate-out", "config"],
+)
+def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    out = subprocess.run(
+        [sys.executable, "-m", "raytail.cli", *argv],
+        env=_checkout_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == cli.EXIT_USAGE, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_an_input_that_does_not_decode_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x,y\n1,2\n\xff,3\n")
+    code, out, err = run_cli(
+        ["estimate", "lambda", "--input", str(path), "--omega", "0.3"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:3: cannot decode b'\\xff' as ")
 
 
 def test_estimate_rejects_raw_negative_data(tmp_path, capsys):

@@ -643,6 +643,26 @@ def test_probabilities_takes_methods_from_a_one_shot_iterable():
     assert list(got) == ["wt", "lt"] and got == want
 
 
+def test_no_corners_as_a_list_or_an_array_run_no_fit(monkeypatch):
+    s = cp.InvertedLogistic(0.5).sample(2000, 3)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran without a corner")
+
+    monkeypatch.setattr(est, "fit_lambda_rays", no_fit)
+    monkeypatch.setattr(est, "fit_ht", no_fit)
+    empty = {m: [] for m in est.METHODS}
+    assert est.probabilities(s, []) == est.probabilities(s, np.empty((0, 2))) == empty
+    assert est.probabilities(s, (), ("lt",)) == {"lt": []}
+    # the arguments are still checked
+    with pytest.raises(DomainError, match="draw count"):
+        est.probabilities(s, [], r=0)
+    model = cp.BivariateNormal(0.5)
+    for corners in ([], np.empty((0, 2))):
+        out = model.log_survivors(corners)
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+
 def test_wt_axis_corners_match_marginal_reference():
     # on an axis ray T is one margin and the base set that margin's
     # exceedances: a point with a zero in the other coordinate still counts

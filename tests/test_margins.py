@@ -12,7 +12,6 @@ from raytail import margins
 from raytail.errors import DomainError
 from raytail.margins import (
     ExponentialSample,
-    RawSample,
     rank_transform,
     read_raw_csv,
     write_csv,
@@ -168,13 +167,6 @@ def test_rank_transform_of_no_rows_and_of_one_dimension():
         rank_transform(np.ones(3))
 
 
-def test_raw_sample_validation():
-    with pytest.raises(DomainError, match="2 or 3 columns"):
-        RawSample(np.ones((4, 4)))
-    with pytest.raises(DomainError, match="non-finite"):
-        RawSample(np.array([[1.0, np.inf], [0.0, 1.0]]))
-
-
 def test_exponential_sample_validation():
     with pytest.raises(DomainError, match=">= 0"):
         ExponentialSample(np.array([[1.0, -0.1]]))
@@ -185,8 +177,8 @@ def test_csv_round_trip(tmp_path):
     pts = np.array([[0.5, 1.25], [2.0, 0.125]])
     write_csv(path, pts, ("x", "y"))
     raw = read_raw_csv(path)
-    assert raw.names == ("x", "y")
-    assert np.array_equal(raw.data, pts)
+    assert raw.dtype == np.float64 and raw.flags.c_contiguous
+    assert np.array_equal(raw, pts)
 
 
 def test_csv_rejects_wrong_column_count(tmp_path):
@@ -200,9 +192,9 @@ def _csv_float_reference(path):
     # the plain csv + float() reading every fast path must reproduce
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        next(reader)
         rows = [[float(v) for v in row] for row in reader if row]
-    return tuple(header), np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _repr_float_body():
@@ -236,11 +228,11 @@ def _repr_float_body():
 def test_read_raw_csv_matches_csv_float_reference(tmp_path, text):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
-    names, expected = _csv_float_reference(path)
+    expected = _csv_float_reference(path)
     raw = read_raw_csv(path)
-    assert raw.names == names
-    assert raw.data.shape == expected.shape
-    assert raw.data.tobytes() == expected.tobytes()
+    assert raw.dtype == np.float64 and raw.flags.c_contiguous
+    assert raw.shape == expected.shape
+    assert raw.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -279,13 +271,35 @@ def test_read_raw_csv_reports_non_finite_value_by_file_line(tmp_path, token):
     assert str(excinfo.value) == f"{path}:5: non-finite value in column 1"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"x,y\n\xff1,2\n", 2),
+        (b"x,y\n1,2\n\xff,3\n", 3),
+        # past the text view's first 8192-byte chunk, which ends on a bare CR
+        # that the reader has not yet passed
+        (b"x,y\r" + b"1,2\r" * 4000 + b"\xff,3\r", 4002),
+    ],
+    ids=["line-2", "line-3", "past-a-chunk-ending-in-cr"],
+)
+def test_a_byte_that_does_not_decode_names_its_file_line(tmp_path, monkeypatch, threads, data, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    monkeypatch.setenv("RAYTAIL_THREADS", str(threads))
+    monkeypatch.setattr(margins, "_PART_BYTES", 1)
+    with pytest.raises(DomainError) as excinfo:
+        read_raw_csv(path)
+    assert str(excinfo.value).startswith(f"{path}:{line}: cannot decode b'\\xff' as ")
+
+
 def _read_outcome(read, path):
     # the value a reader returns, or the class and message of what it raises
     try:
         raw = read(path)
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    return raw.names, raw.data.shape, raw.data.tobytes()
+    return raw.dtype.str, raw.flags.c_contiguous, raw.shape, raw.tobytes()
 
 
 _HEADERS = [
@@ -337,9 +351,7 @@ def test_a_header_with_a_quoted_carriage_return_keeps_the_first_row(tmp_path, mo
     path.write_bytes(b'x,"y\rz"\n1,2\n3,4\n')
     monkeypatch.setenv("RAYTAIL_THREADS", str(threads))
     monkeypatch.setattr(margins, "_PART_BYTES", 1)
-    raw = read_raw_csv(path)
-    assert raw.names == ("x", "y\rz")
-    assert raw.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert read_raw_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -364,11 +376,11 @@ def test_a_bad_row_in_the_last_range_names_its_file_line(tmp_path, monkeypatch, 
     # the same file without the bad row parses in the same ranges, without
     # the row loop
     path.write_bytes(("x,y\r\n" + "\n".join(rows) + "\n").encode())
-    expected = margins._read_raw_csv_rows(path).data.tobytes()
+    expected = margins._read_raw_csv_rows(path).tobytes()
     monkeypatch.setattr(margins, "_read_raw_csv_rows", None)
     raw = read_raw_csv(path)
-    assert raw.data.tobytes() == expected
-    assert raw.data.shape == (40, 2)
+    assert raw.tobytes() == expected
+    assert raw.shape == (40, 2)
     assert len(seen[1]) == threads
 
 
@@ -381,8 +393,21 @@ def test_read_raw_csv_from_a_pipe(tmp_path):
         raw = read_raw_csv(fifo)
     finally:
         writer.join()
-    assert raw.names == ("x", "y")
-    assert raw.data.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+    assert raw.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+
+def test_a_byte_that_does_not_decode_in_a_pipe_names_the_pipe(tmp_path):
+    # a pipe cannot be read back to count the lines before the byte
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"x,y\n1,2\n\xff,3\n",))
+    writer.start()
+    try:
+        with pytest.raises(DomainError) as excinfo:
+            read_raw_csv(fifo)
+    finally:
+        writer.join()
+    assert str(excinfo.value).startswith(f"{fifo}: cannot decode b'\\xff' as ")
 
 
 def test_write_csv_bytes(tmp_path):
