@@ -3,7 +3,9 @@
 Every subcommand echoes its fully resolved configuration (defaults and all,
 including the seed) in its output, so any run can be reproduced from the
 artifact alone. Structured output is a single JSON document on stdout
-unless --out is given; bulk data goes to CSV.
+unless --out is given; bulk data goes to CSV. The sample read from a
+regular --input file of 1 MiB or more is cached by its bytes (see
+``_samplecache``), so a repeat query on the file skips the parse.
 
 Exit codes: 0 success, 2 usage or configuration error (a named path that
 cannot be opened and an input file that does not decode included), 3
@@ -20,9 +22,7 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
-from . import estimators, margins
+from . import _samplecache, estimators, margins
 from .copulas import FAMILIES, make_model
 from .errors import (
     ConfigError,
@@ -101,15 +101,7 @@ def _emit(document, out_path):
 
 
 def _load_sample(args) -> margins.ExponentialSample:
-    raw = margins.read_raw_csv(args.input)
-    if getattr(args, "rank_transform", False):
-        return margins.rank_transform(raw)
-    if np.any(raw < 0.0):
-        raise DomainError(
-            f"{args.input} contains negative values; these are not "
-            "exponential-margin data (use --rank-transform for raw data)"
-        )
-    return margins.ExponentialSample(raw)
+    return _samplecache.cached(args.input, getattr(args, "rank_transform", False))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ All estimation in this package operates on coordinates whose margins are
 standard exponential, so that P(X_E > x) = exp(-x) per component and joint
 tail events live in the positive quadrant (or octant). This module holds
 the sample type, the CSV reader and writer, and the one route onto that
-scale: the empirical rank transform of raw data.
+scale: the empirical rank transform of raw data. ``read_sample`` joins the
+reader to the transform as the CLI's ``--input`` reads a file.
 
 A large CSV body is parsed in line-aligned byte ranges on the package's
 process pool, one range per process (RAYTAIL_THREADS, the caller included,
@@ -186,6 +187,22 @@ def read_raw_csv(path) -> np.ndarray:
     return ranges[0] if n == 1 else np.concatenate(ranges)
 
 
+def read_sample(path, rank) -> ExponentialSample:
+    """The sample of the CSV at ``path``: with ``rank``, the rank transform
+    of its values; without, the values themselves, which must already be on
+    exponential margins. The CLI caches what this returns, keyed on this
+    module's bytes, since this module alone decides it."""
+    raw = read_raw_csv(path)
+    if rank:
+        return rank_transform(raw)
+    if np.any(raw < 0.0):
+        raise DomainError(
+            f"{path} contains negative values; these are not "
+            "exponential-margin data (use --rank-transform for raw data)"
+        )
+    return ExponentialSample(raw)
+
+
 def _parse_range(path, start, stop, ncols):
     """The rows in bytes [start, stop) of ``path`` as an (n, ncols) array, or
     None where ``np.loadtxt`` does not take them cleanly.
@@ -216,11 +233,15 @@ def _records(fh, path):
     """(line, fields) for each CSV record of the text file ``fh``, where line
     is the file line the record ends on: a quoted field may span lines.
     Bytes that do not decode raise DomainError, at their file line where
-    ``fh`` can seek back (a pipe cannot)."""
+    ``fh`` can seek back (a pipe cannot), and so does a record the csv
+    module refuses, such as a field over its length limit, at the line it
+    stopped on."""
     reader = csv.reader(fh)
     try:
         for row in reader:
             yield reader.line_num, row
+    except csv.Error as exc:
+        raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         where = ""
         if fh.seekable():

@@ -247,11 +247,13 @@ def test_read_raw_csv_matches_csv_float_reference(tmp_path, text):
         ("", "{path}: empty file"),
         ("x,y\n", "{path}: no data rows"),
         ('x,"y\nz"\n1,2\n3,4,5\n', "{path}:4: expected 2 fields, got 3"),
+        ('x,y\n1,2\n"' + "1" * 200_000 + '",2\n',
+         "{path}:3: field larger than field limit (131072)"),
     ],
     ids=[
         "too-many-fields", "too-few-fields", "header-wider-than-rows",
         "non-numeric", "trailing-comma", "comment-line", "empty-file", "header-only",
-        "multi-line-header",
+        "multi-line-header", "field-over-csv-limit",
     ],
 )
 def test_read_raw_csv_error_messages(tmp_path, text, message):
