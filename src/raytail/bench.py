@@ -367,15 +367,10 @@ class LambdaRecovery:
 
 
 def _recover_rep(config: BenchmarkConfig, rep: int, grid) -> np.ndarray:
-    """One replication's angular-index fits over ``grid``, read from the
-    arrays of the ray kernel: lambda_hat = k / total excess, NaN where the
-    fit fails (fewer than 5 exceedances, or no positive excess)."""
+    """One replication's angular-index fits over ``grid``: the ray kernel's
+    lambda_hat, NaN where the fit fails."""
     sample = _sample(config, config.seed_base + rep)
-    _, k, total = est._hill_rays(sample.x, sample.y, grid, config.frac)
-    ok = (k >= est._MIN_EXCEEDANCES) & (total > 0.0)
-    lam = np.full(grid.size, math.nan)
-    lam[ok] = k[ok] / total[ok]
-    return lam
+    return est._hill_rays(sample.x, sample.y, grid, config.frac)[2]
 
 
 def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:

@@ -86,22 +86,18 @@ def _print(text):
     # raise inside main, and not in the interpreter's last flush, and a
     # broken pipe on any other file is not taken for it
     try:
-        print(text, flush=True)
+        print(text, end="", flush=True)
     except BrokenPipeError:
         raise _StdoutClosed from None
 
 
 def _emit(document, out_path):
-    text = json.dumps(document, indent=2)
+    text = json.dumps(document, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
         _print(text)
-
-
-def _load_sample(args) -> margins.ExponentialSample:
-    return _samplecache.cached(args.input, getattr(args, "rank_transform", False))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +121,7 @@ def _cmd_simulate(args):
     else:
         json.dump({"config": resolved, "rows": sample.n}, sys.stderr)
         sys.stderr.write("\n")
-        writer_rows = [",".join(names)]
-        writer_rows += [",".join(repr(float(v)) for v in row) for row in sample.points]
-        _print("\n".join(writer_rows))
+        _print(margins.csv_text(sample.points, names))
     return 0
 
 
@@ -182,7 +176,7 @@ def _cmd_kappa(args):
 
 
 def _cmd_estimate_lambda(args):
-    sample = _load_sample(args)
+    sample = _samplecache.cached(args.input, args.rank_transform)
     fit = estimators.fit_lambda(sample, args.omega, frac=args.frac)
     resolved = {
         "subcommand": "estimate lambda",
@@ -203,7 +197,7 @@ def _cmd_estimate_lambda(args):
 
 
 def _cmd_estimate_prob(args):
-    sample = _load_sample(args)
+    sample = _samplecache.cached(args.input, args.rank_transform)
     if args.method == "wt":
         estimate = estimators.wt_probability_at(sample, (args.x, args.y), frac=args.frac)
     elif args.method == "lt":
@@ -229,7 +223,7 @@ def _cmd_estimate_prob(args):
 
 
 def _cmd_diagnose(args):
-    sample = _load_sample(args)
+    sample = _samplecache.cached(args.input, args.rank_transform)
     try:
         start_s, stop_s, step_s = args.c_grid.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -282,8 +276,6 @@ def _cmd_benchmark(args):
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("", f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}")
     from . import bench
@@ -334,31 +326,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_kap.add_argument("--out")
     p_kap.set_defaults(func=_cmd_kappa)
 
-    p_est = sub.add_parser("estimate", help="fit tail quantities from a CSV sample")
-    est_sub = p_est.add_subparsers(dest="what", required=True)
-
-    p_lam = est_sub.add_parser("lambda", help="angular index along one ray")
-    p_lam.add_argument("--input", required=True, help="CSV in exponential margins")
-    p_lam.add_argument("--omega", type=float, required=True)
-    p_lam.add_argument("--frac", type=float, default=0.10)
-    p_lam.add_argument(
+    data_flags = argparse.ArgumentParser(add_help=False)
+    data_flags.add_argument("--input", required=True, help="CSV sample path")
+    data_flags.add_argument(
         "--rank-transform", action="store_true",
         help="rank-transform the input first (for raw data)",
     )
-    p_lam.add_argument("--out")
+    data_flags.add_argument("--out", help="JSON result path (default: stdout)")
+
+    p_est = sub.add_parser("estimate", help="fit tail quantities from a CSV sample")
+    est_sub = p_est.add_subparsers(dest="what", required=True)
+
+    p_lam = est_sub.add_parser("lambda", parents=[data_flags], help="angular index along one ray")
+    p_lam.add_argument("--omega", type=float, required=True)
+    p_lam.add_argument("--frac", type=float, default=0.10)
     p_lam.set_defaults(func=_cmd_estimate_lambda)
 
-    p_prob = est_sub.add_parser("prob", help="joint tail probability at a corner")
+    p_prob = est_sub.add_parser(
+        "prob", parents=[data_flags], help="joint tail probability at a corner"
+    )
     p_prob.add_argument("--method", required=True, choices=estimators.METHODS)
-    p_prob.add_argument("--input", required=True)
     p_prob.add_argument("--x", type=float, required=True)
     p_prob.add_argument("--y", type=float, required=True)
     p_prob.add_argument("--frac", type=float, default=0.10)
     p_prob.add_argument("--r", type=int, default=10_000, help="MC draws (ht)")
     p_prob.add_argument("--seed", type=_seed, default=0, help="MC seed (ht, default 0)")
     p_prob.add_argument("--ht-quantile", type=float, default=0.90)
-    p_prob.add_argument("--rank-transform", action="store_true")
-    p_prob.add_argument("--out")
     p_prob.set_defaults(func=_cmd_estimate_prob)
 
     p_bench = sub.add_parser("benchmark", help="replicated estimator comparison")
@@ -371,13 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_benchmark)
 
     p_diag = sub.add_parser(
-        "diagnose", help="log-count linearity diagnostic along a ray"
+        "diagnose", parents=[data_flags], help="log-count linearity diagnostic along a ray"
     )
-    p_diag.add_argument("--input", required=True)
     p_diag.add_argument("--omega", type=float, required=True)
     p_diag.add_argument("--c-grid", required=True, help="start:stop:step")
-    p_diag.add_argument("--rank-transform", action="store_true")
-    p_diag.add_argument("--out")
     p_diag.set_defaults(func=_cmd_diagnose)
 
     return parser

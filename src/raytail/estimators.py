@@ -33,20 +33,20 @@ call (``fit_lambda``, ``wt_probability_at``, ``lt_probability``,
 stop the others.
 
 The ray fits are one array kernel, ``_hill_rays``, which returns each ray's
-threshold, exceedance count k and summed excess as arrays; the slots of
-``fit_lambda_rays`` wrap them, and the benchmark's angular curve reads them
-directly. The structure matrix is built in cache-sized row blocks. In each
-block one mask and one compress leave every row's excesses contiguous, and
-each run of rows with equal k is summed as one (rows, k) array, row by row
-pairwise as numpy sums a 1-D array, so every sum is bitwise the one of its
-own row. The structure matrix of a large batch covers only candidate
-points. T = min(x/w, y/(1-w)) is non-decreasing in both coordinates, so on
-every ray a point that k others match or beat in both has T at or below
-the k-th largest value: it neither sets the quantile threshold, which only
-the top k values enter, nor exceeds it. A short staircase on the x order
-finds most such points, and they are dropped before the matrix is built;
-about a quarter of a sample stays at frac=0.1. Every fit is bitwise the
-one on the full sample.
+threshold, exceedance count k and lambda_hat as arrays, lambda_hat NaN
+where the fit fails; the slots of ``fit_lambda_rays`` wrap them, and the
+benchmark's angular curve reads lambda_hat directly. The structure matrix
+is built in cache-sized row blocks. In each block one mask and one compress
+leave every row's excesses contiguous, and each run of rows with equal k is
+summed as one (rows, k) array, row by row pairwise as numpy sums a 1-D
+array, so every sum is bitwise the one of its own row. The structure matrix
+of a large batch covers only candidate points. T = min(x/w, y/(1-w)) is
+non-decreasing in both coordinates, so on every ray a point that k others
+match or beat in both has T at or below the k-th largest value: it neither
+sets the quantile threshold, which only the top k values enter, nor exceeds
+it. A short staircase on the x order finds most such points, and they are
+dropped before the matrix is built; about a quarter of a sample stays at
+frac=0.1. Every fit is bitwise the one on the full sample.
 
 The ``wt`` and ``lt`` estimates are "fit, then kernel": ``probabilities``
 fits one ray batch shared by both methods, then runs ``_wt_estimates`` and
@@ -291,11 +291,12 @@ def _candidates(x, y, k) -> np.ndarray:
 
 
 def _hill_rays(x, y, w, frac):
-    """Hill sums along the rays ``w`` of the sample (x, y): the arrays
-    (u, k, total_excess) of each ray's threshold, count of exceedances and
-    summed excess over the threshold. A ray's sums do not depend on the
-    other rays of the batch. ``fit_lambda_rays`` wraps them into slots; the
-    benchmark's angular curve reads them directly.
+    """Hill fits along the rays ``w`` of the sample (x, y): the arrays
+    (u, k, lam) of each ray's threshold, count of exceedances and
+    lambda_hat = k / (summed excess over u), NaN where the fit fails (fewer
+    than ``_MIN_EXCEEDANCES`` exceedances, or no positive excess). A ray's
+    fit does not depend on the other rays of the batch. ``fit_lambda_rays``
+    wraps the arrays into slots; the benchmark's curve reads lam directly.
 
     Each ray's threshold is the (1 - frac) quantile of its m structure
     values T (see ``_quantile``). Only the top k = m - floor(h) values enter
@@ -324,8 +325,9 @@ def _hill_rays(x, y, w, frac):
     us = np.full(w.size, math.nan)
     ks = np.zeros(w.size, dtype=np.intp)
     totals = np.zeros(w.size)
+    lam = np.full(w.size, math.nan)
     if m == 0:
-        return us, ks, totals
+        return us, ks, lam
     step = max(1, _BLOCK_ELEMS // x.size)
     for start in range(0, w.size, step):
         block = slice(start, start + step)
@@ -343,7 +345,8 @@ def _hill_rays(x, y, w, frac):
             excesses -= us[row:row + rows, None]
             totals[row:row + rows] = np.add.reduce(excesses, axis=1)
             at, row = at + rows * k, row + rows
-    return us, ks, totals
+    np.divide(ks, totals, out=lam, where=(ks >= _MIN_EXCEEDANCES) & (totals > 0.0))
+    return us, ks, lam
 
 
 def fit_lambda_rays(sample, omegas, frac=0.10) -> list:
@@ -351,7 +354,7 @@ def fit_lambda_rays(sample, omegas, frac=0.10) -> list:
     its AngularFit or, where the fit fails, the typed error (not raised).
     A ray's fit does not depend on the other rays of the batch.
 
-    The threshold, count and summed excess of every ray come from one
+    The threshold, count and lambda_hat of every ray come from one
     ``_hill_rays`` call, the threshold being the (1 - frac) quantile of the
     ray's structure values T. lambda_hat = k / total excess; a ray with
     fewer than 5 exceedances, or whose excesses are all zero, fails. An
@@ -361,15 +364,14 @@ def fit_lambda_rays(sample, omegas, frac=0.10) -> list:
     _require_bivariate(sample)
     if not 0.0 < frac < 1.0:
         raise DomainError(f"frac must lie in (0, 1), got {frac}")
-    us, ks, totals = _hill_rays(sample.x, sample.y, w, frac)
+    us, ks, lams = _hill_rays(sample.x, sample.y, w, frac)
     fits = []
-    for omega, u_r, k_r, total_excess in zip(*(a.tolist() for a in (w, us, ks, totals))):
+    for omega, u_r, k_r, lam in zip(*(a.tolist() for a in (w, us, ks, lams))):
         if k_r < _MIN_EXCEEDANCES:
             fits.append(InsufficientExceedancesError(k_r, _MIN_EXCEEDANCES))
-        elif total_excess <= 0.0:
+        elif math.isnan(lam):
             fits.append(DomainError("all excesses are zero; tail index undefined"))
         else:
-            lam = k_r / total_excess
             fits.append(AngularFit(omega, lam, u_r, k_r, lam / math.sqrt(k_r)))
     return fits
 

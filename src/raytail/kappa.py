@@ -28,6 +28,10 @@ _KINK_TOL = 1e-2
 #: central-difference step of lambda_derivative, shrunk near w = 0 and 1 so
 #: that both evaluation points stay inside (0, 1)
 _FD_STEP = 1e-5
+#: random growth vectors of convexity_check and of property_suite's default grid
+_GRID_SIZE = 200
+#: violation a structural property may show and still pass
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,8 @@ def property_suite(
     kfun: KappaFunction,
     pqd: bool,
     convex: bool = True,
-    grid_size=200,
+    grid_size=_GRID_SIZE,
     seed=0,
-    tol=1e-9,
     reduced=None,
 ) -> PropertyReport:
     """Check the structural properties of a decay index on a random grid.
@@ -217,7 +220,7 @@ def property_suite(
         scaled = np.array([kfun(hfac * g) for g in grid])
         rel = np.abs(scaled - hfac * kvals) / (hfac * kvals)
         worst = max(worst, float(np.max(rel)))
-    checks.append(PropertyCheck("homogeneity", worst <= tol, worst))
+    checks.append(PropertyCheck("homogeneity", worst <= _TOL, worst))
 
     worst = 0.0
     for j in range(kfun.dim):
@@ -226,7 +229,7 @@ def property_suite(
             bumped[:, j] += step
             kb = np.array([kfun(g) for g in bumped])
             worst = max(worst, float(np.max(kvals - kb)))
-    checks.append(PropertyCheck("monotonicity", worst <= tol, worst))
+    checks.append(PropertyCheck("monotonicity", worst <= _TOL, worst))
 
     worst = 0.0
     for j in range(kfun.dim):
@@ -235,19 +238,19 @@ def property_suite(
             axis[:] = 0.0
             axis[j] = val
             worst = max(worst, abs(kfun(axis) - val))
-    checks.append(PropertyCheck("marginal_identity", worst <= tol, worst))
+    checks.append(PropertyCheck("marginal_identity", worst <= _TOL, worst))
 
     worst = float(np.max(np.max(grid, axis=1) - kvals))
-    checks.append(PropertyCheck("lower_bound_max", worst <= tol, worst))
+    checks.append(PropertyCheck("lower_bound_max", worst <= _TOL, worst))
 
     if pqd:
         worst = float(np.max(kvals - np.sum(grid, axis=1)))
-        checks.append(PropertyCheck("upper_bound_sum", worst <= tol, worst))
+        checks.append(PropertyCheck("upper_bound_sum", worst <= _TOL, worst))
 
     if convex:
         pair = _growth_grid(rng, grid_size, kfun.dim)
         worst = float(np.max(_subadditivity_gaps(kfun, grid, pair)))
-        checks.append(PropertyCheck("subadditivity", worst <= tol, worst))
+        checks.append(PropertyCheck("subadditivity", worst <= _TOL, worst))
 
     if kfun.dim == 3 and reduced is not None:
         worst = 0.0
@@ -258,20 +261,20 @@ def property_suite(
                     0.0 if j == drop else g[j] for j in range(3)
                 )
                 worst = max(worst, abs(kfun(padded) - reduced[drop](kept)))
-        checks.append(PropertyCheck("dimension_consistency", worst <= tol, worst))
+        checks.append(PropertyCheck("dimension_consistency", worst <= _TOL, worst))
 
     return PropertyReport(tuple(checks), grid_seed=seed, grid_size=grid_size)
 
 
-def convexity_check(kfun: KappaFunction, grid_size=200, seed=0, tol=1e-9):
+def convexity_check(kfun: KappaFunction, seed=0):
     """Sample subadditivity kappa(a+b) <= kappa(a) + kappa(b) over random
     pairs; returns (violation_count, worst_magnitude, worst_pair)."""
     rng = _rng(seed)
-    a = _growth_grid(rng, grid_size, kfun.dim)
-    b = _growth_grid(rng, grid_size, kfun.dim)
+    a = _growth_grid(rng, _GRID_SIZE, kfun.dim)
+    b = _growth_grid(rng, _GRID_SIZE, kfun.dim)
     count, worst, worst_pair = 0, 0.0, None
     for ga, gb, gap in zip(a, b, _subadditivity_gaps(kfun, a, b).tolist()):
-        if gap > tol:
+        if gap > _TOL:
             count += 1
             if gap > worst:
                 worst, worst_pair = gap, (tuple(ga), tuple(gb))

@@ -217,8 +217,6 @@ def _parse_range(path, start, stop, ncols):
         # blank lines only are no rows; an empty body is the row loop's error
         # (the match stops at the first other byte and copies nothing)
         return np.empty((0, ncols))
-    if not chunk.isascii():
-        return None
     text = io.TextIOWrapper(io.BytesIO(chunk), encoding="ascii", newline="")
     try:
         data = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
@@ -296,11 +294,22 @@ def _read_raw_csv_rows(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _write_rows(fh, points, names):
+    writer = csv.writer(fh)
+    writer.writerow(names)
+    # the writer formats a Python float by repr()
+    writer.writerows(np.asarray(points, dtype=np.float64).tolist())
+
+
+def csv_text(points, names) -> str:
+    """What :func:`write_csv` writes, as a string (lines end in CR LF)."""
+    buf = io.StringIO()
+    _write_rows(buf, points, names)
+    return buf.getvalue()
+
+
 def write_csv(path, points, names) -> None:
     """Write points to CSV with a header row, full float precision."""
-    arr = np.asarray(points, dtype=np.float64)
+    # streamed to the file: the text of a large sample is not held whole
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        # the writer formats a Python float by repr()
-        writer.writerows(arr.tolist())
+        _write_rows(fh, points, names)

@@ -145,7 +145,6 @@ def test_criterion_5_property_suite_all_families():
             convex=model.convex,
             grid_size=200,
             seed=4242,
-            tol=1e-9,
             reduced=reductions if model.dim == 3 else None,
         )
         assert report.all_passed, (model.family, report.as_dict())

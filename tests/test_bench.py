@@ -527,13 +527,12 @@ def test_lambda_recovery_summaries_bitwise_equal_numpy_nan_reductions(monkeypatc
     hill_rays, seen = est._hill_rays, []
 
     def flaky(x, y, w, frac):
-        us, k, total = hill_rays(x, y, w, frac)
+        us, k, lam = hill_rays(x, y, w, frac)
         rep = len(seen)
         seen.append([
-            math.nan if j == 0 or (rep + j) % 3 == 0 else k[j] / total[j]
-            for j in range(w.size)
+            math.nan if j == 0 or (rep + j) % 3 == 0 else lam[j] for j in range(w.size)
         ])
-        return us, np.where(np.isnan(seen[-1]), 0, k), total
+        return us, np.where(np.isnan(seen[-1]), 0, k), np.array(seen[-1])
 
     monkeypatch.setenv("RAYTAIL_THREADS", "1")  # the stand-in records in this process
     monkeypatch.setattr(est, "_hill_rays", flaky)
@@ -550,6 +549,28 @@ def test_lambda_recovery_summaries_bitwise_equal_numpy_nan_reductions(monkeypatc
         )
     for got, ref in zip((rec.mean_lambda, rec.lo, rec.hi), want):
         assert got.tobytes() == ref.tobytes()
+
+
+def test_recovered_lambdas_are_bitwise_the_ray_fits(monkeypatch):
+    # the curve reads the ray kernel's lambda_hat; on these small samples
+    # with tied values the rays near 0 and 1 have fewer than 5 exceedances,
+    # and their slots must read NaN where fit_lambda_rays holds the error
+    def tied(config, seed):
+        return margins.ExponentialSample(np.floor(2.0 * config.model.sample(config.m, seed).points))
+
+    monkeypatch.setattr(bench, "_sample", tied)
+    cfg = tiny_config(model=cp.BivariateNormal(0.5), reps=2, m=60)
+    grid = np.round(np.arange(0.01, 0.995, 0.01), 4)
+    for rep in range(cfg.reps):
+        got = bench._recover_rep(cfg, rep, grid)
+        fits = est.fit_lambda_rays(tied(cfg, cfg.seed_base + rep), grid, frac=cfg.frac)
+        want = np.array([
+            f.lambda_hat if isinstance(f, est.AngularFit) else math.nan for f in fits
+        ])
+        assert got.tobytes() == want.tobytes()
+        assert isinstance(fits[0], InsufficientExceedancesError)
+        assert isinstance(fits[-1], InsufficientExceedancesError)
+        assert np.isnan(got[[0, -1]]).all() and not np.isnan(got[49])
 
 
 def test_lambda_recovery_boundary_rays_near_unit_rate():

@@ -71,6 +71,20 @@ def test_simulate_stdout_mode(capsys):
     assert json.loads(err.splitlines()[0])["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize(
+    "model", [["bvn", "--rho", "0.5"], ["trivariate"]], ids=["bvn", "trivariate"]
+)
+def test_simulate_prints_the_bytes_it_writes_with_out(tmp_path, model):
+    argv = [sys.executable, "-m", "raytail.cli", "simulate", "--model", *model,
+            "--n", "50", "--seed", "4"]
+    path = tmp_path / "s.csv"
+    run = dict(env=_checkout_env(), capture_output=True, check=True)
+    subprocess.run([*argv, "--out", str(path)], **run)
+    printed = subprocess.run(argv, **run).stdout
+    assert printed == path.read_bytes()
+    assert printed.count(b"\r\n") == 51
+
+
 def test_simulate_row_count_and_config_echo(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, stdout, _ = run_cli(
@@ -514,11 +528,23 @@ def test_readme_benchmark_config_example_loads():
     }
 
 
-def test_benchmark_missing_config(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["benchmark", "--config", str(tmp_path / "none.json")], capsys
+def test_cli_cold_rejects_fewer_than_two_pairs():
+    # its report's quartiles need two runs a side, so the tool refuses one
+    # pair before it makes any call
+    tool = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "cli_cold.py")
+    out = subprocess.run(
+        [sys.executable, tool, "--pairs", "1", "parent", "change"], capture_output=True, text=True
     )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.endswith("error: argument --pairs: must be >= 2, got 1\n")
+
+
+def test_benchmark_missing_config(tmp_path, capsys):
+    path = tmp_path / "none.json"
+    code, _, err = run_cli(["benchmark", "--config", str(path)], capsys)
     assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -664,8 +690,9 @@ def test_a_bvn_truth_and_a_pooled_study_load_no_numpy_polynomial():
     [
         ["kappa", "--model", "invlog", "--alpha", "0.5", "--omega", "0.3"],
         ["estimate", "prob", "--method", "wt", "--input", "{csv}", "--x", "3", "--y", "7"],
+        ["simulate", "--model", "bvn", "--rho", "0.5", "--n", "100"],
     ],
-    ids=["kappa", "estimate"],
+    ids=["kappa", "estimate", "simulate"],
 )
 def test_a_closed_stdout_ends_the_cli_quietly(tmp_path, argv, unbuffered):
     # the read end is closed before the CLI starts, so its first write meets

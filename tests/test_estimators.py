@@ -450,10 +450,13 @@ def test_ray_kernel_bitwise_equals_the_per_row_loop(name, s, rays, frac):
     # the kernel sums each run of rows with equal k as one 2-D array; every
     # slot, and every array entry, must be bitwise the per-row loop's
     ref = _per_row_hill(s, rays, frac)
-    us, ks, totals = est._hill_rays(s.x, s.y, np.asarray(rays, dtype=np.float64), frac)
+    us, ks, lams = est._hill_rays(s.x, s.y, np.asarray(rays, dtype=np.float64), frac)
     assert ks.tolist() == [k for _, k, _ in ref]
-    _same_bits(totals, np.array([total for _, _, total in ref]))
     _same_bits(us, np.array([u_r for u_r, _, _ in ref]))  # NaN when empty
+    # lambda_hat = k / total, NaN where the fit fails
+    _same_bits(lams, np.array([
+        k / total if k >= 5 and total > 0.0 else math.nan for _, k, total in ref
+    ]))
     if name.startswith("tied"):
         assert len(set(ks.tolist())) > 1  # runs of unequal k
     fits = est.fit_lambda_rays(s, rays, frac=frac)

@@ -31,11 +31,19 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
+def _pairs(text):
+    """Type of --pairs: the quartiles need at least two runs a side."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=_pairs, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
