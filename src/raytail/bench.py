@@ -10,14 +10,17 @@ diagonal methods the mean fitted angular index with its 95% envelope.
 The cells are aggregated array-wise: per method, the replications of each
 ray are one contiguous row, and the rays with equal valid counts are
 compressed into one array, whose row sums and quantiles are bitwise each
-cell's own np.mean and quantile.
+cell's own np.mean and quantile. The angular curve of ``lambda_recovery``
+summarises each ray's fits by the same rule.
 
 Replications are keyed by seed_base + rep, so the report is a pure
 function of the configuration: reruns are bitwise identical and the
-execution order of replications is irrelevant. Each sample's estimates
-come from one ``estimators.probabilities`` call, in which ``wt`` and ``lt``
-share one ray batch; the angular curve of ``lambda_recovery`` reads the ray
-kernel's arrays directly. The ``ht`` draws of seed s are one set, seeded by
+execution order of replications is irrelevant; a report's ``config``
+object reloads through ``BenchmarkConfig.from_dict``, which runs the
+checks of construction. Each sample's estimates come from one
+``estimators.probabilities`` call, in which ``wt`` and ``lt`` share one
+ray batch; the angular curve of ``lambda_recovery`` reads the ray kernel's
+arrays directly. The ``ht`` draws of seed s are one set, seeded by
 (s, 7919) and shared by its rays.
 Replications run in the package's one process pool (``_pool``), shared
 with the CSV reader: the environment variable RAYTAIL_THREADS says how many
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import _pool, margins
 from . import estimators as est
-from .copulas import CopulaModel, _corners
+from .copulas import CopulaModel, _corners, make_model
 from .errors import ConfigError, DomainError, NumericError, RaytailError
 from .estimators import METHODS
 
@@ -170,6 +173,29 @@ class BenchmarkConfig:
     def as_dict(self) -> dict:
         return _plain(self)
 
+    @classmethod
+    def from_dict(cls, doc) -> "BenchmarkConfig":
+        """The config of a JSON object in the form of ``as_dict()``, such as a
+        report's ``config``: fields left out take their defaults, and the
+        model object is built by ``make_model``. A bad entry raises
+        ConfigError carrying its JSON pointer, such as ``/bogus`` or
+        ``/model/alpha``."""
+        if not isinstance(doc, dict):
+            raise ConfigError("", "top level must be an object")
+        known = [f.name for f in fields(cls)]
+        for key in doc:
+            if key not in known:
+                raise ConfigError(f"/{key}", "unknown field")
+        node = doc.get("model")
+        if not isinstance(node, dict):
+            raise ConfigError("/model", f"model must be an object, got {node!r}")
+        params = dict(node)
+        try:
+            model = make_model(params.pop("family", None), **params)
+        except ConfigError as exc:
+            raise ConfigError("/model" + exc.pointer, exc.message) from None
+        return cls(**{**doc, "model": model})
+
 
 @dataclass(frozen=True)
 class BenchmarkCell:
@@ -275,23 +301,21 @@ def _shares(hits, n):
     return np.divide(np.count_nonzero(hits, axis=1), n, out=out, where=n > 0)
 
 
-def _row_stats(v, ok, qs=(), mean=True):
-    """Per row of ``v``, over its entries where ``ok``: the mean (if
-    ``mean``) and the ``_quantile`` at each of ``qs`` (NaN for a row with
-    none), and the counts. The rows with c such entries are compressed into
-    one (rows, c) array, in replication order; a row's np.add.reduce there
-    divided by c is bitwise np.mean of that row alone."""
+def _row_stats(v, ok, qs=()):
+    """Per row of ``v``, over its entries where ``ok``: the mean and the
+    ``_quantile`` at each of ``qs`` (NaN for a row with none), and the
+    counts. The rows with c such entries are compressed into one (rows, c)
+    array, in replication order; a row's np.add.reduce there divided by c
+    is bitwise np.mean of that row alone."""
     counts = np.count_nonzero(ok, axis=1)
-    first = int(mean)  # the row of the first quantile
-    out = np.full((first + len(qs), len(v)), math.nan)
+    out = np.full((1 + len(qs), len(v)), math.nan)
     # a set, not np.unique: its sort code alone adds 0.6 MB of resident
     # pages to a process that sorts nothing else
     for c in set(counts.tolist()) - {0}:
         rows = counts == c
         kept = v[rows].ravel().compress(ok[rows].ravel()).reshape(-1, c)
-        if mean:
-            out[0, rows] = np.add.reduce(kept, axis=1) / c
-        for j, q in enumerate(qs, first):
+        out[0, rows] = np.add.reduce(kept, axis=1) / c
+        for j, q in enumerate(qs, 1):
             out[j, rows] = est._quantile(kept, q)
     return out, counts
 
@@ -383,13 +407,7 @@ def lambda_recovery(config: BenchmarkConfig, omega_grid=None) -> LambdaRecovery:
     if grid.ndim != 1 or not np.all((grid > 0.0) & (grid < 1.0)):
         raise DomainError("omega grid must be a 1-D list of numbers strictly inside (0, 1)")
     fits = np.array(list(_map_reps(_recover_rep, config, range(config.reps), grid).values()))
-    ok = ~np.isnan(fits)
-    (lo, hi), n_ok = _row_stats(fits.T, ok.T, (0.025, 0.975), mean=False)
-    # the curve's digest holds np.nanmean's value, a sum over the (reps,
-    # rays) array in replication order, not _row_stats' pairwise row sum;
-    # 0/0 gives NaN where every fit of a ray failed
-    with np.errstate(invalid="ignore"):
-        mean = np.sum(np.where(ok, fits, 0.0), axis=0) / n_ok
+    (mean, lo, hi), _ = _row_stats(fits.T, ~np.isnan(fits.T), (0.025, 0.975))
     # the grid is checked above, so each ray's lam(w) is the family's own
     # _kappa(w, 1 - w), without lam's checks
     kappa = config.model._kappa

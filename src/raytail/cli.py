@@ -2,10 +2,12 @@
 
 Every subcommand echoes its fully resolved configuration (defaults and all,
 including the seed) in its output, so any run can be reproduced from the
-artifact alone. Structured output is a single JSON document on stdout
-unless --out is given; bulk data goes to CSV. The sample read from a
-regular --input file of 1 MiB or more is cached by its bytes (see
-``_samplecache``), so a repeat query on the file skips the parse.
+artifact alone (a benchmark report's ``config`` is a --config file, read
+by ``bench.BenchmarkConfig.from_dict``). ``estimate prob`` is one
+``estimators.probabilities`` call. Structured output is a single JSON
+document on stdout unless --out is given; bulk data goes to CSV. The sample
+read from a regular --input file of 1 MiB or more is cached by its bytes
+(see ``_samplecache``), so a repeat query on the file skips the parse.
 
 Exit codes: 0 success, 2 usage or configuration error (a named path that
 cannot be opened and an input file that does not decode included), 3
@@ -20,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 from . import _samplecache, estimators, margins
 from .copulas import FAMILIES, make_model
@@ -198,14 +199,11 @@ def _cmd_estimate_lambda(args):
 
 def _cmd_estimate_prob(args):
     sample = _samplecache.cached(args.input, args.rank_transform)
-    if args.method == "wt":
-        estimate = estimators.wt_probability_at(sample, (args.x, args.y), frac=args.frac)
-    elif args.method == "lt":
-        estimate = estimators.lt_probability(sample, (args.x, args.y), frac=args.frac)
-    else:
-        estimate = estimators.ht_probability(
-            sample, (args.x, args.y), quantile=args.ht_quantile, r=args.r, seed=args.seed
-        )
+    batch = estimators.probabilities(
+        sample, [(args.x, args.y)], (args.method,), frac=args.frac,
+        quantile=args.ht_quantile, r=args.r, seed=args.seed,
+    )
+    estimate = estimators._one(batch[args.method])
     resolved = {
         "subcommand": "estimate prob",
         "method": args.method,
@@ -252,26 +250,6 @@ def _cmd_diagnose(args):
     return 0
 
 
-def _config_from_json(doc):
-    from . import bench
-
-    if not isinstance(doc, dict):
-        raise ConfigError("", "top level must be an object")
-    known = [f.name for f in fields(bench.BenchmarkConfig)]
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"/{key}", "unknown field")
-    node = doc.get("model")
-    if not isinstance(node, dict):
-        raise ConfigError("/model", f"model must be an object, got {node!r}")
-    params = dict(node)
-    try:
-        model = make_model(params.pop("family", None), **params)
-    except ConfigError as exc:
-        raise ConfigError("/model" + exc.pointer, exc.message) from None
-    return bench.BenchmarkConfig(**{**doc, "model": model})
-
-
 def _cmd_benchmark(args):
     try:
         with open(args.config) as fh:
@@ -280,7 +258,7 @@ def _cmd_benchmark(args):
         raise ConfigError("", f"invalid JSON: {exc}")
     from . import bench
 
-    config = _config_from_json(doc)
+    config = bench.BenchmarkConfig.from_dict(doc)
     if args.quick:
         config = config.quick()
     report = bench.run_benchmark(config)

@@ -7,6 +7,8 @@ and shared by the criteria that consume it; its wall time is part of what
 criterion 9 checks.
 """
 
+import hashlib
+import json
 import math
 import time
 
@@ -260,6 +262,19 @@ def test_criterion_8_conditional_normalization_recovery():
             f"beta {beta_mean:.3f} (limit {b})"
         )
     _report(8, "mean fitted location slope and scale exponent: " + "; ".join(lines))
+
+
+# first 16 hex digits of the sha256 of each full report's sorted JSON; they
+# depend on numpy's arithmetic, so another numpy may move them
+FIXTURE_DIGESTS = {"bvn": "d064a8b943108c62", "invlog": "d6b32ef1e98a843f"}
+
+
+def test_full_reports_are_pinned(full_reports):
+    for fam, digest in FIXTURE_DIGESTS.items():
+        doc = full_reports[fam].as_dict()
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, fam
+        assert doc["n_failures"] == {m: 0 for m in est.METHODS}, fam
 
 
 def test_criterion_9_determinism_and_runtime(full_reports, quick_runs):

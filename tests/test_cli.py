@@ -9,7 +9,7 @@ import pytest
 
 import raytail
 from raytail import bench, cli, copulas, estimators, margins
-from raytail.errors import DomainError
+from raytail.errors import ConfigError, DomainError
 
 
 def run_cli(args, capsys):
@@ -239,7 +239,7 @@ def test_estimate_lambda_boundary_ray_near_unit_rate(tmp_path, capsys):
     assert abs(res["lambda_hat"] - 1.0) <= 2.0 * res["se"]
 
 
-@pytest.mark.parametrize("method", ["wt", "lt", "ht"])
+@pytest.mark.parametrize("method", estimators.METHODS)
 def test_estimate_prob_methods(tmp_path, capsys, method):
     sample_path = tmp_path / "s.csv"
     run_cli(
@@ -249,14 +249,21 @@ def test_estimate_prob_methods(tmp_path, capsys, method):
     )
     code, stdout, _ = run_cli(
         ["estimate", "prob", "--method", method, "--input", str(sample_path),
-         "--x", "6.0", "--y", "9.0", "--seed", "5"],
+         "--x", "6.0", "--y", "9.0", "--seed", "5", "--frac", "0.12", "--r", "3000",
+         "--ht-quantile", "0.85"],
         capsys,
     )
     assert code == 0
-    doc = json.loads(stdout)
+    doc = strict_json(stdout)
     assert doc["config"]["seed"] == 5
     assert doc["result"]["method"] == method
     assert 0.0 <= doc["result"]["value"] < 1.0
+    # the method's slot of one probabilities call with the values resolved
+    (slot,) = estimators.probabilities(
+        margins.read_sample(str(sample_path), False), [(6.0, 9.0)], (method,),
+        frac=0.12, quantile=0.85, r=3000, seed=5,
+    )[method]
+    assert doc["result"] == json.loads(json.dumps(slot.as_dict()))
 
 
 def _estimate_at(tmp_path, capsys, method, x, y):
@@ -480,11 +487,14 @@ def test_benchmark_report_reproducible(tmp_path, capsys):
     ],
 )
 def test_benchmark_malformed_config_pointers(tmp_path, capsys, doc, pointer):
+    with pytest.raises(ConfigError) as info:
+        bench.BenchmarkConfig.from_dict(doc)
+    assert pointer in str(info.value)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))
     code, _, err = run_cli(["benchmark", "--config", str(cfg_path)], capsys)
     assert code == 2
-    assert pointer in err
+    assert err == f"error: {info.value}\n"
 
 
 def test_benchmark_report_is_valid_json_when_a_method_always_fails(tmp_path, capsys):
@@ -522,7 +532,7 @@ def test_readme_benchmark_config_example_loads():
     doc = json.loads(example[: example.index("```")])
     # every field is documented in the example
     assert set(doc) == {f.name for f in dataclasses.fields(bench.BenchmarkConfig)}
-    resolved = cli._config_from_json(doc).as_dict()
+    resolved = bench.BenchmarkConfig.from_dict(doc).as_dict()
     assert {k: resolved[k] for k, v in doc.items() if v is not None} == {
         k: v for k, v in doc.items() if v is not None
     }
